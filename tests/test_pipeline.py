@@ -1,5 +1,6 @@
 """Unit tests for image I/O, histograms, the full pipeline, and the CLI."""
 
+import hashlib
 import os
 
 import numpy as np
@@ -351,3 +352,38 @@ def test_cli_lattice_negative_components_equals_form(capsys):
     out = capsys.readouterr().out
     assert "det 1498" in out
     assert "points 675" in out
+
+
+# sha256 of cipher.ppm + cipher.oea + key.oeaw for a fixed (image, seed). The
+# pixels come from SHAKE-256 so the inputs do not depend on numpy's generators.
+GOLDEN_BUNDLES = [
+    ("P6", 1, 1, 5,
+     "cb6fb4e516660d6aef2ba9b562c6366868a03a6ad92bfbf90fee2029c00c4ef7"),
+    ("P6", 57, 1, 11,
+     "df5d122c96471c2c51faf8c93d4008c41646e9821a1f2ecaa2675edd5b664960"),
+    ("P6", 1, 57, 12,
+     "cf8f9b9e098611e0f8360b4f047251974e8b5c507ed1d30eb5de7348038cf6d2"),
+    ("P6", 64, 48, 0xC0FFEE,
+     "36965b5e90b1abfa171b08e7f13539639fe12142ac40aba61cf599379b3e16b0"),
+    ("P6", 300, 17, 2**64 - 1,
+     "5a7d778b0b2257dce9f36ab40f9193be47dde850f9791faf7fde75b0949d3665"),
+    ("P5", 23, 9, 42,
+     "8b236391abc764e10861d46c37928d3869ba870dad6473073476f6dd05e9d128"),
+]
+
+
+def golden_input(path, magic, width, height):
+    channels = 3 if magic == "P6" else 1
+    payload = hashlib.shake_256(f"{magic} {width}x{height}".encode()).digest(
+        width * height * channels
+    )
+    path.write_bytes(f"{magic}\n{width} {height}\n255\n".encode() + payload)
+
+
+@pytest.mark.parametrize("magic,width,height,seed,digest", GOLDEN_BUNDLES)
+def test_golden_bundle_bytes(tmp_path, magic, width, height, seed, digest):
+    src = tmp_path / "golden.ppm"
+    golden_input(src, magic, width, height)
+    bundle = encrypt_pipeline(src, PipelineConfig(seed=seed, out_dir=tmp_path))
+    blob = b"".join(path.read_bytes() for path in bundle.paths)
+    assert hashlib.sha256(blob).hexdigest() == digest
