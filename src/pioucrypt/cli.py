@@ -50,9 +50,12 @@ def _parse_window(text: str) -> tuple[int, int]:
     if len(parts) != 2:
         raise argparse.ArgumentTypeError(f"--window expects 'WxH', got {text!r}")
     try:
-        return int(parts[0]), int(parts[1])
+        width, height = int(parts[0]), int(parts[1])
     except ValueError:
         raise argparse.ArgumentTypeError("--window dimensions must be integers") from None
+    if width < 1 or height < 1:
+        raise argparse.ArgumentTypeError("--window dimensions must be >= 1")
+    return width, height
 
 
 def _resolve_seed(args) -> int:

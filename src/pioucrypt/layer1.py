@@ -36,18 +36,19 @@ class SwapRecord(NamedTuple):
     j: int
 
 
-@dataclass(eq=False)
 class RgbImage:
-    """Three h x w planes of 8-bit values."""
+    """An h x w colour image stored as one interleaved uint8 array.
 
-    red: np.ndarray
-    green: np.ndarray
-    blue: np.ndarray
+    `pixels` has shape (h, w, 3), the byte order of a P6 payload; `red`,
+    `green` and `blue` are views into it.
+    """
 
-    def __post_init__(self):
+    __slots__ = ("pixels",)
+
+    def __init__(self, red, green, blue):
         planes = []
-        for name in ("red", "green", "blue"):
-            arr = np.asarray(getattr(self, name))
+        for name, plane in (("red", red), ("green", green), ("blue", blue)):
+            arr = np.asarray(plane)
             if arr.ndim != 2 or arr.size == 0:
                 raise ValueError(f"{name} plane must be a non-empty 2-D array")
             if arr.dtype != np.uint8:
@@ -59,15 +60,37 @@ class RgbImage:
             planes.append(arr)
         if not (planes[0].shape == planes[1].shape == planes[2].shape):
             raise ValueError("channel planes must share dimensions")
-        self.red, self.green, self.blue = planes
+        self.pixels = np.stack(planes, axis=-1)
+
+    @classmethod
+    def from_pixels(cls, pixels: np.ndarray) -> "RgbImage":
+        """Wrap an (h, w, 3) uint8 array without copying it."""
+        pixels = np.asarray(pixels)
+        if pixels.dtype != np.uint8 or pixels.ndim != 3 or pixels.shape[2] != 3 or pixels.size == 0:
+            raise ValueError("pixels must be a non-empty (h, w, 3) uint8 array")
+        image = cls.__new__(cls)
+        image.pixels = pixels
+        return image
+
+    @property
+    def red(self) -> np.ndarray:
+        return self.pixels[:, :, 0]
+
+    @property
+    def green(self) -> np.ndarray:
+        return self.pixels[:, :, 1]
+
+    @property
+    def blue(self) -> np.ndarray:
+        return self.pixels[:, :, 2]
 
     @property
     def height(self) -> int:
-        return int(self.red.shape[0])
+        return int(self.pixels.shape[0])
 
     @property
     def width(self) -> int:
-        return int(self.red.shape[1])
+        return int(self.pixels.shape[1])
 
     def planes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return (self.red, self.green, self.blue)
@@ -75,20 +98,15 @@ class RgbImage:
     @classmethod
     def from_gray(cls, plane) -> "RgbImage":
         """Promote a single-channel plane to RGB by replication."""
-        arr = np.asarray(plane)
-        return cls(arr.copy(), arr.copy(), arr.copy())
+        return cls(plane, plane, plane)
 
     def copy(self) -> "RgbImage":
-        return RgbImage(self.red.copy(), self.green.copy(), self.blue.copy())
+        return RgbImage.from_pixels(self.pixels.copy())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RgbImage):
             return NotImplemented
-        return (
-            np.array_equal(self.red, other.red)
-            and np.array_equal(self.green, other.green)
-            and np.array_equal(self.blue, other.blue)
-        )
+        return np.array_equal(self.pixels, other.pixels)
 
 
 class SubstitutionTable:
@@ -192,44 +210,45 @@ def generate_layer1_key(rng: Xorshift1024, width: int, height: int) -> Layer1Key
     return Layer1Key(width, height, row_swaps, col_swaps, SubstitutionTable(table))
 
 
-def apply_swaps(plane, records: Sequence[SwapRecord]) -> np.ndarray:
-    """Apply swap records in list order; returns a new plane.
+def apply_swaps(pixels, records: Sequence[SwapRecord]) -> np.ndarray:
+    """Apply swap records in list order to an (h, w) or (h, w, 3) array.
 
-    Applying the reversed list to the result restores the original plane.
+    The records are folded into one row and one column permutation, then
+    applied as a single gather into a new array. Applying the reversed list
+    to the result folds to the inverse permutations and restores the input.
     """
-    arr = np.array(plane, dtype=np.uint8, copy=True)
-    if arr.ndim != 2:
-        raise ValueError("plane must be 2-D")
-    h, w = arr.shape
+    arr = np.asarray(pixels, dtype=np.uint8)
+    if arr.ndim not in (2, 3):
+        raise ValueError("plane must be 2-D, or 3-D with channels last")
+    h, w = arr.shape[:2]
+    rows = list(range(h))
+    cols = list(range(w))
     for rec in records:
         if rec.axis == ROW:
             if not (0 <= rec.i < h and 0 <= rec.j < h):
                 raise IndexOutOfRange(f"row swap ({rec.i}, {rec.j}) outside height {h}")
-            if rec.i != rec.j:
-                arr[[rec.i, rec.j]] = arr[[rec.j, rec.i]]
+            rows[rec.i], rows[rec.j] = rows[rec.j], rows[rec.i]
         elif rec.axis == COLUMN:
             if not (0 <= rec.i < w and 0 <= rec.j < w):
                 raise IndexOutOfRange(f"column swap ({rec.i}, {rec.j}) outside width {w}")
-            if rec.i != rec.j:
-                arr[:, [rec.i, rec.j]] = arr[:, [rec.j, rec.i]]
+            cols[rec.i], cols[rec.j] = cols[rec.j], cols[rec.i]
         else:
             raise ValueError(f"unknown swap axis {rec.axis!r}")
-    return arr
+    return arr.take(np.array(rows), axis=0).take(np.array(cols), axis=1)
 
 
 def apply_lut(image: RgbImage, lut: SubstitutionTable) -> RgbImage:
     """Map every pixel of every channel through the table in one atomic pass."""
     if not isinstance(lut, SubstitutionTable):
         lut = SubstitutionTable(lut)
-    return RgbImage(*(lut.values[plane] for plane in image.planes()))
+    return RgbImage.from_pixels(lut.values[image.pixels])
 
 
 def encrypt_layer1(image: RgbImage, rng: Xorshift1024) -> tuple[RgbImage, Layer1Key]:
     """Scramble the image; returns the cipher image and the key that inverts it."""
     key = generate_layer1_key(rng, image.width, image.height)
-    schedule = key.row_swaps + key.col_swaps
-    swapped = RgbImage(*(apply_swaps(plane, schedule) for plane in image.planes()))
-    return apply_lut(swapped, key.lut), key
+    swapped = apply_swaps(image.pixels, key.row_swaps + key.col_swaps)
+    return apply_lut(RgbImage.from_pixels(swapped), key.lut), key
 
 
 def decrypt_layer1(cipher: RgbImage, key: Layer1Key) -> RgbImage:
@@ -240,7 +259,7 @@ def decrypt_layer1(cipher: RgbImage, key: Layer1Key) -> RgbImage:
         )
     unsubbed = apply_lut(cipher, key.lut.inverse())
     schedule = list(reversed(key.row_swaps + key.col_swaps))
-    return RgbImage(*(apply_swaps(plane, schedule) for plane in unsubbed.planes()))
+    return RgbImage.from_pixels(apply_swaps(unsubbed.pixels, schedule))
 
 
 def serialize_layer1_key(key: Layer1Key) -> str:

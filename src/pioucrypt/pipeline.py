@@ -12,7 +12,9 @@ break the losslessness guarantee, so they are rejected outright.
 
 from __future__ import annotations
 
+import contextlib
 import os
+import secrets
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -100,16 +102,22 @@ def read_image(path) -> RgbImage:
         )
     pixels = np.frombuffer(payload, dtype=np.uint8)
     if magic == b"P6":
-        planes = pixels.reshape(height, width, 3)
-        return RgbImage(planes[:, :, 0].copy(), planes[:, :, 1].copy(), planes[:, :, 2].copy())
+        return RgbImage.from_pixels(pixels.reshape(height, width, 3))
     return RgbImage.from_gray(pixels.reshape(height, width))
 
 
-def write_image(image: RgbImage, path) -> None:
-    """Write a binary PPM (P6, maxval 255); pixel payload is bit-exact."""
+def _encode_ppm(image: RgbImage) -> bytes:
+    """The P6 (maxval 255) file bytes of an image."""
     header = f"P6\n{image.width} {image.height}\n255\n".encode("ascii")
-    payload = np.stack(image.planes(), axis=-1).tobytes()
-    Path(path).write_bytes(header + payload)
+    return b"".join((header, np.ascontiguousarray(image.pixels)))
+
+
+def write_image(image: RgbImage, path) -> None:
+    """Write a binary PPM (P6, maxval 255); pixel payload is bit-exact.
+
+    A failed write leaves any previous file at path as it was.
+    """
+    _write_all_or_nothing([(Path(path), _encode_ppm(image))])
 
 
 @dataclass
@@ -189,23 +197,47 @@ def _bundle_paths(image_path: Path, out_dir: Path) -> tuple[Path, Path, Path]:
     )
 
 
+def _sibling_temp(target: Path) -> Path:
+    return target.with_name(f".{target.name}.{secrets.token_hex(8)}.tmp")
+
+
 def _write_all_or_nothing(payloads: list[tuple[Path, bytes]]) -> None:
+    """Write every (target, blob) pair, or leave every target as it was.
+
+    Each blob first goes to a uniquely named file beside its target, so two
+    runs on the same stem cannot collide. A target that already exists is
+    moved aside before its new file replaces it, and moved back if any later
+    step fails; the set-aside copies are deleted once every target is in place.
+    """
     temps = []
-    promoted = []
+    replaced = []  # (target, its previous file moved aside, or None)
     try:
         for target, blob in payloads:
-            temp = target.with_name(target.name + ".tmp")
-            temp.write_bytes(blob)
-            temps.append((temp, target))
-        for temp, target in temps:
+            temp = _sibling_temp(target)
+            with open(temp, "xb") as fh:
+                temps.append(temp)
+                fh.write(blob)
+        for temp, (target, _) in zip(temps, payloads):
+            previous = None
+            if target.is_file():
+                previous = _sibling_temp(target)
+                os.replace(target, previous)
+            replaced.append((target, previous))
             os.replace(temp, target)
-            promoted.append(target)
     except BaseException:
-        for temp, _ in temps:
-            temp.unlink(missing_ok=True)
-        for target in promoted:
-            target.unlink(missing_ok=True)
+        for target, previous in reversed(replaced):
+            with contextlib.suppress(OSError):
+                if previous is None:
+                    target.unlink(missing_ok=True)
+                else:
+                    os.replace(previous, target)
+        for temp in temps:
+            with contextlib.suppress(OSError):
+                temp.unlink(missing_ok=True)
         raise
+    for _, previous in replaced:
+        if previous is not None:
+            previous.unlink()
 
 
 def encrypt_pipeline(image_path, config: PipelineConfig) -> EncryptionBundle:
@@ -236,11 +268,9 @@ def encrypt_pipeline(image_path, config: PipelineConfig) -> EncryptionBundle:
     if not out_dir.is_dir():
         raise NotADirectoryError(f"output directory {out_dir} does not exist")
     paths = _bundle_paths(image_path, out_dir)
-    image_header = f"P6\n{cipher_image.width} {cipher_image.height}\n255\n".encode("ascii")
-    image_blob = image_header + np.stack(cipher_image.planes(), axis=-1).tobytes()
     _write_all_or_nothing(
         [
-            (paths[0], image_blob),
+            (paths[0], _encode_ppm(cipher_image)),
             (paths[1], oea_cipher_text.encode("ascii")),
             (paths[2], oea_key_text.encode("ascii")),
         ]

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pioucrypt.errors import (
     DimensionMismatch,
@@ -99,6 +101,49 @@ def test_apply_swaps_out_of_range():
         apply_swaps(plane, [SwapRecord(ROW, 0, 2)])
     with pytest.raises(IndexOutOfRange):
         apply_swaps(plane, [SwapRecord(COLUMN, 5, 0)])
+
+
+def loop_apply_swaps(plane, records):
+    """Reference: each record as its own exchange of two rows or columns."""
+    arr = np.array(plane, dtype=np.uint8, copy=True)
+    if arr.ndim == 3:
+        return np.stack([loop_apply_swaps(arr[:, :, c], records) for c in range(3)], axis=-1)
+    h, w = arr.shape
+    for rec in records:
+        if rec.axis == ROW:
+            if not (0 <= rec.i < h and 0 <= rec.j < h):
+                raise IndexOutOfRange(f"row swap ({rec.i}, {rec.j}) outside height {h}")
+            if rec.i != rec.j:
+                arr[[rec.i, rec.j]] = arr[[rec.j, rec.i]]
+        else:
+            if not (0 <= rec.i < w and 0 <= rec.j < w):
+                raise IndexOutOfRange(f"column swap ({rec.i}, {rec.j}) outside width {w}")
+            if rec.i != rec.j:
+                arr[:, [rec.i, rec.j]] = arr[:, [rec.j, rec.i]]
+    return arr
+
+
+@st.composite
+def arrays_and_records(draw):
+    h = draw(st.integers(1, 12))
+    w = draw(st.integers(1, 12))
+    shape = (h, w, 3) if draw(st.booleans()) else (h, w)
+    seed = draw(st.integers(0, 2**32 - 1))
+    arr = np.random.default_rng(seed).integers(0, 256, shape, dtype=np.uint8)
+    record = st.one_of(
+        st.builds(SwapRecord, st.just(ROW), st.integers(0, h - 1), st.integers(0, h - 1)),
+        st.builds(SwapRecord, st.just(COLUMN), st.integers(0, w - 1), st.integers(0, w - 1)),
+    )
+    return arr, draw(st.lists(record, max_size=3 * (h + w)))
+
+
+@settings(deadline=None)
+@given(arrays_and_records())
+def test_apply_swaps_matches_loop_oracle(case):
+    arr, records = case
+    folded = apply_swaps(arr, records)
+    assert np.array_equal(folded, loop_apply_swaps(arr, records))
+    assert np.array_equal(apply_swaps(folded, list(reversed(records))), arr)
 
 
 def test_substitution_table_rejects_non_bijective():

@@ -2,6 +2,9 @@
 
 import hashlib
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -246,6 +249,56 @@ def test_encrypt_atomicity_on_replace_failure(tmp_path, monkeypatch):
     assert list(out.iterdir()) == []
 
 
+def fail_nth_replace(monkeypatch, n):
+    real_replace = os.replace
+    calls = {"n": 0}
+
+    def failing_replace(a, b):
+        calls["n"] += 1
+        if calls["n"] == n:
+            raise OSError("disk full")
+        return real_replace(a, b)
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+
+
+def snapshot(directory):
+    return {path.name: path.read_bytes() for path in directory.iterdir()}
+
+
+def test_reencrypt_failure_restores_previous_bundle(tmp_path, monkeypatch):
+    src = tmp_path / "img.ppm"
+    write_random_ppm(src, np.random.default_rng(32), 6, 6)
+    out = tmp_path / "out"
+    out.mkdir()
+    encrypt_pipeline(src, PipelineConfig(seed=8, out_dir=out))
+    before = snapshot(out)
+
+    fail_nth_replace(monkeypatch, 2)
+    with pytest.raises(OSError):
+        encrypt_pipeline(src, PipelineConfig(seed=9, out_dir=out))
+    assert snapshot(out) == before
+
+    monkeypatch.undo()
+    bundle = encrypt_pipeline(src, PipelineConfig(seed=9, out_dir=out))
+    assert sorted(out.iterdir()) == sorted(bundle.paths)
+    assert snapshot(out) != before
+
+
+def test_decrypt_output_failure_keeps_previous_file(tmp_path, monkeypatch):
+    src = tmp_path / "img.ppm"
+    write_random_ppm(src, np.random.default_rng(33), 5, 4)
+    bundle = encrypt_pipeline(src, PipelineConfig(seed=3, out_dir=tmp_path))
+    out = tmp_path / "dec" / "plain.ppm"
+    out.parent.mkdir()
+    out.write_bytes(b"previous")
+
+    fail_nth_replace(monkeypatch, 2)
+    with pytest.raises(OSError):
+        decrypt_pipeline(*bundle.paths, out_path=out)
+    assert snapshot(out.parent) == {"plain.ppm": b"previous"}
+
+
 def test_encrypt_missing_out_dir(tmp_path):
     rng = np.random.default_rng(37)
     src = tmp_path / "img.ppm"
@@ -322,6 +375,18 @@ def test_cli_error_paths_return_nonzero(tmp_path, capsys):
     missing = tmp_path / "missing.ppm"
     assert cli.main(["analyze", str(missing)]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_cli_lattice_rejects_empty_window():
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    result = subprocess.run(
+        [sys.executable, "-m", "pioucrypt.cli", "lattice", "--v0=3,1", "--v1=1,3",
+         "--window", "0x5"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert result.returncode != 0
+    assert "--window dimensions must be >= 1" in result.stderr
+    assert "Traceback" not in result.stderr
 
 
 def test_cli_lattice_dump(capsys):
