@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import contextlib
 import os
-import secrets
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -80,7 +79,11 @@ def _header_int(data: bytes, pos: int, what: str) -> tuple[int, int]:
 
 
 def read_image(path) -> RgbImage:
-    """Read a binary PPM (P6) or PGM (P5) file with maxval 255."""
+    """Read a binary PPM (P6) or PGM (P5) file with maxval 255.
+
+    A P6 image wraps the file's bytes without copying, so its pixels are
+    read-only.
+    """
     data = Path(path).read_bytes()
     magic = data[:2]
     if magic not in (b"P6", b"P5"):
@@ -198,7 +201,7 @@ def _bundle_paths(image_path: Path, out_dir: Path) -> tuple[Path, Path, Path]:
 
 
 def _sibling_temp(target: Path) -> Path:
-    return target.with_name(f".{target.name}.{secrets.token_hex(8)}.tmp")
+    return target.with_name(f".{target.name}.{os.urandom(8).hex()}.tmp")
 
 
 def _write_all_or_nothing(payloads: list[tuple[Path, bytes]]) -> None:
