@@ -109,10 +109,14 @@ def read_image(path) -> RgbImage:
     return RgbImage.from_gray(pixels.reshape(height, width))
 
 
-def _encode_ppm(image: RgbImage) -> bytes:
-    """The P6 (maxval 255) file bytes of an image."""
+def _encode_ppm(image: RgbImage) -> tuple[bytes, np.ndarray]:
+    """The P6 (maxval 255) file of an image: its header, then its pixel payload.
+
+    The two parts are written one after the other, so the pixels are never
+    copied into one file-sized bytes object.
+    """
     header = f"P6\n{image.width} {image.height}\n255\n".encode("ascii")
-    return b"".join((header, np.ascontiguousarray(image.pixels)))
+    return header, np.ascontiguousarray(image.pixels)
 
 
 def write_image(image: RgbImage, path) -> None:
@@ -204,22 +208,24 @@ def _sibling_temp(target: Path) -> Path:
     return target.with_name(f".{target.name}.{os.urandom(8).hex()}.tmp")
 
 
-def _write_all_or_nothing(payloads: list[tuple[Path, bytes]]) -> None:
-    """Write every (target, blob) pair, or leave every target as it was.
+def _write_all_or_nothing(payloads: list[tuple[Path, tuple]]) -> None:
+    """Write every (target, parts) pair, or leave every target as it was.
 
-    Each blob first goes to a uniquely named file beside its target, so two
-    runs on the same stem cannot collide. A target that already exists is
-    moved aside before its new file replaces it, and moved back if any later
-    step fails; the set-aside copies are deleted once every target is in place.
+    The parts of a target are bytes-like objects written in order. They first
+    go to a uniquely named file beside the target, so two runs on the same
+    stem cannot collide. A target that already exists is moved aside before
+    its new file replaces it, and moved back if any later step fails; the
+    set-aside copies are deleted once every target is in place.
     """
     temps = []
     replaced = []  # (target, its previous file moved aside, or None)
     try:
-        for target, blob in payloads:
+        for target, parts in payloads:
             temp = _sibling_temp(target)
             with open(temp, "xb") as fh:
                 temps.append(temp)
-                fh.write(blob)
+                for part in parts:
+                    fh.write(part)
         for temp, (target, _) in zip(temps, payloads):
             previous = None
             if target.is_file():
@@ -274,8 +280,8 @@ def encrypt_pipeline(image_path, config: PipelineConfig) -> EncryptionBundle:
     _write_all_or_nothing(
         [
             (paths[0], _encode_ppm(cipher_image)),
-            (paths[1], oea_cipher_text.encode("ascii")),
-            (paths[2], oea_key_text.encode("ascii")),
+            (paths[1], (oea_cipher_text.encode("ascii"),)),
+            (paths[2], (oea_key_text.encode("ascii"),)),
         ]
     )
     return EncryptionBundle(cipher_image, oea_cipher_text, oea_key_text, paths)
