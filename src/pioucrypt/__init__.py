@@ -7,152 +7,13 @@ matrix keys layer 2, a parity-split stream transform that encrypts the
 layer-1 key text. Decryption is byte-exact end to end.
 """
 
-from .errors import (
-    AllZeroState,
-    DegenerateVectors,
-    DimensionMismatch,
-    EmptyKey,
-    EmptyMatrix,
-    IndexOutOfRange,
-    InvalidRange,
-    KeyMismatch,
-    MalformedCipher,
-    MalformedHeader,
-    NonBijectiveTable,
-    NonByteValue,
-    OverflowGuard,
-    ParseError,
-    PiouCryptError,
-    ShapeMismatch,
-    UnsupportedFormat,
-)
-from .layer1 import (
-    COLUMN,
-    ROW,
-    Layer1Key,
-    RgbImage,
-    SubstitutionTable,
-    SwapRecord,
-    apply_lut,
-    apply_swaps,
-    decrypt_layer1,
-    encrypt_layer1,
-    generate_layer1_key,
-    parse_layer1_key,
-    serialize_layer1_key,
-)
-from .lattice import (
-    FactorPair,
-    LatticeVectors,
-    NmfConfig,
-    WindowSpec,
-    derive_lattice_vectors,
-    generate_lattice_points,
-    nmf_multiplicative,
-    parse_key_matrix,
-    reconstruction_error,
-    serialize_key_matrix,
-    vector_component_bound,
-)
-from .oea import (
-    OeaCipher,
-    key_weight,
-    master_key,
-    oea_decrypt,
-    oea_encrypt,
-    parse_oea,
-    serialize_oea,
-)
-from .pipeline import (
-    EncryptionBundle,
-    HistogramReport,
-    PipelineConfig,
-    analyze,
-    decrypt_pipeline,
-    encrypt_pipeline,
-    histogram,
-    read_image,
-    write_image,
-)
-from .prng import (
-    DEFAULT_TLCG_INCREMENTS,
-    DEFAULT_TLCG_MODULUS,
-    DEFAULT_TLCG_MULTIPLIERS,
-    LcgParams,
-    Tlcg,
-    Xorshift1024,
-    lcg_step,
-    xor_bias_empirical,
-    xor_bias_expected,
-)
-
-__version__ = "0.1.0"
+from .errors import PiouCryptError
+from .pipeline import EncryptionBundle, PipelineConfig, decrypt_pipeline, encrypt_pipeline
 
 __all__ = [
-    "AllZeroState",
-    "COLUMN",
-    "DEFAULT_TLCG_INCREMENTS",
-    "DEFAULT_TLCG_MODULUS",
-    "DEFAULT_TLCG_MULTIPLIERS",
-    "DegenerateVectors",
-    "DimensionMismatch",
-    "EmptyKey",
-    "EmptyMatrix",
     "EncryptionBundle",
-    "FactorPair",
-    "HistogramReport",
-    "IndexOutOfRange",
-    "InvalidRange",
-    "KeyMismatch",
-    "Layer1Key",
-    "LatticeVectors",
-    "LcgParams",
-    "MalformedCipher",
-    "MalformedHeader",
-    "NmfConfig",
-    "NonBijectiveTable",
-    "NonByteValue",
-    "OeaCipher",
-    "OverflowGuard",
-    "ParseError",
     "PiouCryptError",
     "PipelineConfig",
-    "ROW",
-    "RgbImage",
-    "ShapeMismatch",
-    "SubstitutionTable",
-    "SwapRecord",
-    "Tlcg",
-    "UnsupportedFormat",
-    "WindowSpec",
-    "Xorshift1024",
-    "analyze",
-    "apply_lut",
-    "apply_swaps",
-    "decrypt_layer1",
     "decrypt_pipeline",
-    "derive_lattice_vectors",
-    "encrypt_layer1",
     "encrypt_pipeline",
-    "generate_lattice_points",
-    "generate_layer1_key",
-    "histogram",
-    "key_weight",
-    "lcg_step",
-    "master_key",
-    "nmf_multiplicative",
-    "oea_decrypt",
-    "oea_encrypt",
-    "parse_key_matrix",
-    "parse_layer1_key",
-    "parse_oea",
-    "read_image",
-    "reconstruction_error",
-    "serialize_key_matrix",
-    "serialize_layer1_key",
-    "serialize_oea",
-    "vector_component_bound",
-    "write_image",
-    "xor_bias_empirical",
-    "xor_bias_expected",
 ]

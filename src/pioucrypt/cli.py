@@ -19,9 +19,20 @@ from .lattice import (
     reconstruction_error,
     serialize_key_matrix,
 )
-from .pipeline import PipelineConfig, analyze, decrypt_pipeline, encrypt_pipeline
+from .pipeline import (
+    PipelineConfig,
+    analyze,
+    decrypt_pipeline,
+    decrypted_image_path,
+    encrypt_pipeline,
+)
 
 SEED_ENV_VAR = "PIOUCRYPT_SEED"
+
+# Largest --window area `lattice` enumerates, that of a 4096 x 4096 image. A
+# window holds at most one point per pixel whatever the basis, and
+# enumerating 2^22 points (2048 x 2048 at |det| = 1) peaks at about 0.3 GB.
+MAX_WINDOW_PIXELS = 1 << 24
 
 
 def parse_seed(text: str) -> int:
@@ -110,10 +121,8 @@ def _cmd_encrypt(args) -> int:
 
 
 def _cmd_decrypt(args) -> int:
-    decrypt_pipeline(args.cipher_image, args.oea_cipher, args.oea_key, args.out)
-    out = args.out if args.out is not None else args.cipher_image.with_name(
-        args.cipher_image.stem + ".dec.ppm"
-    )
+    out = args.out if args.out is not None else decrypted_image_path(args.cipher_image)
+    decrypt_pipeline(args.cipher_image, args.oea_cipher, args.oea_key, out)
     print(out)
     return 0
 
@@ -128,6 +137,10 @@ def _cmd_analyze(args) -> int:
 def _cmd_lattice(args) -> int:
     vectors = LatticeVectors(args.v0, args.v1)
     window = WindowSpec(*args.window)
+    if window.width * window.height > MAX_WINDOW_PIXELS:
+        raise PiouCryptError(
+            f"window {window.width}x{window.height} is over {MAX_WINDOW_PIXELS} pixels"
+        )
     points = generate_lattice_points(vectors, window)
     print(f"basis {vectors.v0} {vectors.v1}  det {vectors.det}")
     print(f"window {window.width}x{window.height}  points {points.shape[0]}")

@@ -16,6 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import _text
 from .errors import DegenerateVectors, EmptyMatrix, ParseError, ShapeMismatch
 from .prng import Tlcg
 
@@ -51,17 +52,6 @@ class LatticeVectors:
     def det(self) -> int:
         return self.v0[0] * self.v1[1] - self.v0[1] * self.v1[0]
 
-    @property
-    def norms(self) -> tuple[float, float]:
-        return (math.hypot(*self.v0), math.hypot(*self.v1))
-
-    @property
-    def obliquity(self) -> float:
-        """Angle between the basis vectors in radians."""
-        n0, n1 = self.norms
-        cosine = (self.v0[0] * self.v1[0] + self.v0[1] * self.v1[1]) / (n0 * n1)
-        return math.acos(max(-1.0, min(1.0, cosine)))
-
 
 def vector_component_bound(window: WindowSpec) -> int:
     """Largest component magnitude drawn for a basis vector in this window."""
@@ -90,17 +80,39 @@ def _ceil_div(a: int, b: int) -> int:
     return -((-a) // b)
 
 
+def _reduced_basis(a: tuple[int, int], b: tuple[int, int]):
+    """Lagrange-Gauss reduction of a basis; spans the same lattice.
+
+    Returns (v, u): u is a shortest non-zero lattice vector and v a shortest
+    one independent of u, so the angle between them lies in [60, 120] degrees.
+    """
+
+    def norm2(p):
+        return p[0] * p[0] + p[1] * p[1]
+
+    u, v = sorted((a, b), key=norm2)
+    while True:
+        n = norm2(u)
+        # q is the integer nearest to <u, v> / |u|^2
+        q = (2 * (u[0] * v[0] + u[1] * v[1]) + n) // (2 * n)
+        v = (v[0] - q * u[0], v[1] - q * u[1])
+        if norm2(v) >= n:
+            return v, u
+        u, v = v, u
+
+
 def generate_lattice_points(vectors: LatticeVectors, window: WindowSpec) -> np.ndarray:
     """Enumerate every lattice point inside the window.
 
     Returns an m x 2 integer array of (x, y) rows sorted ascending by (y, x).
+    The basis is reduced first, so at most about width + height index rows
+    are walked, however skewed the given basis is.
     Index bounds come from mapping the window corners through the inverse
     basis with a +/-2 margin; within those bounds each index row is reduced to
     its exact in-window sub-interval, so the result is the full point set.
     """
-    v0x, v0y = vectors.v0
-    v1x, v1y = vectors.v1
-    det = vectors.det
+    (v0x, v0y), (v1x, v1y) = _reduced_basis(vectors.v0, vectors.v1)
+    det = v0x * v1y - v0y * v1x
     x_max = window.width - 1
     y_max = window.height - 1
 
@@ -155,8 +167,6 @@ class NmfConfig:
     rank: int = 2
     max_iterations: int = 500
     epsilon: float = 1e-9
-    alpha: float = 0.0
-    beta: float = 0.0
     tolerance: float = 1e-9
     seed: int = 0
 
@@ -167,8 +177,6 @@ class NmfConfig:
             raise ValueError("max_iterations must be >= 1")
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
-        if self.alpha < 0 or self.beta < 0:
-            raise ValueError("regularization weights must be >= 0")
         if self.tolerance < 0:
             raise ValueError("tolerance must be >= 0")
         if self.seed < 0:
@@ -210,10 +218,8 @@ def nmf_multiplicative(
     """Factorize a non-negative matrix by multiplicative updates.
 
     Per iteration H is rescaled by (W^T V) / (W^T W H + eps) and then W by
-    (V H^T) / (W H H^T + eps), element-wise; with alpha or beta positive the
-    matching denominator also gains the Frobenius-penalty gradient (2 * alpha
-    * W, 2 * beta * H). Stops at max_iterations or when the relative change of
-    the reconstruction error drops below the tolerance.
+    (V H^T) / (W H H^T + eps), element-wise. Stops at max_iterations or when
+    the relative change of the reconstruction error drops below the tolerance.
 
     init: optional (W0, H0) pair to start from; otherwise entries are drawn
     uniformly in (0, 1] from a TLCG stream seeded by config.seed (W row-major,
@@ -249,16 +255,8 @@ def nmf_multiplicative(
     if error_history is not None:
         error_history.append(err)
     for _ in range(cfg.max_iterations):
-        denom_h = W.T @ W @ H
-        if cfg.beta:
-            denom_h += (2.0 * cfg.beta) * H
-        denom_h += eps
-        H *= (W.T @ V) / denom_h
-        denom_w = W @ (H @ H.T)
-        if cfg.alpha:
-            denom_w += (2.0 * cfg.alpha) * W
-        denom_w += eps
-        W *= (V @ H.T) / denom_w
+        H *= (W.T @ V) / (W.T @ W @ H + eps)
+        W *= (V @ H.T) / (W @ (H @ H.T) + eps)
         new_err = float(np.linalg.norm(V - W @ H))
         if error_history is not None:
             error_history.append(new_err)
@@ -284,21 +282,11 @@ def serialize_key_matrix(matrix) -> str:
 
 def parse_key_matrix(text: str) -> np.ndarray:
     """Parse the key text back into a matrix (values at 5-decimal precision)."""
-    lines = text.split("\n")
-    if not lines or lines[-1] != "":
-        raise ParseError("key matrix text must end with a newline", len(lines))
-    lines.pop()
-    if not lines:
-        raise ParseError("empty key matrix text", 1)
+    lines = _text.split_lines(text, "key matrix text")
     header = lines[0].split(" ")
     if len(header) != 3 or header[0] != KEY_MATRIX_MAGIC:
         raise ParseError(f"header must be '{KEY_MATRIX_MAGIC} <rows> <cols>'", 1)
-    try:
-        rows, cols = int(header[1]), int(header[2])
-    except ValueError:
-        raise ParseError("header dimensions must be integers", 1) from None
-    if header[1] != str(rows) or header[2] != str(cols):
-        raise ParseError("header dimensions must be canonical integers", 1)
+    rows, cols = _text.canon_ints(header[1:], "dimensions", 1)
     if rows < 1 or cols < 1:
         raise ParseError("dimensions must be >= 1", 1)
     if len(lines) != rows + 1:

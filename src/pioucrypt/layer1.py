@@ -14,6 +14,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
+from . import _text
 from .errors import (
     DimensionMismatch,
     IndexOutOfRange,
@@ -100,9 +101,6 @@ class RgbImage:
         """Promote a single-channel plane to RGB by replication."""
         return cls(plane, plane, plane)
 
-    def copy(self) -> "RgbImage":
-        return RgbImage.from_pixels(self.pixels.copy())
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, RgbImage):
             return NotImplemented
@@ -124,10 +122,6 @@ class SubstitutionTable:
             raise NonBijectiveTable("table is not a permutation of 0..255")
         self.values = np.array(vals, dtype=np.uint8)
 
-    @classmethod
-    def identity(cls) -> "SubstitutionTable":
-        return cls(range(256))
-
     def inverse(self) -> "SubstitutionTable":
         inv = np.empty(256, dtype=np.uint8)
         inv[self.values] = np.arange(256, dtype=np.uint8)
@@ -142,7 +136,7 @@ class SubstitutionTable:
         return np.array_equal(self.values, other.values)
 
 
-@dataclass(eq=False)
+@dataclass
 class Layer1Key:
     """Full first-layer key: swap schedule plus substitution table."""
 
@@ -165,19 +159,6 @@ class Layer1Key:
         for rec in self.col_swaps:
             if rec.axis != COLUMN or not (0 <= rec.i < self.width and 0 <= rec.j < self.width):
                 raise ValueError(f"invalid column swap record {rec}")
-        if not isinstance(self.lut, SubstitutionTable):
-            self.lut = SubstitutionTable(self.lut)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Layer1Key):
-            return NotImplemented
-        return (
-            self.width == other.width
-            and self.height == other.height
-            and self.row_swaps == other.row_swaps
-            and self.col_swaps == other.col_swaps
-            and self.lut == other.lut
-        )
 
 
 def generate_layer1_key(rng: Xorshift1024, width: int, height: int) -> Layer1Key:
@@ -239,8 +220,6 @@ def apply_swaps(pixels, records: Sequence[SwapRecord]) -> np.ndarray:
 
 def apply_lut(image: RgbImage, lut: SubstitutionTable) -> RgbImage:
     """Map every pixel of every channel through the table in one atomic pass."""
-    if not isinstance(lut, SubstitutionTable):
-        lut = SubstitutionTable(lut)
     return RgbImage.from_pixels(lut.values[image.pixels])
 
 
@@ -271,34 +250,13 @@ def serialize_layer1_key(key: Layer1Key) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _canon_int(token: str, what: str, line: int) -> int:
-    try:
-        value = int(token)
-    except ValueError:
-        raise ParseError(f"{what}: {token!r} is not an integer", line) from None
-    if token != str(value):
-        raise ParseError(f"{what}: {token!r} is not in canonical form", line)
-    return value
-
-
-def _split_lines(text: str, what: str) -> list[str]:
-    lines = text.split("\n")
-    if not lines or lines[-1] != "":
-        raise ParseError(f"{what} must end with a newline", len(lines))
-    lines.pop()
-    return lines
-
-
 def parse_layer1_key(text: str) -> Layer1Key:
     """Parse the text form back into a key; inverse of serialize_layer1_key."""
-    lines = _split_lines(text, "key file")
-    if not lines:
-        raise ParseError("empty key file", 1)
+    lines = _text.split_lines(text, "key file")
     header = lines[0].split(" ")
     if len(header) != 3 or header[0] != LAYER1_MAGIC:
         raise ParseError(f"header must be '{LAYER1_MAGIC} <width> <height>'", 1)
-    width = _canon_int(header[1], "width", 1)
-    height = _canon_int(header[2], "height", 1)
+    width, height = _text.canon_ints(header[1:], "dimensions", 1)
     if width < 1 or height < 1:
         raise ParseError("dimensions must be >= 1", 1)
     expected = 1 + height + width + 256
@@ -312,8 +270,7 @@ def parse_layer1_key(text: str) -> Layer1Key:
             tokens = lines[start + offset].split(" ")
             if len(tokens) != 3 or tokens[0] != tag:
                 raise ParseError(f"expected '{tag} <i> <j>'", line_no)
-            i = _canon_int(tokens[1], "swap index", line_no)
-            j = _canon_int(tokens[2], "swap index", line_no)
+            i, j = _text.canon_ints(tokens[1:], "swap index", line_no)
             if not (0 <= i < bound and 0 <= j < bound):
                 raise ParseError(f"swap index out of range [0, {bound})", line_no)
             records.append(SwapRecord(tag, i, j))
@@ -330,8 +287,7 @@ def parse_layer1_key(text: str) -> Layer1Key:
         tokens = lines[start + offset].split(" ")
         if len(tokens) != 3 or tokens[0] != "L":
             raise ParseError("expected 'L <value> <substitute>'", line_no)
-        value = _canon_int(tokens[1], "plain value", line_no)
-        sub = _canon_int(tokens[2], "substitute", line_no)
+        value, sub = _text.canon_ints(tokens[1:], "lookup entry", line_no)
         if value != 255 - offset:
             raise ParseError(f"plain value must be {255 - offset}", line_no)
         if not 0 <= sub <= 255:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from . import _text
 from .errors import (
     EmptyKey,
     KeyMismatch,
@@ -34,16 +35,20 @@ def key_weight(key: bytes) -> int:
     return sum(key)
 
 
-def master_key(key: bytes, plaintext_length: int) -> int:
+def master_key(weight: int, plaintext_length: int) -> int:
     """Key weight times plaintext length, with the overflow guard applied."""
     if plaintext_length < 0:
         raise ValueError("plaintext length must be >= 0")
-    value = key_weight(key) * plaintext_length
+    value = weight * plaintext_length
     if value >= MASTER_KEY_LIMIT:
         raise OverflowGuard(
             f"weight x length = {value} exceeds the 2^62 guard"
         )
     return value
+
+
+def _is_bits(text: str) -> bool:
+    return not text.strip("01")
 
 
 @dataclass
@@ -61,9 +66,9 @@ class OeaCipher:
 
     def validate(self) -> None:
         """Check the key-independent structural invariants."""
-        if any(ch not in "01" for ch in self.red1):
+        if not _is_bits(self.red1):
             raise MalformedCipher("red1 must contain only '0'/'1'")
-        if any(ch not in "01" for ch in self.sc):
+        if not _is_bits(self.sc):
             raise MalformedCipher("marker string must contain only '0'/'1'")
         if len(self.sc) != len(self.se) + len(self.so):
             raise MalformedCipher(
@@ -86,7 +91,7 @@ def _redundancy(key: bytes, mk: int, length: int) -> tuple[str, list[int]]:
 def oea_encrypt(plaintext: bytes, key: bytes) -> OeaCipher:
     """Encrypt a byte string under the key text."""
     weight = key_weight(key)
-    mk = master_key(key, len(plaintext))
+    mk = master_key(weight, len(plaintext))
     se: list[int] = []
     so: list[int] = []
     sc_bits = []
@@ -115,7 +120,7 @@ def oea_decrypt(cipher: OeaCipher, key: bytes) -> bytes:
     """Recover the exact plaintext; the key must re-derive the redundancy."""
     cipher.validate()
     weight = key_weight(key)
-    mk = master_key(key, len(cipher.sc))
+    mk = master_key(weight, len(cipher.sc))
 
     expected_red1, expected_red2 = _redundancy(key, mk, weight % 10)
     if (
@@ -175,24 +180,12 @@ def _parse_int_line(line: str, count: int, section: str, line_no: int) -> list[i
         raise ParseError(
             f"{section} section: expected {count} values, found {len(tokens)}", line_no
         )
-    values = []
-    for token in tokens:
-        try:
-            value = int(token)
-        except ValueError:
-            raise ParseError(f"{section} section: {token!r} is not an integer", line_no) from None
-        if token != str(value):
-            raise ParseError(f"{section} section: {token!r} is not canonical", line_no)
-        values.append(value)
-    return values
+    return _text.canon_ints(tokens, f"{section} section", line_no)
 
 
 def parse_oea(text: str) -> OeaCipher:
     """Parse the six-line form back into a cipher; inverse of serialize_oea."""
-    lines = text.split("\n")
-    if not lines or lines[-1] != "":
-        raise ParseError("cipher text must end with a newline", len(lines))
-    lines.pop()
+    lines = _text.split_lines(text, "cipher text")
     if len(lines) != 6:
         missing = _SECTION_NAMES[min(len(lines), 5)]
         raise ParseError(
@@ -202,10 +195,7 @@ def parse_oea(text: str) -> OeaCipher:
     header = lines[0].split(" ")
     if len(header) != 6 or header[0] != OEA_MAGIC:
         raise ParseError(f"header must be '{OEA_MAGIC}' plus five section lengths", 1)
-    try:
-        n_red1, n_sc, n_se, n_so, n_red2 = (int(tok) for tok in header[1:])
-    except ValueError:
-        raise ParseError("header lengths must be integers", 1) from None
+    n_red1, n_sc, n_se, n_so, n_red2 = _text.canon_ints(header[1:], "header lengths", 1)
     if min(n_red1, n_sc, n_se, n_so, n_red2) < 0:
         raise ParseError("header lengths must be >= 0", 1)
     for name, line_no, expected in (("red1", 2, n_red1), ("sc", 3, n_sc)):
@@ -214,7 +204,7 @@ def parse_oea(text: str) -> OeaCipher:
             raise ParseError(
                 f"{name} section: expected {expected} bits, found {len(bits)}", line_no
             )
-        if any(ch not in "01" for ch in bits):
+        if not _is_bits(bits):
             raise ParseError(f"{name} section: bits must be '0'/'1'", line_no)
     se = _parse_int_line(lines[3], n_se, "se", 4)
     so = _parse_int_line(lines[4], n_so, "so", 5)

@@ -36,7 +36,7 @@ from .lattice import (
     serialize_key_matrix,
 )
 from .oea import oea_decrypt, oea_encrypt, parse_oea, serialize_oea
-from .prng import LcgParams, Tlcg, Xorshift1024
+from .prng import Tlcg, Xorshift1024
 
 # Salt mixed into the master seed for the factorization start point, so the
 # vector-derivation stream and the initializer stream differ.
@@ -163,26 +163,14 @@ def analyze(image_path, csv_path) -> HistogramReport:
 
 @dataclass
 class PipelineConfig:
-    """One seed drives the whole pipeline; everything else is optional."""
+    """One seed drives the whole pipeline; out_dir defaults to the image's."""
 
     seed: int
-    tlcg_streams: tuple[LcgParams, LcgParams, LcgParams] | None = None
-    nmf: NmfConfig | None = None
     out_dir: Path | None = None
 
     def __post_init__(self):
         if not 0 <= self.seed < 1 << 64:
             raise ValueError("seed must be an unsigned 64-bit integer")
-
-    def make_tlcg(self) -> Tlcg:
-        if self.tlcg_streams is not None:
-            return Tlcg(self.tlcg_streams)
-        return Tlcg.from_seed(self.seed)
-
-    def make_nmf_config(self) -> NmfConfig:
-        if self.nmf is not None:
-            return self.nmf
-        return NmfConfig(seed=self.seed ^ NMF_SEED_SALT)
 
 
 @dataclass
@@ -192,7 +180,7 @@ class EncryptionBundle:
     cipher_image: RgbImage
     oea_cipher_text: str
     oea_key_text: str
-    paths: tuple[Path, Path, Path] | None = None
+    paths: tuple[Path, Path, Path]
 
 
 def _bundle_paths(image_path: Path, out_dir: Path) -> tuple[Path, Path, Path]:
@@ -263,10 +251,11 @@ def encrypt_pipeline(image_path, config: PipelineConfig) -> EncryptionBundle:
     plaintext = serialize_layer1_key(layer1_key).encode("ascii")
 
     window = WindowSpec(image.width, image.height)
-    tlcg = config.make_tlcg()
-    vectors = derive_lattice_vectors(tlcg, window)
+    vectors = derive_lattice_vectors(Tlcg.from_seed(config.seed), window)
     points = generate_lattice_points(vectors, window)
-    factors = nmf_multiplicative(points.astype(np.float64), config.make_nmf_config())
+    factors = nmf_multiplicative(
+        points.astype(np.float64), NmfConfig(seed=config.seed ^ NMF_SEED_SALT)
+    )
     oea_key_text = serialize_key_matrix(factors.W)
 
     cipher = oea_encrypt(plaintext, oea_key_text.encode("ascii"))
@@ -287,8 +276,17 @@ def encrypt_pipeline(image_path, config: PipelineConfig) -> EncryptionBundle:
     return EncryptionBundle(cipher_image, oea_cipher_text, oea_key_text, paths)
 
 
+def decrypted_image_path(cipher_image_path) -> Path:
+    """Where decrypt_pipeline writes the image when given no out_path."""
+    path = Path(cipher_image_path)
+    return path.with_name(path.stem + ".dec.ppm")
+
+
 def decrypt_pipeline(cipher_image_path, oea_cipher_path, oea_key_path, out_path=None) -> RgbImage:
-    """Invert a bundle back to the original image and write it to disk."""
+    """Invert a bundle back to the original image and write it to disk.
+
+    The image goes to out_path, or to decrypted_image_path(cipher_image_path).
+    """
     cipher_image_path = Path(cipher_image_path)
     cipher_image = read_image(cipher_image_path)
     key_bytes = Path(oea_key_path).read_bytes()
@@ -310,6 +308,6 @@ def decrypt_pipeline(cipher_image_path, oea_cipher_path, oea_key_path, out_path=
         )
     plain = decrypt_layer1(cipher_image, layer1_key)
     if out_path is None:
-        out_path = cipher_image_path.with_name(cipher_image_path.stem + ".dec.ppm")
+        out_path = decrypted_image_path(cipher_image_path)
     write_image(plain, out_path)
     return plain

@@ -68,12 +68,6 @@ class Xorshift1024:
         gen.p = index
         return gen
 
-    def clone(self) -> "Xorshift1024":
-        gen = Xorshift1024.__new__(Xorshift1024)
-        gen.s = list(self.s)
-        gen.p = self.p
-        return gen
-
     def next_u64(self) -> int:
         """Advance one step and return the next 64-bit output."""
         s = self.s
@@ -134,16 +128,6 @@ class LcgParams:
             raise ValueError("seed must satisfy 0 <= x < m")
 
 
-def lcg_step(x: int, multiplier: int, increment: int, modulus: int) -> int:
-    """One step of x -> (a*x + c) mod m.
-
-    Python integers widen automatically, so the product never overflows.
-    """
-    if modulus <= 0:
-        raise ValueError("modulus must be positive")
-    return (multiplier * x + increment) % modulus
-
-
 DEFAULT_TLCG_MODULUS = 2**31 - 1
 DEFAULT_TLCG_MULTIPLIERS = (16807, 48271, 69621)
 DEFAULT_TLCG_INCREMENTS = (12345, 67891, 1013904223)
@@ -170,27 +154,17 @@ class Tlcg:
         self.values = [s.seed for s in streams]
 
     @classmethod
-    def from_seed(
-        cls,
-        seed: int,
-        modulus: int = DEFAULT_TLCG_MODULUS,
-        multipliers: Sequence[int] = DEFAULT_TLCG_MULTIPLIERS,
-        increments: Sequence[int] = DEFAULT_TLCG_INCREMENTS,
-    ) -> "Tlcg":
-        """Derive the three per-stream seeds from a single master seed."""
+    def from_seed(cls, seed: int) -> "Tlcg":
+        """Derive the three default streams' seeds from a single master seed."""
         if seed < 0:
             raise ValueError("seed must be non-negative")
-        streams = tuple(
-            LcgParams(modulus, a, c, (seed + off) % modulus)
-            for a, c, off in zip(multipliers, increments, _STREAM_SEED_OFFSETS)
+        m = DEFAULT_TLCG_MODULUS
+        return cls(
+            LcgParams(m, a, c, (seed + off) % m)
+            for a, c, off in zip(
+                DEFAULT_TLCG_MULTIPLIERS, DEFAULT_TLCG_INCREMENTS, _STREAM_SEED_OFFSETS
+            )
         )
-        return cls(streams)
-
-    def clone(self) -> "Tlcg":
-        gen = Tlcg.__new__(Tlcg)
-        gen.streams = self.streams
-        gen.values = list(self.values)
-        return gen
 
     def randrange(self, lo: int, hi: int) -> int:
         """Value in [lo, hi); advances all three streams exactly once."""

@@ -157,7 +157,7 @@ def test_substitution_table_rejects_non_bijective():
 
 def test_apply_lut_identity_and_single_lookup():
     image = RgbImage(np.array([[255]]), np.array([[0]]), np.array([[7]]))
-    assert apply_lut(image, SubstitutionTable.identity()) == image
+    assert apply_lut(image, SubstitutionTable(range(256))) == image
     table = list(range(256))
     table[255], table[10] = 10, 255
     mapped = apply_lut(image, SubstitutionTable(table))
@@ -282,7 +282,7 @@ def test_identity_key_decrypts_to_same_image():
         2,
         [SwapRecord(ROW, 0, 0), SwapRecord(ROW, 1, 1)],
         [SwapRecord(COLUMN, k, k) for k in range(3)],
-        SubstitutionTable.identity(),
+        SubstitutionTable(range(256)),
     )
     assert decrypt_layer1(image, key) == image
 

@@ -37,10 +37,10 @@ def test_key_weight_rejects_empty():
 
 
 def test_master_key_and_overflow_guard():
-    assert master_key(b"A", 2) == 130
-    assert master_key(b"A", 0) == 0
+    assert master_key(key_weight(b"A"), 2) == 130
+    assert master_key(key_weight(b"A"), 0) == 0
     with pytest.raises(OverflowGuard):
-        master_key(b"\xff" * 1000, 2**55)
+        master_key(key_weight(b"\xff" * 1000), 2**55)
 
 
 def test_hand_traced_vector():
@@ -122,7 +122,7 @@ def test_intermediate_values_bounded():
         key = bytes(rng.randrange(256) for _ in range(rng.randint(1, 50)))
         plaintext = bytes(rng.randrange(256) for _ in range(rng.randint(1, 300)))
         cipher = oea_encrypt(plaintext, key)
-        bound = 2 * master_key(key, len(plaintext)) + 255 * len(plaintext)
+        bound = 2 * master_key(key_weight(key), len(plaintext)) + 255 * len(plaintext)
         values = cipher.se + cipher.so + cipher.red2
         assert all(abs(v) <= bound for v in values)
 
@@ -174,6 +174,10 @@ def test_mutated_cipher_detected_at_decrypt():
     cipher.sc = "11"
     with pytest.raises(MalformedCipher):
         oea_decrypt(cipher, b"A")
+    cipher = oea_encrypt(b"Hi", b"A")
+    cipher.red1 = "0000x"
+    with pytest.raises(MalformedCipher):
+        oea_decrypt(cipher, b"A")
 
 
 def test_out_of_range_recovered_value():
@@ -204,6 +208,15 @@ def test_serialization_round_trip_random():
         parsed = parse_oea(serialize_oea(cipher))
         assert parsed == cipher
         assert oea_decrypt(parsed, key) == plaintext
+
+
+@pytest.mark.parametrize("length", ["+5", "05"])
+def test_parse_rejects_non_canonical_header_lengths(length):
+    good = serialize_oea(oea_encrypt(b"Hi", b"A"))
+    assert good.startswith("PIOU2 5 ")
+    with pytest.raises(ParseError) as excinfo:
+        parse_oea(good.replace("PIOU2 5 ", f"PIOU2 {length} ", 1))
+    assert excinfo.value.line == 1
 
 
 def test_parse_errors_name_sections():

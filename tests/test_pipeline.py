@@ -216,6 +216,27 @@ def test_truncated_ciphertext_raises_parse_error(tmp_path):
         decrypt_pipeline(*bundle.paths, out_path=tmp_path / "x.ppm")
 
 
+def test_key_with_same_sum_and_prefix_decrypts(tmp_path):
+    # A stated property of the scheme, not a defect to fix here: the receiver
+    # reads the .oeaw only through its byte sum and its first (sum % 10)
+    # bytes, so a different file that agrees on both decrypts exactly.
+    rng = np.random.default_rng(31)
+    src = tmp_path / "img.ppm"
+    write_random_ppm(src, rng, 9, 7)
+    bundle = encrypt_pipeline(src, PipelineConfig(seed=8, out_dir=tmp_path))
+    key = bytearray(bundle.paths[2].read_bytes())
+    prefix = sum(key) % 10
+    digits = [k for k in range(prefix, len(key)) if chr(key[k]).isdigit()]
+    i = digits[0]
+    j = next(k for k in digits if key[k] != key[i])
+    key[i], key[j] = key[j], key[i]
+    wrong = tmp_path / "wrong.key.oeaw"
+    wrong.write_bytes(bytes(key))
+    assert wrong.read_bytes() != bundle.paths[2].read_bytes()
+    decrypt_pipeline(bundle.paths[0], bundle.paths[1], wrong, out_path=tmp_path / "dec.ppm")
+    assert (tmp_path / "dec.ppm").read_bytes() == src.read_bytes()
+
+
 def test_dimension_mismatch_between_key_and_image(tmp_path):
     rng = np.random.default_rng(29)
     src = tmp_path / "img.ppm"
@@ -386,6 +407,28 @@ def test_cli_lattice_rejects_empty_window():
     )
     assert result.returncode != 0
     assert "--window dimensions must be >= 1" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+def run_cli(*args):
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    return subprocess.run(
+        [sys.executable, "-m", "pioucrypt.cli", *args],
+        capture_output=True, text=True, env=env, timeout=30,
+    )
+
+
+def test_cli_lattice_skewed_basis_finishes():
+    # det 1 and 100 points, but walking the unreduced basis visits ~10^9 rows
+    result = run_cli("lattice", "--v0=1,0", "--v1=100000000,1", "--window", "10x10")
+    assert result.returncode == 0
+    assert "points 100" in result.stdout
+
+
+def test_cli_lattice_rejects_huge_window():
+    result = run_cli("lattice", "--v0=1,0", "--v1=0,1", "--window", "99999999x99999999")
+    assert result.returncode == 1
+    assert result.stderr.startswith("error:")
     assert "Traceback" not in result.stderr
 
 
