@@ -186,6 +186,7 @@ def test_nmf_config_validation():
     with pytest.raises(ValueError):
         NmfConfig(tolerance=-1.0)
 
+
 def test_nmf_rejects_empty_and_negative():
     with pytest.raises(EmptyMatrix):
         nmf_multiplicative(np.empty((0, 2)))

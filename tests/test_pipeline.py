@@ -398,24 +398,19 @@ def test_cli_error_paths_return_nonzero(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_cli_lattice_rejects_empty_window():
-    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
-    result = subprocess.run(
-        [sys.executable, "-m", "pioucrypt.cli", "lattice", "--v0=3,1", "--v1=1,3",
-         "--window", "0x5"],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
-    assert result.returncode != 0
-    assert "--window dimensions must be >= 1" in result.stderr
-    assert "Traceback" not in result.stderr
-
-
 def run_cli(*args):
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
     return subprocess.run(
         [sys.executable, "-m", "pioucrypt.cli", *args],
-        capture_output=True, text=True, env=env, timeout=30,
+        capture_output=True, text=True, env=env, timeout=60,
     )
+
+
+def test_cli_lattice_rejects_empty_window():
+    result = run_cli("lattice", "--v0=3,1", "--v1=1,3", "--window", "0x5")
+    assert result.returncode != 0
+    assert "--window dimensions must be >= 1" in result.stderr
+    assert "Traceback" not in result.stderr
 
 
 def test_cli_lattice_skewed_basis_finishes():
