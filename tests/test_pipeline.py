@@ -472,6 +472,10 @@ GOLDEN_BUNDLES = [
      "5a7d778b0b2257dce9f36ab40f9193be47dde850f9791faf7fde75b0949d3665"),
     ("P5", 23, 9, 42,
      "8b236391abc764e10861d46c37928d3869ba870dad6473073476f6dd05e9d128"),
+    # det 3, m = 22,016 lattice points: large enough for the blocked BLAS
+    # paths of the NMF loop, which the inputs above stay below
+    ("P6", 256, 256, 24,
+     "9297bf412feccf940dfcfc3fdb1c9c0d78ea57639a2e64802cfb6b72e8b56b59"),
 ]
 
 
