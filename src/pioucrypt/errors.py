@@ -5,6 +5,13 @@ class PiouCryptError(Exception):
     """Base class for all pioucrypt errors."""
 
 
+class InvalidConfig(PiouCryptError, ValueError):
+    """A configuration value is out of range.
+
+    Also a ValueError, so callers that catch ValueError keep working.
+    """
+
+
 class AllZeroState(PiouCryptError):
     """The all-zero generator state is absorbing and therefore rejected."""
 

@@ -17,10 +17,19 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _text
-from .errors import DegenerateVectors, EmptyMatrix, ParseError, ShapeMismatch
+from .errors import (
+    DegenerateVectors,
+    EmptyMatrix,
+    InvalidConfig,
+    ParseError,
+    ShapeMismatch,
+)
 from .prng import Tlcg
 
 KEY_MATRIX_MAGIC = "PIOUW"
+
+# Rows of the key text rendered by one string format.
+_KEY_FORMAT_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -32,7 +41,7 @@ class WindowSpec:
 
     def __post_init__(self):
         if self.width < 1 or self.height < 1:
-            raise ValueError("window dimensions must be >= 1")
+            raise InvalidConfig("window dimensions must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -172,15 +181,15 @@ class NmfConfig:
 
     def __post_init__(self):
         if self.rank < 1:
-            raise ValueError("rank must be >= 1")
+            raise InvalidConfig("rank must be >= 1")
         if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
+            raise InvalidConfig("max_iterations must be >= 1")
         if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+            raise InvalidConfig("epsilon must be positive")
         if self.tolerance < 0:
-            raise ValueError("tolerance must be >= 0")
+            raise InvalidConfig("tolerance must be >= 0")
         if self.seed < 0:
-            raise ValueError("seed must be non-negative")
+            raise InvalidConfig("seed must be non-negative")
 
 
 class FactorPair(NamedTuple):
@@ -247,23 +256,40 @@ def nmf_multiplicative(
             raise ValueError("init factors must be non-negative")
     else:
         stream = Tlcg.from_seed(cfg.seed)
-        W = np.array([[stream.next_unit() for _ in range(r)] for _ in range(m)])
-        H = np.array([[stream.next_unit() for _ in range(n)] for _ in range(r)])
+        W = stream.next_units(m * r).reshape(m, r)
+        H = stream.next_units(r * n).reshape(r, n)
+
+    # Every m-row product is written into one of these buffers, allocated
+    # once instead of on every step. The products and ufuncs are those of the
+    # plain expressions, in the same order, so W and H keep their bits; in
+    # particular the Gram stays W.T @ W, which a plain gemm rounds differently.
+    denom_w = np.empty((m, r))
+    ratio_w = np.empty((m, r))
+    residual = np.empty((m, n))
+
+    def error() -> float:
+        np.matmul(W, H, out=residual)
+        np.subtract(V, residual, out=residual)
+        return float(np.linalg.norm(residual))
 
     eps = cfg.epsilon
-    err = float(np.linalg.norm(V - W @ H))
+    err = error()
     if error_history is not None:
         error_history.append(err)
     for _ in range(cfg.max_iterations):
-        # eps is added in place: one more m x rank temporary per step made a
-        # factorization of 103k points about 25% slower
         denom_h = W.T @ W @ H
         denom_h += eps
         H *= (W.T @ V) / denom_h
-        denom_w = W @ (H @ H.T)
+        np.matmul(W, H @ H.T, out=denom_w)
         denom_w += eps
-        W *= (V @ H.T) / denom_w
-        new_err = float(np.linalg.norm(V - W @ H))
+        # A contiguous copy of H.T gives the strided view's product, faster;
+        # on one row numpy takes a matrix-vector path whose rounding follows
+        # the layout, so that row keeps the view.
+        H_T = H.T if m == 1 else np.ascontiguousarray(H.T)
+        np.matmul(V, H_T, out=ratio_w)
+        np.divide(ratio_w, denom_w, out=ratio_w)
+        W *= ratio_w
+        new_err = error()
         if error_history is not None:
             error_history.append(new_err)
         rel_change = 0.0 if err == 0.0 else abs(err - new_err) / err
@@ -280,10 +306,15 @@ def serialize_key_matrix(matrix) -> str:
         raise ValueError("key matrix must be 2-D and non-empty")
     if np.any(W < 0) or not np.all(np.isfinite(W)):
         raise ValueError("key matrix entries must be non-negative and finite")
-    lines = [f"{KEY_MATRIX_MAGIC} {W.shape[0]} {W.shape[1]}"]
-    for row in W:
-        lines.append(" ".join(f"{(v if v != 0 else 0.0):.5f}" for v in row))
-    return "\n".join(lines) + "\n"
+    rows, cols = W.shape
+    row_format = " ".join(["%.5f"] * cols) + "\n"
+    parts = [f"{KEY_MATRIX_MAGIC} {rows} {cols}\n"]
+    # One %-format per block of rows: formatting the whole matrix at once
+    # holds a tuple of every entry. Adding 0.0 prints -0.0 as 0.00000.
+    for start in range(0, rows, _KEY_FORMAT_ROWS):
+        block = W[start : start + _KEY_FORMAT_ROWS] + 0.0
+        parts.append((row_format * len(block)) % tuple(block.ravel().tolist()))
+    return "".join(parts)
 
 
 def parse_key_matrix(text: str) -> np.ndarray:

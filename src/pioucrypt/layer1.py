@@ -18,6 +18,7 @@ from . import _text
 from .errors import (
     DimensionMismatch,
     IndexOutOfRange,
+    InvalidConfig,
     NonBijectiveTable,
     ParseError,
 )
@@ -148,17 +149,17 @@ class Layer1Key:
 
     def __post_init__(self):
         if self.width < 1 or self.height < 1:
-            raise ValueError("key dimensions must be >= 1")
+            raise InvalidConfig("key dimensions must be >= 1")
         if len(self.row_swaps) != self.height:
-            raise ValueError("row swap count must equal the image height")
+            raise InvalidConfig("row swap count must equal the image height")
         if len(self.col_swaps) != self.width:
-            raise ValueError("column swap count must equal the image width")
+            raise InvalidConfig("column swap count must equal the image width")
         for rec in self.row_swaps:
             if rec.axis != ROW or not (0 <= rec.i < self.height and 0 <= rec.j < self.height):
-                raise ValueError(f"invalid row swap record {rec}")
+                raise InvalidConfig(f"invalid row swap record {rec}")
         for rec in self.col_swaps:
             if rec.axis != COLUMN or not (0 <= rec.i < self.width and 0 <= rec.j < self.width):
-                raise ValueError(f"invalid column swap record {rec}")
+                raise InvalidConfig(f"invalid column swap record {rec}")
 
 
 def generate_layer1_key(rng: Xorshift1024, width: int, height: int) -> Layer1Key:

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import _text
 from .errors import (
     EmptyKey,
@@ -32,7 +34,7 @@ def key_weight(key: bytes) -> int:
     """Sum of the key's byte values."""
     if not key:
         raise EmptyKey("secret key must be non-empty")
-    return sum(key)
+    return int(np.frombuffer(key, np.uint8).sum())
 
 
 def master_key(weight: int, plaintext_length: int) -> int:

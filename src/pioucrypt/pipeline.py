@@ -19,7 +19,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DimensionMismatch, MalformedHeader, ParseError, UnsupportedFormat
+from .errors import (
+    DimensionMismatch,
+    InvalidConfig,
+    MalformedHeader,
+    ParseError,
+    UnsupportedFormat,
+)
 from .layer1 import (
     RgbImage,
     decrypt_layer1,
@@ -170,7 +176,7 @@ class PipelineConfig:
 
     def __post_init__(self):
         if not 0 <= self.seed < 1 << 64:
-            raise ValueError("seed must be an unsigned 64-bit integer")
+            raise InvalidConfig("seed must be an unsigned 64-bit integer")
 
 
 @dataclass

@@ -2,9 +2,10 @@
 
 Two generators drive all randomness: Xorshift1024* (pixel scrambling) and a
 triple linear congruential generator, "TLCG" (lattice construction and
-factorization start points). Everything is plain Python integer arithmetic so
-sequences are bit-exact across platforms; the sequence consumed by each caller
-is part of the key-material contract.
+factorization start points). Both run as exact integer arithmetic -- plain
+Python integers, and for the TLCG's bulk draws int64 numpy arrays whose every
+product stays below 2^62 -- so sequences are bit-exact across platforms; the
+sequence consumed by each caller is part of the key-material contract.
 
 The module also carries the XOR bias law for independent biased bits, used to
 sanity-check the generators' bit streams.
@@ -177,9 +178,39 @@ class Tlcg:
             total += v
         return total % (hi - lo) + lo
 
-    def next_unit(self) -> float:
-        """Uniform draw in (0, 1] with 24-bit resolution."""
-        return (self.randrange(0, 1 << 24) + 1) * 2.0**-24
+    def next_units(self, count: int) -> np.ndarray:
+        """`count` uniform draws in (0, 1] with 24-bit resolution.
+
+        Draw k is (randrange(0, 2^24) + 1) * 2^-24 for the k-th scalar draw,
+        and the streams end where `count` scalar draws leave them. Each
+        stream's values come from doubling its jump-ahead map
+        x -> A*x + C (mod m) over int64 arrays: with m <= 2^31 every product
+        stays below 2^62.
+        """
+        if count < 0:
+            raise ValueError("count must be >= 0")
+        if any(st.modulus > 1 << 31 for st in self.streams):
+            raise ValueError("bulk draws need every stream modulus <= 2^31")
+        if count == 0:
+            return np.empty(0)
+        total = np.zeros(count, dtype=np.int64)
+        for k, st in enumerate(self.streams):
+            xs = np.empty(count, dtype=np.int64)
+            xs[0] = (st.multiplier * self.values[k] + st.increment) % st.modulus
+            # (a, c) maps x_i to x_{i+done}
+            a, c, done = st.multiplier, st.increment, 1
+            while done < count:
+                step = min(done, count - done)
+                np.multiply(xs[:step], a, out=xs[done : done + step])
+                xs[done : done + step] += c
+                xs[done : done + step] %= st.modulus
+                a, c = a * a % st.modulus, (a * c + c) % st.modulus
+                done += step
+            self.values[k] = int(xs[-1])
+            total += xs
+        total %= 1 << 24
+        total += 1
+        return total * 2.0**-24
 
 
 def _check_unit(value: float, name: str) -> None:

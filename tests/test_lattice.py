@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pioucrypt.errors import (
     DegenerateVectors,
@@ -13,6 +15,7 @@ from pioucrypt.errors import (
     ShapeMismatch,
 )
 from pioucrypt.lattice import (
+    _KEY_FORMAT_ROWS,
     FactorPair,
     LatticeVectors,
     NmfConfig,
@@ -250,6 +253,82 @@ def test_nmf_deterministic():
     assert np.array_equal(a.W, b.W) and np.array_equal(a.H, b.H)
 
 
+def temporaries_nmf(V, cfg):
+    """The factorization as written before its buffers: one fresh array per
+    product, and the start point drawn one unit at a time."""
+    m, n = V.shape
+    r = cfg.rank
+    stream = Tlcg.from_seed(cfg.seed)
+
+    def unit():
+        return (stream.randrange(0, 1 << 24) + 1) * 2.0**-24
+
+    W = np.array([[unit() for _ in range(r)] for _ in range(m)])
+    H = np.array([[unit() for _ in range(n)] for _ in range(r)])
+    eps = cfg.epsilon
+    err = float(np.linalg.norm(V - W @ H))
+    history = [err]
+    for _ in range(cfg.max_iterations):
+        denom_h = W.T @ W @ H
+        denom_h += eps
+        H *= (W.T @ V) / denom_h
+        denom_w = W @ (H @ H.T)
+        denom_w += eps
+        W *= (V @ H.T) / denom_w
+        new_err = float(np.linalg.norm(V - W @ H))
+        history.append(new_err)
+        rel_change = 0.0 if err == 0.0 else abs(err - new_err) / err
+        err = new_err
+        if rel_change < cfg.tolerance:
+            break
+    return W, H, history
+
+
+def assert_nmf_matches_temporaries(V, cfg):
+    history = []
+    factors = nmf_multiplicative(V, cfg, error_history=history)
+    W, H, expected = temporaries_nmf(V, cfg)
+    assert factors.W.tobytes() == W.tobytes()
+    assert factors.H.tobytes() == H.tobytes()
+    assert history == expected
+    return history
+
+
+@pytest.mark.parametrize("m", [1, 2, 10, 3000])
+def test_nmf_matches_temporaries_loop_on_lattice_points(m):
+    # the pipeline's shape: integer (x, y) coordinates, rank 2, 500 steps
+    V = np.random.default_rng(m).integers(0, 2048, (m, 2)).astype(np.float64)
+    assert_nmf_matches_temporaries(V, NmfConfig(seed=m))
+
+
+@pytest.mark.parametrize("m", [1, 2, 10, 3000])
+def test_nmf_matches_temporaries_loop_when_it_stops_early(m):
+    V = np.random.default_rng([0, m]).uniform(0.0, 50.0, (m, 2))
+    history = assert_nmf_matches_temporaries(V, NmfConfig(seed=5, tolerance=1e-3))
+    assert len(history) < 501
+
+
+def test_nmf_matches_temporaries_loop_on_zero_matrix():
+    # the error reaches exactly 0, so the stop fires on a zero relative change
+    assert_nmf_matches_temporaries(np.zeros((2, 2)), NmfConfig(seed=4))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    m=st.sampled_from([1, 2, 10, 3000]),
+    n=st.integers(1, 3),
+    rank=st.integers(1, 3),
+    seed=st.integers(0, 2**64 - 1),
+    tolerance=st.sampled_from([0.0, 1e-9, 1e-4, 1e-2]),
+    max_iterations=st.integers(1, 60),
+    data_seed=st.integers(0, 2**32 - 1),
+)
+def test_nmf_matches_temporaries_loop(m, n, rank, seed, tolerance, max_iterations, data_seed):
+    V = np.random.default_rng(data_seed).integers(0, 2048, (m, n)).astype(np.float64)
+    cfg = NmfConfig(rank=rank, max_iterations=max_iterations, tolerance=tolerance, seed=seed)
+    assert_nmf_matches_temporaries(V, cfg)
+
+
 def test_nmf_init_shape_checked():
     V = np.ones((4, 2))
     with pytest.raises(ShapeMismatch):
@@ -278,6 +357,47 @@ def test_reconstruction_probe_row_product():
 def test_serialize_key_matrix_shapes_and_exact_text():
     assert serialize_key_matrix(np.zeros((668, 2))).splitlines()[0] == "PIOUW 668 2"
     assert serialize_key_matrix(np.array([[0.0, 0.0]])) == "PIOUW 1 2\n0.00000 0.00000\n"
+
+
+def per_entry_key_text(W):
+    # the key text as formatted before blocks: one f-string per entry
+    lines = [f"PIOUW {W.shape[0]} {W.shape[1]}"]
+    for row in W:
+        lines.append(" ".join(f"{(v if v != 0 else 0.0):.5f}" for v in row))
+    return "\n".join(lines) + "\n"
+
+
+# 0.0, -0.0, and odd multiples of 2^-6, which lie exactly halfway between
+# two 5-decimal values
+KEY_TEXT_EDGES = [0.0, -0.0, 1 / 64, 3 / 64, 0.5 + 5 / 64, 1234 + 9 / 64, 5e-6, 4.999995]
+
+
+@pytest.mark.parametrize("rows", [1, _KEY_FORMAT_ROWS, _KEY_FORMAT_ROWS + 3, 2 * _KEY_FORMAT_ROWS])
+def test_key_text_matches_per_entry_format(rows):
+    rng = np.random.default_rng(rows)
+    W = rng.uniform(0.0, 2100.0, (rows, 2))
+    W.ravel()[: len(KEY_TEXT_EDGES)] = KEY_TEXT_EDGES[: W.size]
+    W[-1, -1] = -0.0
+    assert serialize_key_matrix(W) == per_entry_key_text(W)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(1, 12).flatmap(
+        lambda cols: st.lists(
+            st.lists(
+                st.one_of(st.sampled_from(KEY_TEXT_EDGES), st.floats(0.0, 1e7)),
+                min_size=cols,
+                max_size=cols,
+            ),
+            min_size=1,
+            max_size=20,
+        )
+    )
+)
+def test_key_text_matches_per_entry_format_on_any_entries(rows):
+    W = np.array(rows, dtype=np.float64)
+    assert serialize_key_matrix(W) == per_entry_key_text(W)
 
 
 def test_serialize_key_matrix_validation():

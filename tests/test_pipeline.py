@@ -12,12 +12,15 @@ import pytest
 from pioucrypt import cli
 from pioucrypt.errors import (
     DimensionMismatch,
+    InvalidConfig,
     KeyMismatch,
     MalformedHeader,
     ParseError,
+    PiouCryptError,
     UnsupportedFormat,
 )
-from pioucrypt.layer1 import RgbImage, encrypt_layer1
+from pioucrypt.lattice import NmfConfig, WindowSpec
+from pioucrypt.layer1 import Layer1Key, RgbImage, SubstitutionTable, encrypt_layer1
 from pioucrypt.pipeline import (
     PipelineConfig,
     analyze,
@@ -494,3 +497,20 @@ def test_golden_bundle_bytes(tmp_path, magic, width, height, seed, digest):
     bundle = encrypt_pipeline(src, PipelineConfig(seed=seed, out_dir=tmp_path))
     blob = b"".join(path.read_bytes() for path in bundle.paths)
     assert hashlib.sha256(blob).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: WindowSpec(0, 5),
+        lambda: NmfConfig(rank=0),
+        lambda: PipelineConfig(seed=-1),
+        lambda: Layer1Key(0, 1, [], [], SubstitutionTable(range(256))),
+    ],
+    ids=["WindowSpec", "NmfConfig", "PipelineConfig", "Layer1Key"],
+)
+def test_config_errors_are_piou_and_value_errors(make):
+    with pytest.raises(InvalidConfig) as excinfo:
+        make()
+    assert isinstance(excinfo.value, PiouCryptError)
+    assert isinstance(excinfo.value, ValueError)

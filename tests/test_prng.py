@@ -2,9 +2,13 @@
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pioucrypt.errors import AllZeroState, InvalidRange
+from pioucrypt.pipeline import NMF_SEED_SALT
 from pioucrypt.prng import (
     DEFAULT_TLCG_MODULUS,
     LcgParams,
@@ -207,10 +211,62 @@ def test_tlcg_from_seed_deterministic():
     ]
 
 
-def test_next_unit_in_half_open_interval():
-    tlcg = Tlcg.from_seed(31)
-    draws = [tlcg.next_unit() for _ in range(2000)]
-    assert all(0.0 < u <= 1.0 for u in draws)
+def test_next_units_in_half_open_interval():
+    draws = Tlcg.from_seed(31).next_units(2000)
+    assert draws.dtype == np.float64 and draws.shape == (2000,)
+    assert np.all((draws > 0.0) & (draws <= 1.0))
+
+
+def scalar_units(tlcg, count):
+    # the per-draw start point that next_units replaced
+    return [(tlcg.randrange(0, 1 << 24) + 1) * 2.0**-24 for _ in range(count)]
+
+
+# the pipeline's NMF seed for the largest master seed
+SALTED_MAX_SEED = (2**64 - 1) ^ NMF_SEED_SALT
+
+
+@pytest.mark.parametrize("seed", [0, SALTED_MAX_SEED])
+def test_next_units_match_scalar_draws_at_fixed_seeds(seed):
+    bulk = Tlcg.from_seed(seed)
+    scalar = Tlcg.from_seed(seed)
+    assert bulk.next_units(5000).tolist() == scalar_units(scalar, 5000)
+    assert bulk.values == scalar.values
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.one_of(st.sampled_from([0, SALTED_MAX_SEED]), st.integers(0, 2**64 - 1)),
+    count=st.integers(1, 5000),
+)
+def test_next_units_match_scalar_draws(seed, count):
+    bulk = Tlcg.from_seed(seed)
+    scalar = Tlcg.from_seed(seed)
+    assert bulk.next_units(count).tolist() == scalar_units(scalar, count)
+    assert bulk.values == scalar.values
+
+
+def test_next_units_continue_custom_streams():
+    # small and mixed moduli, and calls that continue one another
+    raw = [(2**16 + 1, 75, 74, 1), (2**31 - 1, 69621, 0, 9), (101, 7, 3, 55)]
+    bulk = Tlcg([LcgParams(*p) for p in raw])
+    scalar = Tlcg([LcgParams(*p) for p in raw])
+    for count in (1, 2, 3, 700, 1):
+        assert bulk.next_units(count).tolist() == scalar_units(scalar, count)
+        assert bulk.values == scalar.values
+
+
+def test_next_units_count_bounds():
+    tlcg = Tlcg.from_seed(9)
+    assert tlcg.next_units(0).shape == (0,)
+    assert tlcg.values == Tlcg.from_seed(9).values
+    with pytest.raises(ValueError):
+        tlcg.next_units(-1)
+    # int64 products stay exact only for moduli up to 2^31
+    wide = Tlcg([LcgParams(97, 13, 5, 1)] * 2 + [LcgParams(2**31 + 11, 3, 1, 0)])
+    with pytest.raises(ValueError):
+        wide.next_units(1)
+    assert wide.values == [1, 1, 0]
 
 
 def test_xor_bias_expected_values():
