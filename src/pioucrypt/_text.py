@@ -2,7 +2,20 @@
 
 from __future__ import annotations
 
+import re
+
+import numpy as np
+
 from .errors import ParseError
+
+# The text form str() gives an int: ASCII digits, no sign on a non-negative
+# value, no leading zero. canon_ints accepts exactly these tokens.
+CANON_INT = "(?:-?[1-9][0-9]*|0)"
+# The possessive *+ keeps no backtracking state per repetition: a plain * held
+# about 17 bytes per character of a matched line. No accepted line needs one
+# given back, because every token ends at a space or at the end.
+_INT_LINE = re.compile(f"{CANON_INT}(?: {CANON_INT})*+")
+_INT64 = np.iinfo(np.int64)
 
 
 def split_lines(text: str, what: str) -> list[str]:
@@ -30,4 +43,26 @@ def canon_ints(tokens: list[str], what: str, line: int) -> list[int]:
         if value is None or str(value) != token:
             raise ParseError(f"{what}: {token!r} is not a canonical integer", line)
         values.append(value)
+    return values
+
+
+def int_line(line: str, what: str, line_no: int) -> np.ndarray:
+    """A non-empty line of space-separated canonical integers, as int64.
+
+    The line is checked with one regex and converted with one call; only a
+    rejected line is split into tokens, so that canon_ints names the first bad
+    one. A value outside int64 is a ParseError.
+    """
+    if not _INT_LINE.fullmatch(line):
+        canon_ints(line.split(" "), what, line_no)
+    values = np.fromstring(line, np.int64, sep=" ")
+    # fromstring clamps a value outside int64 to an end of the range, so each
+    # value found at an end is compared with its token.
+    ends = np.flatnonzero((values == _INT64.max) | (values == _INT64.min))
+    if ends.size:
+        tokens = line.split(" ")
+        for index in ends.tolist():
+            token = tokens[index]
+            if int(token) != int(values[index]):
+                raise ParseError(f"{what}: {token!r} is outside the 64-bit integer range", line_no)
     return values

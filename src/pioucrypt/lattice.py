@@ -133,8 +133,7 @@ def generate_lattice_points(vectors: LatticeVectors, window: WindowSpec) -> np.n
     lo2 = math.floor(min(n2_images)) - 2
     hi2 = math.ceil(max(n2_images)) + 2
 
-    xs_parts = []
-    ys_parts = []
+    rows = []  # (cx, cy, lo, hi) of each index row with points in the window
     for n1 in range(lo1, hi1 + 1):
         cx = n1 * v0x
         cy = n1 * v0y
@@ -157,16 +156,28 @@ def generate_lattice_points(vectors: LatticeVectors, window: WindowSpec) -> np.n
             continue
         if lo > hi:
             continue
-        n2 = np.arange(lo, hi + 1, dtype=np.int64)
-        xs_parts.append(cx + n2 * v1x)
-        ys_parts.append(cy + n2 * v1y)
+        rows.append((cx, cy, lo, hi))
 
-    if not xs_parts:
+    m = sum(hi - lo + 1 for _, _, lo, hi in rows)
+    if m == 0:
         return np.empty((0, 2), dtype=np.int64)
-    xs = np.concatenate(xs_parts)
-    ys = np.concatenate(ys_parts)
+    # The rows are written into two preallocated columns, and each column is
+    # gathered into sorted order on its own, so at most four arrays of m
+    # values are alive at once.
+    xs = np.empty(m, dtype=np.int64)
+    ys = np.empty(m, dtype=np.int64)
+    start = 0
+    for cx, cy, lo, hi in rows:
+        n2 = np.arange(lo, hi + 1, dtype=np.int64)
+        end = start + len(n2)
+        xs[start:end] = cx + n2 * v1x
+        ys[start:end] = cy + n2 * v1y
+        start = end
     order = np.lexsort((xs, ys))
-    return np.column_stack((xs[order], ys[order]))
+    xs = xs[order]
+    ys = ys[order]
+    del order
+    return np.column_stack((xs, ys))
 
 
 @dataclass(frozen=True)

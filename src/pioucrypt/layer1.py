@@ -9,7 +9,9 @@ text is the plaintext consumed by the second layer.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -251,6 +253,38 @@ def serialize_layer1_key(key: Layer1Key) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _swap_block(tag: str) -> re.Pattern:
+    """A block of swap lines, '<tag> <i> <j>' each, joined by LF."""
+    line = f"{tag} {_text.CANON_INT} {_text.CANON_INT}"
+    return re.compile(f"{line}(?:\n{line})*+")
+
+
+_SWAP_BLOCKS = {tag: _swap_block(tag) for tag in (ROW, COLUMN)}
+
+
+def _read_swaps(
+    lines: list[str], start: int, count: int, tag: str, bound: int
+) -> list[SwapRecord]:
+    """Parse count >= 1 swap lines with one regex and one int64 conversion."""
+    block = "\n".join(lines[start : start + count])
+    if _SWAP_BLOCKS[tag].fullmatch(block):
+        # a value outside int64 is clamped to an end of it, so out of range too
+        indices = np.fromstring(block.replace(tag, ""), np.int64, sep=" ")
+        if indices.min() >= 0 and indices.max() < bound:
+            i, j = indices[0::2].tolist(), indices[1::2].tolist()
+            return list(map(SwapRecord._make, zip(repeat(tag), i, j)))
+    # Some line is bad: check line by line, so the error names the first one.
+    for offset in range(count):
+        line_no = start + offset + 1
+        tokens = lines[start + offset].split(" ")
+        if len(tokens) != 3 or tokens[0] != tag:
+            raise ParseError(f"expected '{tag} <i> <j>'", line_no)
+        i, j = _text.canon_ints(tokens[1:], "swap index", line_no)
+        if not (0 <= i < bound and 0 <= j < bound):
+            raise ParseError(f"swap index out of range [0, {bound})", line_no)
+    raise AssertionError("unreachable: every swap block the fast path refuses has a bad line")
+
+
 def parse_layer1_key(text: str) -> Layer1Key:
     """Parse the text form back into a key; inverse of serialize_layer1_key."""
     lines = _text.split_lines(text, "key file")
@@ -264,21 +298,8 @@ def parse_layer1_key(text: str) -> Layer1Key:
     if len(lines) != expected:
         raise ParseError(f"expected {expected} lines, found {len(lines)}", len(lines) + 1)
 
-    def read_swaps(start: int, count: int, tag: str, bound: int) -> list[SwapRecord]:
-        records = []
-        for offset in range(count):
-            line_no = start + offset + 1
-            tokens = lines[start + offset].split(" ")
-            if len(tokens) != 3 or tokens[0] != tag:
-                raise ParseError(f"expected '{tag} <i> <j>'", line_no)
-            i, j = _text.canon_ints(tokens[1:], "swap index", line_no)
-            if not (0 <= i < bound and 0 <= j < bound):
-                raise ParseError(f"swap index out of range [0, {bound})", line_no)
-            records.append(SwapRecord(tag, i, j))
-        return records
-
-    row_swaps = read_swaps(1, height, ROW, height)
-    col_swaps = read_swaps(1 + height, width, COLUMN, width)
+    row_swaps = _read_swaps(lines, 1, height, ROW, height)
+    col_swaps = _read_swaps(lines, 1 + height, width, COLUMN, width)
 
     table = [0] * 256
     seen = set()

@@ -82,40 +82,55 @@ class OeaCipher:
             raise MalformedCipher("redundancy sections must have equal length")
 
 
+def _bits(ones: np.ndarray) -> str:
+    """A boolean array as a string of '0'/'1'."""
+    return (ones.view(np.uint8) + ord("0")).tobytes().decode("ascii")
+
+
 def _redundancy(key: bytes, mk: int, length: int) -> tuple[str, list[int]]:
+    window = np.frombuffer(key, np.uint8)[np.arange(length) % len(key)]
     # red1 bit rule: even key byte -> '1', odd -> '0' (inverted relative to
     # the marker string's convention)
-    bits = "".join("1" if key[i % len(key)] % 2 == 0 else "0" for i in range(length))
-    values = [key[i % len(key)] + mk for i in range(length)]
-    return bits, values
+    return _bits(window % 2 == 0), (window.astype(np.int64) + mk).tolist()
 
 
 def oea_encrypt(plaintext: bytes, key: bytes) -> OeaCipher:
     """Encrypt a byte string under the key text."""
     weight = key_weight(key)
     mk = master_key(weight, len(plaintext))
-    se: list[int] = []
-    so: list[int] = []
-    sc_bits = []
-    for byte in plaintext:
-        if byte % 2 == 1:
-            so.append(byte)
-            sc_bits.append("1")
-        else:
-            se.append(byte)
-            sc_bits.append("0")
-    if se:
-        se[0] -= mk
-        for i in range(1, len(se)):
-            se[i] += se[i - 1]
-        se[-1] -= mk
-    if so:
-        so[0] -= mk
-        for i in range(1, len(so)):
-            so[i] += so[i - 1]
-        so[-1] += mk
+    plain = np.frombuffer(plaintext, np.uint8)
+    odd = plain % 2 == 1
+    se = plain[~odd].astype(np.int64)
+    so = plain[odd].astype(np.int64)
+    # Every prefix sum lies in [-2 * mk, 255 * len], inside int64 under the
+    # 2^62 guard.
+    for stream, last in ((se, -mk), (so, mk)):
+        if stream.size:
+            stream[0] -= mk
+            np.cumsum(stream, out=stream)
+            stream[-1] += last
     red1, red2 = _redundancy(key, mk, weight % 10)
-    return OeaCipher("".join(red1), "".join(sc_bits), se, so, red2)
+    return OeaCipher(red1, _bits(odd), se.tolist(), so.tolist(), red2)
+
+
+def _undo_prefix_sums(values: list[int], last: int, mk: int) -> np.ndarray:
+    """One stream's plaintext values: the inverse of its step in oea_encrypt.
+
+    Each recovered value is a difference of two values plus at most 2 * mk,
+    so int64 holds it when max |value| + mk < 2^62. Values beyond that, which
+    only a cipher edited by hand can hold, are kept as Python ints, on which
+    the same array operations are exact.
+    """
+    try:
+        stream = np.array(values, dtype=np.int64)
+    except OverflowError:
+        stream = np.array(values, dtype=object)
+    else:
+        if stream.size and max(-int(stream.min()), int(stream.max())) + mk >= MASTER_KEY_LIMIT:
+            stream = stream.astype(object)
+    if stream.size:
+        stream[-1] += last
+    return np.diff(stream, prepend=-mk)
 
 
 def oea_decrypt(cipher: OeaCipher, key: bytes) -> bytes:
@@ -132,28 +147,16 @@ def oea_decrypt(cipher: OeaCipher, key: bytes) -> bytes:
     ):
         raise KeyMismatch("redundancy sections do not match the supplied key")
 
-    se = list(cipher.se)
-    if se:
-        se[-1] += mk
-        for i in range(len(se) - 1, 0, -1):
-            se[i] -= se[i - 1]
-        se[0] += mk
-    so = list(cipher.so)
-    if so:
-        so[-1] -= mk
-        for i in range(len(so) - 1, 0, -1):
-            so[i] -= so[i - 1]
-        so[0] += mk
-
-    out = bytearray()
-    even_iter = iter(se)
-    odd_iter = iter(so)
-    for bit in cipher.sc:
-        value = next(odd_iter) if bit == "1" else next(even_iter)
-        if not 0 <= value <= 255:
-            raise NonByteValue(f"recovered value {value} outside [0, 255]")
-        out.append(value)
-    return bytes(out)
+    odd = np.frombuffer(cipher.sc.encode("ascii"), np.uint8) == ord("1")
+    even_values = _undo_prefix_sums(cipher.se, mk, mk)
+    odd_values = _undo_prefix_sums(cipher.so, -mk, mk)
+    plain = np.empty(odd.size, np.result_type(even_values, odd_values))
+    plain[~odd] = even_values
+    plain[odd] = odd_values
+    bad = (plain < 0) | (plain > 255)
+    if bad.any():
+        raise NonByteValue(f"recovered value {plain[bad.argmax()]} outside [0, 255]")
+    return plain.astype(np.uint8).tobytes()
 
 
 def serialize_oea(cipher: OeaCipher) -> str:
@@ -177,12 +180,12 @@ _SECTION_NAMES = ("header", "red1", "sc", "se", "so", "red2")
 
 
 def _parse_int_line(line: str, count: int, section: str, line_no: int) -> list[int]:
-    tokens = line.split(" ") if line else []
-    if len(tokens) != count:
-        raise ParseError(
-            f"{section} section: expected {count} values, found {len(tokens)}", line_no
-        )
-    return _text.canon_ints(tokens, f"{section} section", line_no)
+    found = line.count(" ") + 1 if line else 0
+    if found != count:
+        raise ParseError(f"{section} section: expected {count} values, found {found}", line_no)
+    if not line:
+        return []
+    return _text.int_line(line, f"{section} section", line_no).tolist()
 
 
 def parse_oea(text: str) -> OeaCipher:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pioucrypt import _text
 from pioucrypt.errors import (
     DimensionMismatch,
     IndexOutOfRange,
@@ -18,6 +19,7 @@ from pioucrypt.layer1 import (
     RgbImage,
     SubstitutionTable,
     SwapRecord,
+    _read_swaps,
     apply_lut,
     apply_swaps,
     decrypt_layer1,
@@ -346,3 +348,60 @@ def test_parse_rejects_duplicate_substitute():
     with pytest.raises(ParseError) as excinfo:
         parse_layer1_key("\n".join(lines) + "\n")
     assert excinfo.value.line == 5
+
+
+def loop_read_swaps(lines, start, count, tag, bound):
+    """Reference: the swap block parsed one line at a time."""
+    records = []
+    for offset in range(count):
+        line_no = start + offset + 1
+        tokens = lines[start + offset].split(" ")
+        if len(tokens) != 3 or tokens[0] != tag:
+            raise ParseError(f"expected '{tag} <i> <j>'", line_no)
+        i, j = _text.canon_ints(tokens[1:], "swap index", line_no)
+        if not (0 <= i < bound and 0 <= j < bound):
+            raise ParseError(f"swap index out of range [0, {bound})", line_no)
+        records.append(SwapRecord(tag, i, j))
+    return records
+
+
+def outcome(fn, *args):
+    """The result of a call, or its exception class and message."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # compared as (class, message)
+        return type(exc), str(exc)
+
+
+index_tokens = st.one_of(
+    st.integers(-2, 12).map(str),
+    st.sampled_from([2**63 - 1, 2**63, -(2**63) - 1, 10**30]).map(str),
+    st.sampled_from(["+1", "01", "-0", "", "1_0", "\u0663", "x"]),
+)
+
+
+@st.composite
+def swap_blocks(draw):
+    tag = draw(st.sampled_from([ROW, COLUMN]))
+    bound = draw(st.integers(1, 10))
+    count = draw(st.integers(1, 8))
+    good = st.tuples(st.integers(0, bound - 1), st.integers(0, bound - 1)).map(
+        lambda ij: f"{tag} {ij[0]} {ij[1]}"
+    )
+    bad = st.one_of(
+        st.tuples(
+            st.sampled_from([tag, ROW, COLUMN, "L", ""]), index_tokens, index_tokens
+        ).map(" ".join),
+        st.lists(index_tokens, max_size=4).map(lambda t: " ".join([tag] + t)),
+    )
+    lines = draw(st.lists(st.one_of(good, good, bad), min_size=count, max_size=count))
+    return ["PIOU1 header"] + lines + ["L 255 0"], count, tag, bound
+
+
+@settings(max_examples=300, deadline=None)
+@given(swap_blocks())
+def test_read_swaps_matches_line_loop(case):
+    lines, count, tag, bound = case
+    assert outcome(_read_swaps, lines, 1, count, tag, bound) == outcome(
+        loop_read_swaps, lines, 1, count, tag, bound
+    )

@@ -3,7 +3,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from pioucrypt import _text
 from pioucrypt.errors import (
     EmptyKey,
     KeyMismatch,
@@ -14,6 +17,8 @@ from pioucrypt.errors import (
 )
 from pioucrypt.oea import (
     OeaCipher,
+    _parse_int_line,
+    _redundancy,
     key_weight,
     master_key,
     oea_decrypt,
@@ -243,3 +248,199 @@ def test_parse_errors_name_sections():
     with pytest.raises(ParseError) as excinfo:
         parse_oea(bad_bits)
     assert "sc" in str(excinfo.value)
+
+
+# The per-token loops that the array code replaced, kept as oracles.
+
+
+def loop_redundancy(key, mk, length):
+    bits = "".join("1" if key[i % len(key)] % 2 == 0 else "0" for i in range(length))
+    values = [key[i % len(key)] + mk for i in range(length)]
+    return bits, values
+
+
+def loop_oea_encrypt(plaintext, key):
+    weight = key_weight(key)
+    mk = master_key(weight, len(plaintext))
+    se, so, sc_bits = [], [], []
+    for byte in plaintext:
+        if byte % 2 == 1:
+            so.append(byte)
+            sc_bits.append("1")
+        else:
+            se.append(byte)
+            sc_bits.append("0")
+    if se:
+        se[0] -= mk
+        for i in range(1, len(se)):
+            se[i] += se[i - 1]
+        se[-1] -= mk
+    if so:
+        so[0] -= mk
+        for i in range(1, len(so)):
+            so[i] += so[i - 1]
+        so[-1] += mk
+    red1, red2 = loop_redundancy(key, mk, weight % 10)
+    return OeaCipher(red1, "".join(sc_bits), se, so, red2)
+
+
+def loop_oea_decrypt(cipher, key):
+    cipher.validate()
+    weight = key_weight(key)
+    mk = master_key(weight, len(cipher.sc))
+    expected_red1, expected_red2 = loop_redundancy(key, mk, weight % 10)
+    if (
+        len(cipher.red1) != weight % 10
+        or cipher.red1 != expected_red1
+        or cipher.red2 != expected_red2
+    ):
+        raise KeyMismatch("redundancy sections do not match the supplied key")
+    se = list(cipher.se)
+    if se:
+        se[-1] += mk
+        for i in range(len(se) - 1, 0, -1):
+            se[i] -= se[i - 1]
+        se[0] += mk
+    so = list(cipher.so)
+    if so:
+        so[-1] -= mk
+        for i in range(len(so) - 1, 0, -1):
+            so[i] -= so[i - 1]
+        so[0] += mk
+    out = bytearray()
+    even_iter, odd_iter = iter(se), iter(so)
+    for bit in cipher.sc:
+        value = next(odd_iter) if bit == "1" else next(even_iter)
+        if not 0 <= value <= 255:
+            raise NonByteValue(f"recovered value {value} outside [0, 255]")
+        out.append(value)
+    return bytes(out)
+
+
+def loop_parse_int_line(line, count, section, line_no):
+    """The token loop, plus the rule that a value outside int64 is refused."""
+    tokens = line.split(" ") if line else []
+    if len(tokens) != count:
+        raise ParseError(
+            f"{section} section: expected {count} values, found {len(tokens)}", line_no
+        )
+    values = _text.canon_ints(tokens, f"{section} section", line_no)
+    for token, value in zip(tokens, values):
+        if not -(2**63) <= value < 2**63:
+            raise ParseError(
+                f"{section} section: {token!r} is outside the 64-bit integer range", line_no
+            )
+    return values
+
+
+def outcome(fn, *args):
+    """The result of a call, or its exception class and message."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # compared as (class, message)
+        return type(exc), str(exc)
+
+
+keys = st.binary(min_size=1, max_size=40)
+INT64_EDGES = [2**63 - 1, 2**63, -(2**63), -(2**63) - 1, 2**62, -(2**62), 2**70, -(2**70)]
+
+
+@settings(deadline=None)
+@given(keys, st.integers(0, 2**62 - 1), st.integers(0, 30))
+def test_redundancy_matches_loop(key, mk, length):
+    assert _redundancy(key, mk, length) == loop_redundancy(key, mk, length)
+
+
+@settings(deadline=None)
+@given(st.binary(max_size=300), keys)
+def test_encrypt_matches_loop(plaintext, key):
+    cipher = oea_encrypt(plaintext, key)
+    assert cipher == loop_oea_encrypt(plaintext, key)
+    assert all(type(v) is int for v in cipher.se + cipher.so + cipher.red2)
+
+
+@settings(deadline=None)
+@given(
+    st.binary(max_size=200),
+    keys,
+    st.lists(
+        st.tuples(
+            st.sampled_from(["se", "so"]),
+            st.integers(0, 10**6),
+            st.one_of(st.integers(-300, 300), st.sampled_from(INT64_EDGES)),
+        ),
+        max_size=3,
+    ),
+    st.booleans(),
+)
+def test_decrypt_matches_loop_on_edited_ciphers(plaintext, key, edits, set_value):
+    cipher = oea_encrypt(plaintext, key)
+    for section, where, value in edits:
+        stream = getattr(cipher, section)
+        if stream:
+            at = where % len(stream)
+            stream[at] = value if set_value else stream[at] + value
+    assert outcome(oea_decrypt, cipher, key) == outcome(loop_oea_decrypt, cipher, key)
+
+
+@pytest.mark.parametrize("value", INT64_EDGES)
+@pytest.mark.parametrize(
+    "section,where", [("se", 0), ("se", 1), ("se", -1), ("so", 0), ("so", -1)]
+)
+def test_decrypt_matches_loop_at_int64_edges(value, section, where):
+    key = b"edge key"
+    cipher = oea_encrypt(bytes(range(40)), key)
+    getattr(cipher, section)[where] = value
+    assert outcome(oea_decrypt, cipher, key) == outcome(loop_oea_decrypt, cipher, key)
+
+
+@settings(deadline=None)
+@given(st.binary(max_size=100), keys, keys)
+def test_decrypt_matches_loop_under_other_keys(plaintext, key, other):
+    cipher = oea_encrypt(plaintext, key)
+    assert outcome(oea_decrypt, cipher, other) == outcome(loop_oea_decrypt, cipher, other)
+
+
+tokens = st.one_of(
+    st.integers(-(2**66), 2**66).map(str),
+    st.sampled_from(INT64_EDGES).map(str),
+    st.sampled_from(
+        ["+5", "05", "-0", "00", "", "1_0", "\u0663", "\t1", "1.0", "x", "- 1", "1\r"]
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(tokens, max_size=8), st.integers(-1, 1))
+def test_int_line_parse_matches_loop(token_list, count_offset):
+    line = " ".join(token_list)
+    count = (line.count(" ") + 1 if line else 0) + count_offset
+    assert outcome(_parse_int_line, line, count, "se", 4) == outcome(
+        loop_parse_int_line, line, count, "se", 4
+    )
+
+
+def one_value_text(section_line):
+    """A PIOU2 text whose only value sits in the se section."""
+    return f"PIOU2 0 1 1 0 0\n\n0\n{section_line}\n\n\n"
+
+
+@pytest.mark.parametrize("value", [2**63 - 1, -(2**63)])
+def test_parse_accepts_int64_ends(value):
+    assert parse_oea(one_value_text(str(value))).se == [value]
+
+
+@pytest.mark.parametrize("value", [2**63, -(2**63) - 1])
+def test_parse_rejects_values_outside_int64(value):
+    with pytest.raises(ParseError) as excinfo:
+        parse_oea(one_value_text(str(value)))
+    assert excinfo.value.line == 4
+    assert "se section" in str(excinfo.value)
+
+
+def test_value_outside_int64_set_by_hand_is_non_byte_value():
+    cipher = oea_encrypt(b"Hi", b"A")
+    cipher.se[0] = 2**70
+    with pytest.raises(NonByteValue) as excinfo:
+        oea_decrypt(cipher, b"A")
+    assert str(excinfo.value) == outcome(loop_oea_decrypt, cipher, b"A")[1]
