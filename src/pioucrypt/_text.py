@@ -56,13 +56,12 @@ def int_line(line: str, what: str, line_no: int) -> np.ndarray:
     if not _INT_LINE.fullmatch(line):
         canon_ints(line.split(" "), what, line_no)
     values = np.fromstring(line, np.int64, sep=" ")
-    # fromstring clamps a value outside int64 to an end of the range, so each
-    # value found at an end is compared with its token.
-    ends = np.flatnonzero((values == _INT64.max) | (values == _INT64.min))
-    if ends.size:
+    # fromstring clamps a value outside int64 to an end of the range. A line
+    # with a value at an end goes through canon_ints, which refuses a token too
+    # long for int(), and then each value is range-checked in line order.
+    if ((values == _INT64.max) | (values == _INT64.min)).any():
         tokens = line.split(" ")
-        for index in ends.tolist():
-            token = tokens[index]
-            if int(token) != int(values[index]):
+        for token, value in zip(tokens, canon_ints(tokens, what, line_no)):
+            if not _INT64.min <= value <= _INT64.max:
                 raise ParseError(f"{what}: {token!r} is outside the 64-bit integer range", line_no)
     return values

@@ -438,6 +438,24 @@ def test_parse_rejects_values_outside_int64(value):
     assert "se section" in str(excinfo.value)
 
 
+LONG = "9" * 5000  # longer than int() converts by default (4,300 digits)
+
+
+@pytest.mark.parametrize(
+    "line",
+    [LONG, "-" + LONG, f"1 {LONG} 2", f"{2**63} -{LONG}", f"{2**63 - 1} {LONG}"],
+    ids=["long", "negative-long", "long-in-middle", "after-out-of-range", "after-int64-max"],
+)
+def test_token_too_long_for_int_is_parse_error(line):
+    count = line.count(" ") + 1
+    expected = outcome(loop_parse_int_line, line, count, "se", 4)
+    assert outcome(_parse_int_line, line, count, "se", 4) == expected
+    with pytest.raises(ParseError) as excinfo:
+        parse_oea(f"PIOU2 0 {count} {count} 0 0\n\n{'0' * count}\n{line}\n\n\n")
+    assert excinfo.value.line == 4
+    assert str(excinfo.value) == expected[1]
+
+
 def test_value_outside_int64_set_by_hand_is_non_byte_value():
     cipher = oea_encrypt(b"Hi", b"A")
     cipher.se[0] = 2**70

@@ -42,7 +42,7 @@ PARSERS = [
 # Characters the three grammars use, characters they reject (tab, CR, '+',
 # '_', an Arabic-Indic digit that int() accepts) and digit runs that leave
 # 64-bit range.
-PIECES = list("0123456789 -\nRCLPIOUW2.e") + ["\t", "\r", "+", "_", "\u0663", "9" * 19, "-" + "9" * 25]
+PIECES = list("0123456789 -\nRCLPIOUW2.e") + ["\t", "\r", "+", "_", "\u0663", "9" * 19, "-" + "9" * 25, "9" * 4301]
 
 edits = st.lists(
     st.tuples(
