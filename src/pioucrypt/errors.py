@@ -21,7 +21,7 @@ class InvalidRange(PiouCryptError):
 
 
 class IndexOutOfRange(PiouCryptError):
-    """A swap record references a row or column outside the plane."""
+    """A swap pair (i, j) names a row or column outside the plane."""
 
 
 class NonBijectiveTable(PiouCryptError):

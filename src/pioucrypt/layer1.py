@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import repeat
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -30,14 +29,6 @@ ROW = "R"
 COLUMN = "C"
 
 LAYER1_MAGIC = "PIOU1"
-
-
-class SwapRecord(NamedTuple):
-    """One row or column exchange: axis is ROW or COLUMN."""
-
-    axis: str
-    i: int
-    j: int
 
 
 class RgbImage:
@@ -139,29 +130,33 @@ class SubstitutionTable:
         return np.array_equal(self.values, other.values)
 
 
-@dataclass
+@dataclass(eq=False)
 class Layer1Key:
-    """Full first-layer key: swap schedule plus substitution table."""
+    """Full first-layer key: swap schedule plus substitution table.
+
+    The schedule is two int64 arrays of (i, j) exchange pairs, applied in
+    array order: `row_swaps` has shape (height, 2), `col_swaps` (width, 2).
+    """
 
     width: int
     height: int
-    row_swaps: list[SwapRecord]
-    col_swaps: list[SwapRecord]
+    row_swaps: np.ndarray
+    col_swaps: np.ndarray
     lut: SubstitutionTable
 
     def __post_init__(self):
         if self.width < 1 or self.height < 1:
             raise InvalidConfig("key dimensions must be >= 1")
-        if len(self.row_swaps) != self.height:
-            raise InvalidConfig("row swap count must equal the image height")
-        if len(self.col_swaps) != self.width:
-            raise InvalidConfig("column swap count must equal the image width")
-        for rec in self.row_swaps:
-            if rec.axis != ROW or not (0 <= rec.i < self.height and 0 <= rec.j < self.height):
-                raise InvalidConfig(f"invalid row swap record {rec}")
-        for rec in self.col_swaps:
-            if rec.axis != COLUMN or not (0 <= rec.i < self.width and 0 <= rec.j < self.width):
-                raise InvalidConfig(f"invalid column swap record {rec}")
+        for name, swaps, bound in (
+            ("row", self.row_swaps, self.height),
+            ("column", self.col_swaps, self.width),
+        ):
+            if not (isinstance(swaps, np.ndarray) and swaps.dtype == np.int64):
+                raise InvalidConfig(f"{name} swaps must be an int64 array")
+            if swaps.shape != (bound, 2):
+                raise InvalidConfig(f"{name} swaps must have shape ({bound}, 2)")
+            if swaps.min() < 0 or swaps.max() >= bound:
+                raise InvalidConfig(f"{name} swap index outside [0, {bound})")
 
 
 def generate_layer1_key(rng: Xorshift1024, width: int, height: int) -> Layer1Key:
@@ -175,14 +170,8 @@ def generate_layer1_key(rng: Xorshift1024, width: int, height: int) -> Layer1Key
     """
     if width < 1 or height < 1:
         raise ValueError("image dimensions must be >= 1")
-    row_swaps = [
-        SwapRecord(ROW, rng.randint(0, height - 1), rng.randint(0, height - 1))
-        for _ in range(height)
-    ]
-    col_swaps = [
-        SwapRecord(COLUMN, rng.randint(0, width - 1), rng.randint(0, width - 1))
-        for _ in range(width)
-    ]
+    row_swaps = [rng.randint(0, height - 1) for _ in range(2 * height)]
+    col_swaps = [rng.randint(0, width - 1) for _ in range(2 * width)]
     table = [0] * 256
     used = set()
     for value in range(255, -1, -1):
@@ -191,34 +180,43 @@ def generate_layer1_key(rng: Xorshift1024, width: int, height: int) -> Layer1Key
             z = rng.randint(0, 255)
         used.add(z)
         table[value] = z
-    return Layer1Key(width, height, row_swaps, col_swaps, SubstitutionTable(table))
+    return Layer1Key(
+        width,
+        height,
+        np.array(row_swaps, np.int64).reshape(height, 2),
+        np.array(col_swaps, np.int64).reshape(width, 2),
+        SubstitutionTable(table),
+    )
 
 
-def apply_swaps(pixels, records: Sequence[SwapRecord]) -> np.ndarray:
-    """Apply swap records in list order to an (h, w) or (h, w, 3) array.
+def apply_swaps(pixels, row_swaps, col_swaps) -> np.ndarray:
+    """Exchange rows, then columns, of an (h, w) or (h, w, 3) array.
 
-    The records are folded into one row and one column permutation, then
-    applied as a single gather into a new array. Applying the reversed list
-    to the result folds to the inverse permutations and restores the input.
+    Each schedule is a sequence of (i, j) index pairs, applied in order. Each
+    one is folded into a permutation of its axis, and both are applied as a
+    single gather into a new array. Row and column exchanges commute, so
+    applying both schedules reversed to the result restores the input.
     """
     arr = np.asarray(pixels, dtype=np.uint8)
     if arr.ndim not in (2, 3):
         raise ValueError("plane must be 2-D, or 3-D with channels last")
     h, w = arr.shape[:2]
-    rows = list(range(h))
-    cols = list(range(w))
-    for rec in records:
-        if rec.axis == ROW:
-            if not (0 <= rec.i < h and 0 <= rec.j < h):
-                raise IndexOutOfRange(f"row swap ({rec.i}, {rec.j}) outside height {h}")
-            rows[rec.i], rows[rec.j] = rows[rec.j], rows[rec.i]
-        elif rec.axis == COLUMN:
-            if not (0 <= rec.i < w and 0 <= rec.j < w):
-                raise IndexOutOfRange(f"column swap ({rec.i}, {rec.j}) outside width {w}")
-            cols[rec.i], cols[rec.j] = cols[rec.j], cols[rec.i]
-        else:
-            raise ValueError(f"unknown swap axis {rec.axis!r}")
-    return arr.take(np.array(rows), axis=0).take(np.array(cols), axis=1)
+    perms = []
+    for swaps, size, axis, extent in (
+        (row_swaps, h, "row", "height"),
+        (col_swaps, w, "column", "width"),
+    ):
+        pairs = np.asarray(swaps, np.int64).reshape(len(swaps), 2)
+        bad = ((pairs < 0) | (pairs >= size)).any(axis=1)
+        if bad.any():
+            i, j = pairs[bad.argmax()].tolist()
+            raise IndexOutOfRange(f"{axis} swap ({i}, {j}) outside {extent} {size}")
+        # exchanges compose in order, so the fold stays a loop
+        perm = list(range(size))
+        for i, j in pairs.tolist():
+            perm[i], perm[j] = perm[j], perm[i]
+        perms.append(perm)
+    return arr.take(perms[0], axis=0).take(perms[1], axis=1)
 
 
 def apply_lut(image: RgbImage, lut: SubstitutionTable) -> RgbImage:
@@ -229,7 +227,7 @@ def apply_lut(image: RgbImage, lut: SubstitutionTable) -> RgbImage:
 def encrypt_layer1(image: RgbImage, rng: Xorshift1024) -> tuple[RgbImage, Layer1Key]:
     """Scramble the image; returns the cipher image and the key that inverts it."""
     key = generate_layer1_key(rng, image.width, image.height)
-    swapped = apply_swaps(image.pixels, key.row_swaps + key.col_swaps)
+    swapped = apply_swaps(image.pixels, key.row_swaps, key.col_swaps)
     return apply_lut(RgbImage.from_pixels(swapped), key.lut), key
 
 
@@ -240,15 +238,16 @@ def decrypt_layer1(cipher: RgbImage, key: Layer1Key) -> RgbImage:
             f"key is {key.width}x{key.height}, cipher is {cipher.width}x{cipher.height}"
         )
     unsubbed = apply_lut(cipher, key.lut.inverse())
-    schedule = list(reversed(key.row_swaps + key.col_swaps))
-    return RgbImage.from_pixels(apply_swaps(unsubbed.pixels, schedule))
+    swapped = apply_swaps(unsubbed.pixels, key.row_swaps[::-1], key.col_swaps[::-1])
+    return RgbImage.from_pixels(swapped)
 
 
 def serialize_layer1_key(key: Layer1Key) -> str:
     """Render the key in its line-oriented text form (LF endings)."""
     lines = [f"{LAYER1_MAGIC} {key.width} {key.height}"]
-    lines.extend(f"{ROW} {rec.i} {rec.j}" for rec in key.row_swaps)
-    lines.extend(f"{COLUMN} {rec.i} {rec.j}" for rec in key.col_swaps)
+    for tag, swaps in ((ROW, key.row_swaps), (COLUMN, key.col_swaps)):
+        # one %-format of the whole block: faster than a format per line
+        lines.append("\n".join([f"{tag} %d %d"] * len(swaps)) % tuple(swaps.ravel().tolist()))
     lines.extend(f"L {value} {key.lut[value]}" for value in range(255, -1, -1))
     return "\n".join(lines) + "\n"
 
@@ -264,15 +263,14 @@ _SWAP_BLOCKS = {tag: _swap_block(tag) for tag in (ROW, COLUMN)}
 
 def _read_swaps(
     lines: list[str], start: int, count: int, tag: str, bound: int
-) -> list[SwapRecord]:
-    """Parse count >= 1 swap lines with one regex and one int64 conversion."""
+) -> np.ndarray:
+    """Parse count >= 1 swap lines into (count, 2) pairs with one regex and one conversion."""
     block = "\n".join(lines[start : start + count])
     if _SWAP_BLOCKS[tag].fullmatch(block):
         # a value outside int64 is clamped to an end of it, so out of range too
         indices = np.fromstring(block.replace(tag, ""), np.int64, sep=" ")
         if indices.min() >= 0 and indices.max() < bound:
-            i, j = indices[0::2].tolist(), indices[1::2].tolist()
-            return list(map(SwapRecord._make, zip(repeat(tag), i, j)))
+            return indices.reshape(count, 2)
     # Some line is bad: check line by line, so the error names the first one.
     for offset in range(count):
         line_no = start + offset + 1

@@ -70,12 +70,11 @@ class OeaCipher:
         """Check the key-independent structural invariants."""
         if not _is_bits(self.red1):
             raise MalformedCipher("red1 must contain only '0'/'1'")
-        if not _is_bits(self.sc):
-            raise MalformedCipher("marker string must contain only '0'/'1'")
         if len(self.sc) != len(self.se) + len(self.so):
             raise MalformedCipher(
                 f"marker length {len(self.sc)} != |se| + |so| = {len(self.se) + len(self.so)}"
             )
+        # With the length check, these counts also mean sc holds only '0'/'1'.
         if self.sc.count("1") != len(self.so) or self.sc.count("0") != len(self.se):
             raise MalformedCipher("marker bit counts do not match section sizes")
         if len(self.red1) != len(self.red2):

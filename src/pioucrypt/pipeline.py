@@ -20,7 +20,6 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (
-    DimensionMismatch,
     InvalidConfig,
     MalformedHeader,
     ParseError,
@@ -307,11 +306,6 @@ def decrypt_pipeline(cipher_image_path, oea_cipher_path, oea_key_path, out_path=
     except UnicodeDecodeError as exc:
         raise ParseError(f"recovered key text is not ASCII: {exc}") from None
     layer1_key = parse_layer1_key(key_text)
-    if (layer1_key.width, layer1_key.height) != (cipher_image.width, cipher_image.height):
-        raise DimensionMismatch(
-            f"key is {layer1_key.width}x{layer1_key.height}, cipher image is "
-            f"{cipher_image.width}x{cipher_image.height}"
-        )
     plain = decrypt_layer1(cipher_image, layer1_key)
     if out_path is None:
         out_path = decrypted_image_path(cipher_image_path)

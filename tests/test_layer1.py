@@ -9,6 +9,7 @@ from pioucrypt import _text
 from pioucrypt.errors import (
     DimensionMismatch,
     IndexOutOfRange,
+    InvalidConfig,
     NonBijectiveTable,
     ParseError,
 )
@@ -18,7 +19,6 @@ from pioucrypt.layer1 import (
     Layer1Key,
     RgbImage,
     SubstitutionTable,
-    SwapRecord,
     _read_swaps,
     apply_lut,
     apply_swaps,
@@ -69,83 +69,92 @@ def test_from_gray_replicates_planes():
 
 def test_apply_swaps_row_example():
     plane = np.array([[1, 2], [3, 4]], dtype=np.uint8)
-    swapped = apply_swaps(plane, [SwapRecord(ROW, 0, 1)])
+    swapped = apply_swaps(plane, [(0, 1)], [])
     assert swapped.tolist() == [[3, 4], [1, 2]]
 
 
 def test_apply_swaps_column():
     plane = np.array([[1, 2], [3, 4]], dtype=np.uint8)
-    swapped = apply_swaps(plane, [SwapRecord(COLUMN, 0, 1)])
+    swapped = apply_swaps(plane, [], [(0, 1)])
     assert swapped.tolist() == [[2, 1], [4, 3]]
 
 
 def test_apply_swaps_self_swap_is_noop():
     plane = np.arange(12, dtype=np.uint8).reshape(3, 4)
-    assert np.array_equal(apply_swaps(plane, [SwapRecord(ROW, 2, 2)]), plane)
+    assert np.array_equal(apply_swaps(plane, [(2, 2)], []), plane)
 
 
 def test_apply_swaps_reversed_restores():
     rng = np.random.default_rng(0)
     plane = rng.integers(0, 256, (9, 7), dtype=np.uint8)
-    records = [
-        SwapRecord(ROW, int(rng.integers(0, 9)), int(rng.integers(0, 9))) for _ in range(20)
-    ] + [
-        SwapRecord(COLUMN, int(rng.integers(0, 7)), int(rng.integers(0, 7))) for _ in range(20)
-    ]
-    forward = apply_swaps(plane, records)
-    restored = apply_swaps(forward, list(reversed(records)))
+    rows = rng.integers(0, 9, (20, 2))
+    cols = rng.integers(0, 7, (20, 2))
+    forward = apply_swaps(plane, rows, cols)
+    restored = apply_swaps(forward, rows[::-1], cols[::-1])
     assert np.array_equal(restored, plane)
 
 
 def test_apply_swaps_out_of_range():
     plane = np.zeros((2, 2), np.uint8)
-    with pytest.raises(IndexOutOfRange):
-        apply_swaps(plane, [SwapRecord(ROW, 0, 2)])
-    with pytest.raises(IndexOutOfRange):
-        apply_swaps(plane, [SwapRecord(COLUMN, 5, 0)])
+    with pytest.raises(IndexOutOfRange, match=r"^row swap \(0, 2\) outside height 2$"):
+        apply_swaps(plane, [(1, 0), (0, 2), (3, 0)], [])
+    with pytest.raises(IndexOutOfRange, match=r"^column swap \(5, 0\) outside width 2$"):
+        apply_swaps(plane, [(1, 1)], [(5, 0), (-1, 0)])
+    with pytest.raises(IndexOutOfRange, match=r"^row swap \(1, -1\) outside height 2$"):
+        apply_swaps(plane, [(1, -1)], [])
 
 
-def loop_apply_swaps(plane, records):
-    """Reference: each record as its own exchange of two rows or columns."""
+def loop_apply_swaps(plane, schedule):
+    """Reference: each (axis, i, j) entry as its own exchange, in list order."""
     arr = np.array(plane, dtype=np.uint8, copy=True)
     if arr.ndim == 3:
-        return np.stack([loop_apply_swaps(arr[:, :, c], records) for c in range(3)], axis=-1)
+        return np.stack([loop_apply_swaps(arr[:, :, c], schedule) for c in range(3)], axis=-1)
     h, w = arr.shape
-    for rec in records:
-        if rec.axis == ROW:
-            if not (0 <= rec.i < h and 0 <= rec.j < h):
-                raise IndexOutOfRange(f"row swap ({rec.i}, {rec.j}) outside height {h}")
-            if rec.i != rec.j:
-                arr[[rec.i, rec.j]] = arr[[rec.j, rec.i]]
+    for axis, i, j in schedule:
+        if axis == ROW:
+            if not (0 <= i < h and 0 <= j < h):
+                raise IndexOutOfRange(f"row swap ({i}, {j}) outside height {h}")
+            if i != j:
+                arr[[i, j]] = arr[[j, i]]
         else:
-            if not (0 <= rec.i < w and 0 <= rec.j < w):
-                raise IndexOutOfRange(f"column swap ({rec.i}, {rec.j}) outside width {w}")
-            if rec.i != rec.j:
-                arr[:, [rec.i, rec.j]] = arr[:, [rec.j, rec.i]]
+            if not (0 <= i < w and 0 <= j < w):
+                raise IndexOutOfRange(f"column swap ({i}, {j}) outside width {w}")
+            if i != j:
+                arr[:, [i, j]] = arr[:, [j, i]]
     return arr
 
 
+def pairs_of(schedule, axis):
+    """The (i, j) pairs of one axis from an interleaved schedule, in order."""
+    return [(i, j) for tag, i, j in schedule if tag == axis]
+
+
 @st.composite
-def arrays_and_records(draw):
+def arrays_and_schedules(draw):
     h = draw(st.integers(1, 12))
     w = draw(st.integers(1, 12))
     shape = (h, w, 3) if draw(st.booleans()) else (h, w)
     seed = draw(st.integers(0, 2**32 - 1))
     arr = np.random.default_rng(seed).integers(0, 256, shape, dtype=np.uint8)
-    record = st.one_of(
-        st.builds(SwapRecord, st.just(ROW), st.integers(0, h - 1), st.integers(0, h - 1)),
-        st.builds(SwapRecord, st.just(COLUMN), st.integers(0, w - 1), st.integers(0, w - 1)),
+    entry = st.one_of(
+        st.tuples(st.just(ROW), st.integers(0, h - 1), st.integers(0, h - 1)),
+        st.tuples(st.just(COLUMN), st.integers(0, w - 1), st.integers(0, w - 1)),
     )
-    return arr, draw(st.lists(record, max_size=3 * (h + w)))
+    return arr, draw(st.lists(entry, max_size=3 * (h + w)))
 
 
 @settings(deadline=None)
-@given(arrays_and_records())
+@given(arrays_and_schedules())
 def test_apply_swaps_matches_loop_oracle(case):
-    arr, records = case
-    folded = apply_swaps(arr, records)
-    assert np.array_equal(folded, loop_apply_swaps(arr, records))
-    assert np.array_equal(apply_swaps(folded, list(reversed(records))), arr)
+    # The oracle runs rows and columns interleaved; apply_swaps gets them split
+    # by axis, which gives the same result because the two kinds commute.
+    arr, schedule = case
+    rows, cols = pairs_of(schedule, ROW), pairs_of(schedule, COLUMN)
+    folded = apply_swaps(arr, rows, cols)
+    assert np.array_equal(folded, loop_apply_swaps(arr, schedule))
+    assert np.array_equal(folded, apply_swaps(arr, np.array(rows, np.int64), np.array(cols, np.int64)))
+    assert np.array_equal(apply_swaps(folded, rows[::-1], cols[::-1]), arr)
+    assert np.array_equal(loop_apply_swaps(folded, schedule[::-1]), arr)
 
 
 def test_substitution_table_rejects_non_bijective():
@@ -175,16 +184,16 @@ def test_apply_lut_inverse_round_trip():
 
 def test_generate_key_forced_1x1():
     key = generate_layer1_key(Xorshift1024(5), 1, 1)
-    assert key.row_swaps == [SwapRecord(ROW, 0, 0)]
-    assert key.col_swaps == [SwapRecord(COLUMN, 0, 0)]
+    assert key.row_swaps.tolist() == [[0, 0]]
+    assert key.col_swaps.tolist() == [[0, 0]]
     assert sorted(int(v) for v in key.lut.values) == list(range(256))
 
 
 def test_generate_key_lengths_contract():
     for width, height in ((2, 3), (5, 1), (4, 4)):
         key = generate_layer1_key(Xorshift1024(9), width, height)
-        assert len(key.row_swaps) == height
-        assert len(key.col_swaps) == width
+        assert key.row_swaps.shape == (height, 2) and key.row_swaps.dtype == np.int64
+        assert key.col_swaps.shape == (width, 2) and key.col_swaps.dtype == np.int64
 
 
 def test_generate_key_replays_documented_draw_sequence():
@@ -192,8 +201,8 @@ def test_generate_key_replays_documented_draw_sequence():
     key = generate_layer1_key(Xorshift1024(seed), 2, 2)
 
     replay = Xorshift1024(seed)
-    rows = [(replay.randint(0, 1), replay.randint(0, 1)) for _ in range(2)]
-    cols = [(replay.randint(0, 1), replay.randint(0, 1)) for _ in range(2)]
+    rows = [[replay.randint(0, 1), replay.randint(0, 1)] for _ in range(2)]
+    cols = [[replay.randint(0, 1), replay.randint(0, 1)] for _ in range(2)]
     table = {}
     used = set()
     for value in range(255, -1, -1):
@@ -203,8 +212,8 @@ def test_generate_key_replays_documented_draw_sequence():
         used.add(z)
         table[value] = z
 
-    assert key.row_swaps == [SwapRecord(ROW, i, j) for i, j in rows]
-    assert key.col_swaps == [SwapRecord(COLUMN, i, j) for i, j in cols]
+    assert key.row_swaps.tolist() == rows
+    assert key.col_swaps.tolist() == cols
     assert [key.lut[v] for v in range(256)] == [table[v] for v in range(256)]
 
 
@@ -282,11 +291,29 @@ def test_identity_key_decrypts_to_same_image():
     key = Layer1Key(
         3,
         2,
-        [SwapRecord(ROW, 0, 0), SwapRecord(ROW, 1, 1)],
-        [SwapRecord(COLUMN, k, k) for k in range(3)],
+        np.array([[0, 0], [1, 1]], np.int64),
+        np.array([[k, k] for k in range(3)], np.int64),
         SubstitutionTable(range(256)),
     )
     assert decrypt_layer1(image, key) == image
+
+
+@pytest.mark.parametrize(
+    "rows, cols",
+    [
+        ([[0, 1], [1, 0]], [[0, 1], [2, 2], [1, 0]]),  # lists, not arrays
+        (np.array([[0, 1], [1, 0]], np.int32), np.zeros((3, 2), np.int64)),  # dtype
+        (np.zeros((2, 3), np.int64), np.zeros((3, 2), np.int64)),  # shape
+        (np.zeros(4, np.int64), np.zeros((3, 2), np.int64)),  # flat pairs
+        (np.zeros((1, 2), np.int64), np.zeros((3, 2), np.int64)),  # too few rows
+        (np.zeros((2, 2), np.int64), np.zeros((4, 2), np.int64)),  # too many columns
+        (np.array([[0, 2], [1, 0]], np.int64), np.zeros((3, 2), np.int64)),  # row index = height
+        (np.zeros((2, 2), np.int64), np.array([[0, 0], [0, 0], [-1, 0]], np.int64)),  # negative
+    ],
+)
+def test_layer1_key_rejects_bad_schedule(rows, cols):
+    with pytest.raises(InvalidConfig):
+        Layer1Key(3, 2, rows, cols, SubstitutionTable(range(256)))
 
 
 def test_serialize_1x1_has_259_lines():
@@ -308,7 +335,12 @@ def test_serialize_header_for_512_square():
 def test_serialization_round_trip():
     for seed, (width, height) in enumerate([(1, 1), (2, 3), (7, 5), (32, 32)]):
         key = generate_layer1_key(Xorshift1024(seed), width, height)
-        assert parse_layer1_key(serialize_layer1_key(key)) == key
+        text = serialize_layer1_key(key)
+        parsed = parse_layer1_key(text)
+        assert serialize_layer1_key(parsed) == text
+        assert np.array_equal(parsed.row_swaps, key.row_swaps)
+        assert np.array_equal(parsed.col_swaps, key.col_swaps)
+        assert parsed.lut == key.lut
 
 
 def test_parse_errors_carry_line_numbers():
@@ -351,8 +383,8 @@ def test_parse_rejects_duplicate_substitute():
 
 
 def loop_read_swaps(lines, start, count, tag, bound):
-    """Reference: the swap block parsed one line at a time."""
-    records = []
+    """Reference: the swap block parsed one line at a time, as [i, j] lists."""
+    pairs = []
     for offset in range(count):
         line_no = start + offset + 1
         tokens = lines[start + offset].split(" ")
@@ -361,8 +393,8 @@ def loop_read_swaps(lines, start, count, tag, bound):
         i, j = _text.canon_ints(tokens[1:], "swap index", line_no)
         if not (0 <= i < bound and 0 <= j < bound):
             raise ParseError(f"swap index out of range [0, {bound})", line_no)
-        records.append(SwapRecord(tag, i, j))
-    return records
+        pairs.append([i, j])
+    return pairs
 
 
 def outcome(fn, *args):
@@ -402,6 +434,8 @@ def swap_blocks(draw):
 @given(swap_blocks())
 def test_read_swaps_matches_line_loop(case):
     lines, count, tag, bound = case
-    assert outcome(_read_swaps, lines, 1, count, tag, bound) == outcome(
-        loop_read_swaps, lines, 1, count, tag, bound
-    )
+    fast = outcome(_read_swaps, lines, 1, count, tag, bound)
+    if isinstance(fast, np.ndarray):
+        assert fast.dtype == np.int64
+        fast = fast.tolist()
+    assert fast == outcome(loop_read_swaps, lines, 1, count, tag, bound)

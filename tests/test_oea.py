@@ -167,6 +167,8 @@ def test_structural_validation():
     with pytest.raises(MalformedCipher):
         OeaCipher("", "021", [1], [2], [])
     with pytest.raises(MalformedCipher):
+        OeaCipher("", "1x", [1], [2], [])  # a non-bit marker with matching lengths
+    with pytest.raises(MalformedCipher):
         OeaCipher("", "01", [1, 2], [3], [])  # lengths disagree with marker
     with pytest.raises(MalformedCipher):
         OeaCipher("", "01", [1], [2], [9])  # red lengths differ
