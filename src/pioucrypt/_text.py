@@ -1,4 +1,4 @@
-"""Grammar shared by the line-oriented text artifacts (PIOU1, PIOUW, PIOU2)."""
+"""Grammar shared by the line-oriented text artifacts that are parsed (PIOU1, PIOU2)."""
 
 from __future__ import annotations
 

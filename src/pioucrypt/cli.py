@@ -12,7 +12,6 @@ import numpy as np
 from .errors import PiouCryptError
 from .lattice import (
     LatticeVectors,
-    NmfConfig,
     WindowSpec,
     generate_lattice_points,
     nmf_multiplicative,
@@ -46,6 +45,15 @@ def parse_seed(text: str) -> int:
     return value
 
 
+def _file_path(text: str) -> Path:
+    # a path with no last component, such as "" or ".", has no name to
+    # derive a default output name or a temporary file from
+    path = Path(text)
+    if not path.name:
+        raise argparse.ArgumentTypeError(f"{text!r} does not name a file")
+    return path
+
+
 def _parse_pair(text: str, flag: str) -> tuple[int, int]:
     parts = text.split(",")
     if len(parts) != 2:
@@ -74,7 +82,10 @@ def _resolve_seed(args) -> int:
         return args.seed
     env = os.environ.get(SEED_ENV_VAR)
     if env is not None:
-        return parse_seed(env)
+        try:
+            return parse_seed(env)
+        except argparse.ArgumentTypeError as exc:
+            raise SystemExit(f"error: ${SEED_ENV_VAR}: {exc}") from None
     raise SystemExit(f"error: provide --seed or set {SEED_ENV_VAR}")
 
 
@@ -86,20 +97,20 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     enc = sub.add_parser("encrypt", help="encrypt a PPM/PGM image into a bundle")
-    enc.add_argument("image", type=Path)
+    enc.add_argument("image", type=_file_path)
     enc.add_argument("--seed", type=parse_seed, default=None,
                      help=f"decimal or 0x hex; falls back to ${SEED_ENV_VAR}")
     enc.add_argument("--out", type=Path, default=None, help="output directory")
 
     dec = sub.add_parser("decrypt", help="recover the original image from a bundle")
-    dec.add_argument("cipher_image", type=Path)
-    dec.add_argument("oea_cipher", type=Path)
-    dec.add_argument("oea_key", type=Path)
-    dec.add_argument("--out", type=Path, default=None, help="output image file")
+    dec.add_argument("cipher_image", type=_file_path)
+    dec.add_argument("oea_cipher", type=_file_path)
+    dec.add_argument("oea_key", type=_file_path)
+    dec.add_argument("--out", type=_file_path, default=None, help="output image file")
 
     ana = sub.add_parser("analyze", help="write the per-channel histogram as CSV")
-    ana.add_argument("image", type=Path)
-    ana.add_argument("--csv", type=Path, default=None)
+    ana.add_argument("image", type=_file_path)
+    ana.add_argument("--csv", type=_file_path, default=None)
 
     lat = sub.add_parser("lattice", help="debug dump of lattice points and factors")
     lat.add_argument("--v0", required=True, type=lambda s: _parse_pair(s, "--v0"))
@@ -148,7 +159,7 @@ def _cmd_lattice(args) -> int:
         for x, y in points:
             print(f"{x} {y}")
     if points.shape[0] and args.factors:
-        factors = nmf_multiplicative(points.astype(np.float64), NmfConfig(seed=args.seed))
+        factors = nmf_multiplicative(points.astype(np.float64), args.seed)
         err = reconstruction_error(points.astype(np.float64), factors.W, factors.H)
         print(f"reconstruction error {err:.5f}")
         sys.stdout.write(serialize_key_matrix(factors.W))

@@ -16,12 +16,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import _text
 from .errors import (
     DegenerateVectors,
     EmptyMatrix,
     InvalidConfig,
-    ParseError,
     ShapeMismatch,
 )
 from .prng import Tlcg
@@ -30,6 +28,14 @@ KEY_MATRIX_MAGIC = "PIOUW"
 
 # Rows of the key text rendered by one string format.
 _KEY_FORMAT_ROWS = 4096
+
+# The factorization's fixed settings: the rank of W and H, the step budget,
+# the guard added to every denominator, and the relative change of the error
+# below which the loop stops early.
+NMF_RANK = 2
+NMF_MAX_ITERATIONS = 500
+NMF_EPSILON = 1e-9
+NMF_TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -133,7 +139,7 @@ def generate_lattice_points(vectors: LatticeVectors, window: WindowSpec) -> np.n
     lo2 = math.floor(min(n2_images)) - 2
     hi2 = math.ceil(max(n2_images)) + 2
 
-    rows = []  # (cx, cy, lo, hi) of each index row with points in the window
+    rows = []  # (x, y, count): first point and point count of each index row
     for n1 in range(lo1, hi1 + 1):
         cx = n1 * v0x
         cy = n1 * v0y
@@ -156,51 +162,31 @@ def generate_lattice_points(vectors: LatticeVectors, window: WindowSpec) -> np.n
             continue
         if lo > hi:
             continue
-        rows.append((cx, cy, lo, hi))
+        rows.append((cx + lo * v1x, cy + lo * v1y, hi - lo + 1))
 
-    m = sum(hi - lo + 1 for _, _, lo, hi in rows)
+    m = sum(count for _, _, count in rows)
     if m == 0:
         return np.empty((0, 2), dtype=np.int64)
+    if m == len(rows):
+        # One point a row never takes a step, whose size may be past int64.
+        v1x = v1y = 0
     # The rows are written into two preallocated columns, and each column is
     # gathered into sorted order on its own, so at most four arrays of m
     # values are alive at once.
     xs = np.empty(m, dtype=np.int64)
     ys = np.empty(m, dtype=np.int64)
     start = 0
-    for cx, cy, lo, hi in rows:
-        n2 = np.arange(lo, hi + 1, dtype=np.int64)
-        end = start + len(n2)
-        xs[start:end] = cx + n2 * v1x
-        ys[start:end] = cy + n2 * v1y
+    for x, y, count in rows:
+        steps = np.arange(count, dtype=np.int64)
+        end = start + count
+        xs[start:end] = x + steps * v1x
+        ys[start:end] = y + steps * v1y
         start = end
     order = np.lexsort((xs, ys))
     xs = xs[order]
     ys = ys[order]
     del order
     return np.column_stack((xs, ys))
-
-
-@dataclass(frozen=True)
-class NmfConfig:
-    """Factorization knobs; defaults give the plain multiplicative loop."""
-
-    rank: int = 2
-    max_iterations: int = 500
-    epsilon: float = 1e-9
-    tolerance: float = 1e-9
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.rank < 1:
-            raise InvalidConfig("rank must be >= 1")
-        if self.max_iterations < 1:
-            raise InvalidConfig("max_iterations must be >= 1")
-        if self.epsilon <= 0:
-            raise InvalidConfig("epsilon must be positive")
-        if self.tolerance < 0:
-            raise InvalidConfig("tolerance must be >= 0")
-        if self.seed < 0:
-            raise InvalidConfig("seed must be non-negative")
 
 
 class FactorPair(NamedTuple):
@@ -229,46 +215,29 @@ def reconstruction_error(data, W, H) -> float:
     return float(np.linalg.norm(V - W @ H))
 
 
-def nmf_multiplicative(
-    data,
-    config: NmfConfig | None = None,
-    init: tuple | None = None,
-    error_history: list | None = None,
-) -> FactorPair:
+def nmf_multiplicative(data, seed: int, *, error_history: list | None = None) -> FactorPair:
     """Factorize a non-negative matrix by multiplicative updates.
 
     Per iteration H is rescaled by (W^T V) / (W^T W H + eps) and then W by
-    (V H^T) / (W H H^T + eps), element-wise. Stops at max_iterations or when
-    the relative change of the reconstruction error drops below the tolerance.
+    (V H^T) / (W H H^T + eps), element-wise, with W of rank NMF_RANK. Stops
+    after NMF_MAX_ITERATIONS steps, or once the relative change of the
+    reconstruction error drops below NMF_TOLERANCE.
 
-    init: optional (W0, H0) pair to start from; otherwise entries are drawn
-    uniformly in (0, 1] from a TLCG stream seeded by config.seed (W row-major,
-    then H row-major).
+    The start point's entries are drawn uniformly in (0, 1] from a TLCG
+    stream seeded by seed (W row-major, then H row-major).
     error_history: optional list collecting the error before iteration 0 and
     after each iteration.
     """
-    cfg = config if config is not None else NmfConfig()
     V = np.asarray(data, dtype=np.float64)
     if V.ndim != 2 or V.shape[0] == 0 or V.shape[1] == 0:
         raise EmptyMatrix(f"cannot factorize a matrix of shape {V.shape}")
     if np.any(V < 0) or not np.all(np.isfinite(V)):
         raise ValueError("data entries must be non-negative and finite")
     m, n = V.shape
-    r = cfg.rank
-
-    if init is not None:
-        W = np.array(init[0], dtype=np.float64)
-        H = np.array(init[1], dtype=np.float64)
-        if W.shape != (m, r) or H.shape != (r, n):
-            raise ShapeMismatch(
-                f"init shapes must be ({m}, {r}) and ({r}, {n}), got {W.shape}, {H.shape}"
-            )
-        if np.any(W < 0) or np.any(H < 0):
-            raise ValueError("init factors must be non-negative")
-    else:
-        stream = Tlcg.from_seed(cfg.seed)
-        W = stream.next_units(m * r).reshape(m, r)
-        H = stream.next_units(r * n).reshape(r, n)
+    r = NMF_RANK
+    stream = Tlcg.from_seed(seed)
+    W = stream.next_units(m * r).reshape(m, r)
+    H = stream.next_units(r * n).reshape(r, n)
 
     # Every m-row product is written into one of these buffers, allocated
     # once instead of on every step. The products and ufuncs are those of the
@@ -283,16 +252,15 @@ def nmf_multiplicative(
         np.subtract(V, residual, out=residual)
         return float(np.linalg.norm(residual))
 
-    eps = cfg.epsilon
     err = error()
     if error_history is not None:
         error_history.append(err)
-    for _ in range(cfg.max_iterations):
+    for _ in range(NMF_MAX_ITERATIONS):
         denom_h = W.T @ W @ H
-        denom_h += eps
+        denom_h += NMF_EPSILON
         H *= (W.T @ V) / denom_h
         np.matmul(W, H @ H.T, out=denom_w)
-        denom_w += eps
+        denom_w += NMF_EPSILON
         # A contiguous copy of H.T gives the strided view's product, faster;
         # on one row numpy takes a matrix-vector path whose rounding follows
         # the layout, so that row keeps the view.
@@ -305,7 +273,7 @@ def nmf_multiplicative(
             error_history.append(new_err)
         rel_change = 0.0 if err == 0.0 else abs(err - new_err) / err
         err = new_err
-        if rel_change < cfg.tolerance:
+        if rel_change < NMF_TOLERANCE:
             break
     return FactorPair(W, H)
 
@@ -326,33 +294,3 @@ def serialize_key_matrix(matrix) -> str:
         block = W[start : start + _KEY_FORMAT_ROWS] + 0.0
         parts.append((row_format * len(block)) % tuple(block.ravel().tolist()))
     return "".join(parts)
-
-
-def parse_key_matrix(text: str) -> np.ndarray:
-    """Parse the key text back into a matrix (values at 5-decimal precision)."""
-    lines = _text.split_lines(text, "key matrix text")
-    header = lines[0].split(" ")
-    if len(header) != 3 or header[0] != KEY_MATRIX_MAGIC:
-        raise ParseError(f"header must be '{KEY_MATRIX_MAGIC} <rows> <cols>'", 1)
-    rows, cols = _text.canon_ints(header[1:], "dimensions", 1)
-    if rows < 1 or cols < 1:
-        raise ParseError("dimensions must be >= 1", 1)
-    if len(lines) != rows + 1:
-        raise ParseError(f"expected {rows + 1} lines, found {len(lines)}", len(lines) + 1)
-    out = np.empty((rows, cols), dtype=np.float64)
-    for index in range(rows):
-        line_no = index + 2
-        tokens = lines[index + 1].split(" ")
-        if len(tokens) != cols:
-            raise ParseError(f"expected {cols} entries", line_no)
-        for column, token in enumerate(tokens):
-            if not token or token[0] in "+-":
-                raise ParseError(f"entry {token!r} is not a non-negative decimal", line_no)
-            try:
-                value = float(token)
-            except ValueError:
-                raise ParseError(f"entry {token!r} is not a number", line_no) from None
-            if not math.isfinite(value):
-                raise ParseError(f"entry {token!r} is not finite", line_no)
-            out[index, column] = value
-    return out

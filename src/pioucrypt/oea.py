@@ -9,7 +9,7 @@ receiver detect a wrong key. Every step is exactly invertible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,21 +53,28 @@ def _is_bits(text: str) -> bool:
     return not text.strip("01")
 
 
-@dataclass
+@dataclass(eq=False)
 class OeaCipher:
-    """Framed cipher sections in output order: red1, sc, se, so, red2."""
+    """Framed cipher sections in output order: red1, sc, se, so, red2.
+
+    red1 and sc are strings of '0'/'1'; se, so and red2 are 1-D int64 arrays.
+    """
 
     red1: str
     sc: str
-    se: list[int] = field(default_factory=list)
-    so: list[int] = field(default_factory=list)
-    red2: list[int] = field(default_factory=list)
+    se: np.ndarray
+    so: np.ndarray
+    red2: np.ndarray
 
     def __post_init__(self):
         self.validate()
 
     def validate(self) -> None:
         """Check the key-independent structural invariants."""
+        for name in ("se", "so", "red2"):
+            values = getattr(self, name)
+            if not (isinstance(values, np.ndarray) and values.dtype == np.int64 and values.ndim == 1):
+                raise MalformedCipher(f"{name} must be a 1-D int64 array")
         if not _is_bits(self.red1):
             raise MalformedCipher("red1 must contain only '0'/'1'")
         if len(self.sc) != len(self.se) + len(self.so):
@@ -86,11 +93,11 @@ def _bits(ones: np.ndarray) -> str:
     return (ones.view(np.uint8) + ord("0")).tobytes().decode("ascii")
 
 
-def _redundancy(key: bytes, mk: int, length: int) -> tuple[str, list[int]]:
+def _redundancy(key: bytes, mk: int, length: int) -> tuple[str, np.ndarray]:
     window = np.frombuffer(key, np.uint8)[np.arange(length) % len(key)]
     # red1 bit rule: even key byte -> '1', odd -> '0' (inverted relative to
     # the marker string's convention)
-    return _bits(window % 2 == 0), (window.astype(np.int64) + mk).tolist()
+    return _bits(window % 2 == 0), window.astype(np.int64) + mk
 
 
 def oea_encrypt(plaintext: bytes, key: bytes) -> OeaCipher:
@@ -109,27 +116,23 @@ def oea_encrypt(plaintext: bytes, key: bytes) -> OeaCipher:
             np.cumsum(stream, out=stream)
             stream[-1] += last
     red1, red2 = _redundancy(key, mk, weight % 10)
-    return OeaCipher(red1, _bits(odd), se.tolist(), so.tolist(), red2)
+    return OeaCipher(red1, _bits(odd), se, so, red2)
 
 
-def _undo_prefix_sums(values: list[int], last: int, mk: int) -> np.ndarray:
+def _undo_prefix_sums(stream: np.ndarray, last: int, mk: int) -> np.ndarray:
     """One stream's plaintext values: the inverse of its step in oea_encrypt.
 
     Each recovered value is a difference of two values plus at most 2 * mk,
     so int64 holds it when max |value| + mk < 2^62. Values beyond that, which
-    only a cipher edited by hand can hold, are kept as Python ints, on which
-    the same array operations are exact.
+    only a cipher edited by hand can hold, are taken as Python ints, on which
+    the same array operations are exact. The stream itself is not changed.
     """
-    try:
-        stream = np.array(values, dtype=np.int64)
-    except OverflowError:
-        stream = np.array(values, dtype=object)
-    else:
-        if stream.size and max(-int(stream.min()), int(stream.max())) + mk >= MASTER_KEY_LIMIT:
-            stream = stream.astype(object)
-    if stream.size:
-        stream[-1] += last
-    return np.diff(stream, prepend=-mk)
+    if stream.size and max(-int(stream.min()), int(stream.max())) + mk >= MASTER_KEY_LIMIT:
+        stream = stream.astype(object)
+    values = np.diff(stream, prepend=-mk)
+    if values.size:
+        values[-1] += last
+    return values
 
 
 def oea_decrypt(cipher: OeaCipher, key: bytes) -> bytes:
@@ -142,7 +145,7 @@ def oea_decrypt(cipher: OeaCipher, key: bytes) -> bytes:
     if (
         len(cipher.red1) != weight % 10
         or cipher.red1 != expected_red1
-        or cipher.red2 != expected_red2
+        or not np.array_equal(cipher.red2, expected_red2)
     ):
         raise KeyMismatch("redundancy sections do not match the supplied key")
 
@@ -164,27 +167,23 @@ def serialize_oea(cipher: OeaCipher) -> str:
         f"{OEA_MAGIC} {len(cipher.red1)} {len(cipher.sc)}"
         f" {len(cipher.se)} {len(cipher.so)} {len(cipher.red2)}"
     )
-    lines = [
-        header,
-        cipher.red1,
-        cipher.sc,
-        " ".join(str(v) for v in cipher.se),
-        " ".join(str(v) for v in cipher.so),
-        " ".join(str(v) for v in cipher.red2),
-    ]
+    lines = [header, cipher.red1, cipher.sc]
+    for values in (cipher.se, cipher.so, cipher.red2):
+        # one %-format of the whole section: faster than a str() per value
+        lines.append(" ".join(["%d"] * len(values)) % tuple(values.tolist()))
     return "\n".join(lines) + "\n"
 
 
 _SECTION_NAMES = ("header", "red1", "sc", "se", "so", "red2")
 
 
-def _parse_int_line(line: str, count: int, section: str, line_no: int) -> list[int]:
+def _parse_int_line(line: str, count: int, section: str, line_no: int) -> np.ndarray:
     found = line.count(" ") + 1 if line else 0
     if found != count:
         raise ParseError(f"{section} section: expected {count} values, found {found}", line_no)
     if not line:
-        return []
-    return _text.int_line(line, f"{section} section", line_no).tolist()
+        return np.empty(0, np.int64)
+    return _text.int_line(line, f"{section} section", line_no)
 
 
 def parse_oea(text: str) -> OeaCipher:

@@ -33,7 +33,6 @@ from .layer1 import (
     serialize_layer1_key,
 )
 from .lattice import (
-    NmfConfig,
     WindowSpec,
     derive_lattice_vectors,
     generate_lattice_points,
@@ -155,14 +154,18 @@ def histogram(image: RgbImage) -> HistogramReport:
 
 
 def analyze(image_path, csv_path) -> HistogramReport:
-    """Write the histogram as CSV (channel, level, count; 768 data rows)."""
+    """Write the histogram as CSV (channel, level, count; 768 data rows).
+
+    A failed write leaves any previous file at csv_path as it was.
+    """
     report = histogram(read_image(image_path))
     lines = ["channel,level,count"]
     for name in ("red", "green", "blue"):
         lines.extend(
             f"{name},{level},{count}" for level, count in enumerate(report.channel(name))
         )
-    Path(csv_path).write_text("\n".join(lines) + "\n", encoding="ascii")
+    text = "\n".join(lines) + "\n"
+    _write_all_or_nothing([(Path(csv_path), (text.encode("ascii"),))])
     return report
 
 
@@ -258,9 +261,7 @@ def encrypt_pipeline(image_path, config: PipelineConfig) -> EncryptionBundle:
     window = WindowSpec(image.width, image.height)
     vectors = derive_lattice_vectors(Tlcg.from_seed(config.seed), window)
     points = generate_lattice_points(vectors, window)
-    factors = nmf_multiplicative(
-        points.astype(np.float64), NmfConfig(seed=config.seed ^ NMF_SEED_SALT)
-    )
+    factors = nmf_multiplicative(points.astype(np.float64), config.seed ^ NMF_SEED_SALT)
     oea_key_text = serialize_key_matrix(factors.W)
 
     cipher = oea_encrypt(plaintext, oea_key_text.encode("ascii"))

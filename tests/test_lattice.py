@@ -11,19 +11,16 @@ from pioucrypt.errors import (
     DegenerateVectors,
     EmptyMatrix,
     InvalidRange,
-    ParseError,
     ShapeMismatch,
 )
 from pioucrypt.lattice import (
     _KEY_FORMAT_ROWS,
     FactorPair,
     LatticeVectors,
-    NmfConfig,
     WindowSpec,
     derive_lattice_vectors,
     generate_lattice_points,
     nmf_multiplicative,
-    parse_key_matrix,
     reconstruction_error,
     serialize_key_matrix,
     vector_component_bound,
@@ -67,6 +64,18 @@ def test_window_and_vector_validation():
         LatticeVectors((0, 0), (0, 1))
     vectors = LatticeVectors((-40, -1), (18, -37))
     assert vectors.det == 1498
+
+
+@pytest.mark.parametrize(
+    "v0,v1",
+    [((0, 2**70), (2**70, 0)), ((2**63, 1), (0, -(2**63))), ((7, 2**64), (2**64, 3))],
+    ids=["axes", "int64-ends", "skewed"],
+)
+def test_basis_past_int64_enumerates(v0, v1):
+    # both reduced vectors are longer than the window, so only the origin is in it
+    points = generate_lattice_points(LatticeVectors(v0, v1), WindowSpec(5, 5))
+    assert points.dtype == np.int64
+    assert points.tolist() == [[0, 0]]
 
 
 def test_component_bound():
@@ -179,37 +188,16 @@ def test_point_count_respects_area_bound():
         checked += 1
 
 
-def test_nmf_config_validation():
-    with pytest.raises(ValueError):
-        NmfConfig(rank=0)
-    with pytest.raises(ValueError):
-        NmfConfig(max_iterations=0)
-    with pytest.raises(ValueError):
-        NmfConfig(epsilon=0.0)
-    with pytest.raises(ValueError):
-        NmfConfig(tolerance=-1.0)
-
-
 def test_nmf_rejects_empty_and_negative():
     with pytest.raises(EmptyMatrix):
-        nmf_multiplicative(np.empty((0, 2)))
+        nmf_multiplicative(np.empty((0, 2)), 0)
     with pytest.raises(ValueError):
-        nmf_multiplicative(np.array([[1.0, -2.0]]))
-
-
-def test_nmf_fixed_point_stays_put():
-    rng = np.random.default_rng(3)
-    W0 = rng.uniform(0.5, 2.0, (6, 2))
-    H0 = rng.uniform(0.5, 2.0, (2, 2))
-    V = W0 @ H0
-    factors = nmf_multiplicative(V, NmfConfig(max_iterations=10, tolerance=0.0), init=(W0, H0))
-    assert np.max(np.abs(factors.W - W0) / W0) < 1e-6
-    assert np.max(np.abs(factors.H - H0) / H0) < 1e-6
+        nmf_multiplicative(np.array([[1.0, -2.0]]), 0)
 
 
 def test_nmf_zero_matrix():
     history = []
-    factors = nmf_multiplicative(np.zeros((5, 2)), NmfConfig(seed=4), error_history=history)
+    factors = nmf_multiplicative(np.zeros((5, 2)), 4, error_history=history)
     assert history[-1] == 0.0
     assert np.all(factors.W >= 0) and np.all(factors.H >= 0)
     assert np.max(factors.W @ factors.H) == 0.0
@@ -218,7 +206,7 @@ def test_nmf_zero_matrix():
 def test_nmf_rank1_matrix_converges_and_matches_reference_loop():
     V = np.array([[1.0, 2.0], [2.0, 4.0], [3.0, 6.0], [4.0, 8.0]])
     history = []
-    nmf_multiplicative(V, NmfConfig(seed=11), error_history=history)
+    nmf_multiplicative(V, 11, error_history=history)
     assert history[-1] / np.linalg.norm(V) < 1e-4
 
     # independent plain-numpy reference of the same multiplicative procedure
@@ -239,7 +227,7 @@ def test_nmf_error_monotone_and_nonnegative():
         m = int(rng.integers(2, 120))
         V = rng.uniform(0.0, 50.0, (m, 2))
         history = []
-        factors = nmf_multiplicative(V, NmfConfig(seed=trial), error_history=history)
+        factors = nmf_multiplicative(V, trial, error_history=history)
         floor_slack = 1e-9 * np.linalg.norm(V)
         for before, after in zip(history, history[1:]):
             assert after <= before * (1 + 1e-9) + floor_slack
@@ -248,27 +236,28 @@ def test_nmf_error_monotone_and_nonnegative():
 
 def test_nmf_deterministic():
     V = np.random.default_rng(7).uniform(0, 10, (40, 2))
-    a = nmf_multiplicative(V, NmfConfig(seed=21))
-    b = nmf_multiplicative(V, NmfConfig(seed=21))
+    a = nmf_multiplicative(V, 21)
+    b = nmf_multiplicative(V, 21)
     assert np.array_equal(a.W, b.W) and np.array_equal(a.H, b.H)
 
 
-def temporaries_nmf(V, cfg):
+def temporaries_nmf(V, seed):
     """The factorization as written before its buffers: one fresh array per
-    product, and the start point drawn one unit at a time."""
+    product, the start point drawn one unit at a time, and its settings
+    (rank 2, 500 steps, epsilon and tolerance 1e-9) written out."""
     m, n = V.shape
-    r = cfg.rank
-    stream = Tlcg.from_seed(cfg.seed)
+    r = 2
+    stream = Tlcg.from_seed(seed)
 
     def unit():
         return (stream.randrange(0, 1 << 24) + 1) * 2.0**-24
 
     W = np.array([[unit() for _ in range(r)] for _ in range(m)])
     H = np.array([[unit() for _ in range(n)] for _ in range(r)])
-    eps = cfg.epsilon
+    eps = 1e-9
     err = float(np.linalg.norm(V - W @ H))
     history = [err]
-    for _ in range(cfg.max_iterations):
+    for _ in range(500):
         denom_h = W.T @ W @ H
         denom_h += eps
         H *= (W.T @ V) / denom_h
@@ -279,15 +268,15 @@ def temporaries_nmf(V, cfg):
         history.append(new_err)
         rel_change = 0.0 if err == 0.0 else abs(err - new_err) / err
         err = new_err
-        if rel_change < cfg.tolerance:
+        if rel_change < 1e-9:
             break
     return W, H, history
 
 
-def assert_nmf_matches_temporaries(V, cfg):
+def assert_nmf_matches_temporaries(V, seed):
     history = []
-    factors = nmf_multiplicative(V, cfg, error_history=history)
-    W, H, expected = temporaries_nmf(V, cfg)
+    factors = nmf_multiplicative(V, seed, error_history=history)
+    W, H, expected = temporaries_nmf(V, seed)
     assert factors.W.tobytes() == W.tobytes()
     assert factors.H.tobytes() == H.tobytes()
     assert history == expected
@@ -298,41 +287,37 @@ def assert_nmf_matches_temporaries(V, cfg):
 def test_nmf_matches_temporaries_loop_on_lattice_points(m):
     # the pipeline's shape: integer (x, y) coordinates, rank 2, 500 steps
     V = np.random.default_rng(m).integers(0, 2048, (m, 2)).astype(np.float64)
-    assert_nmf_matches_temporaries(V, NmfConfig(seed=m))
+    assert_nmf_matches_temporaries(V, m)
+
+
+# A seed for each row count at which the factorization of an all-ones matrix
+# stops before its last step, on a relative change that is below the
+# tolerance but not zero.
+EARLY_STOP_SEEDS = {1: 30, 2: 3, 10: 0, 3000: 0}
 
 
 @pytest.mark.parametrize("m", [1, 2, 10, 3000])
 def test_nmf_matches_temporaries_loop_when_it_stops_early(m):
-    V = np.random.default_rng([0, m]).uniform(0.0, 50.0, (m, 2))
-    history = assert_nmf_matches_temporaries(V, NmfConfig(seed=5, tolerance=1e-3))
+    history = assert_nmf_matches_temporaries(np.ones((m, 2)), EARLY_STOP_SEEDS[m])
     assert len(history) < 501
+    assert 0 < abs(history[-2] - history[-1]) / history[-2] < 1e-9
 
 
 def test_nmf_matches_temporaries_loop_on_zero_matrix():
     # the error reaches exactly 0, so the stop fires on a zero relative change
-    assert_nmf_matches_temporaries(np.zeros((2, 2)), NmfConfig(seed=4))
+    assert_nmf_matches_temporaries(np.zeros((2, 2)), 4)
 
 
 @settings(max_examples=40, deadline=None)
 @given(
     m=st.sampled_from([1, 2, 10, 3000]),
     n=st.integers(1, 3),
-    rank=st.integers(1, 3),
     seed=st.integers(0, 2**64 - 1),
-    tolerance=st.sampled_from([0.0, 1e-9, 1e-4, 1e-2]),
-    max_iterations=st.integers(1, 60),
     data_seed=st.integers(0, 2**32 - 1),
 )
-def test_nmf_matches_temporaries_loop(m, n, rank, seed, tolerance, max_iterations, data_seed):
+def test_nmf_matches_temporaries_loop(m, n, seed, data_seed):
     V = np.random.default_rng(data_seed).integers(0, 2048, (m, n)).astype(np.float64)
-    cfg = NmfConfig(rank=rank, max_iterations=max_iterations, tolerance=tolerance, seed=seed)
-    assert_nmf_matches_temporaries(V, cfg)
-
-
-def test_nmf_init_shape_checked():
-    V = np.ones((4, 2))
-    with pytest.raises(ShapeMismatch):
-        nmf_multiplicative(V, NmfConfig(), init=(np.ones((3, 2)), np.ones((2, 2))))
+    assert_nmf_matches_temporaries(V, seed)
 
 
 def test_reconstruction_error_examples():
@@ -405,30 +390,6 @@ def test_serialize_key_matrix_validation():
         serialize_key_matrix(np.array([[-1.0, 2.0]]))
     with pytest.raises(ValueError):
         serialize_key_matrix(np.array([1.0, 2.0]))
-
-
-def test_key_matrix_round_trip_at_quantized_precision():
-    rng = np.random.default_rng(23)
-    for _ in range(5):
-        W = rng.uniform(0, 900, (int(rng.integers(1, 50)), 2))
-        text = serialize_key_matrix(W)
-        back = parse_key_matrix(text)
-        assert np.max(np.abs(back - W)) <= 5e-6
-        assert serialize_key_matrix(back) == text
-
-
-def test_parse_key_matrix_errors():
-    with pytest.raises(ParseError):
-        parse_key_matrix("PIOUW 1 2\n0.10000 0.20000")  # missing newline
-    with pytest.raises(ParseError):
-        parse_key_matrix("WRONG 1 2\n0.10000 0.20000\n")
-    with pytest.raises(ParseError):
-        parse_key_matrix("PIOUW 2 2\n0.10000 0.20000\n")
-    with pytest.raises(ParseError):
-        parse_key_matrix("PIOUW 1 2\n0.10000\n")
-    with pytest.raises(ParseError) as excinfo:
-        parse_key_matrix("PIOUW 1 2\n-0.10000 0.20000\n")
-    assert excinfo.value.line == 2
 
 
 def test_factor_pair_is_named():

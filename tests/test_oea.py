@@ -1,7 +1,9 @@
 """Unit tests for the parity-split stream cipher and its framing."""
 
 import random
+from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -51,18 +53,18 @@ def test_master_key_and_overflow_guard():
 def test_hand_traced_vector():
     cipher = oea_encrypt(b"Hi", b"A")
     assert cipher.sc == "01"
-    assert cipher.se == [-188]
-    assert cipher.so == [105]
+    assert cipher.se.tolist() == [-188]
+    assert cipher.so.tolist() == [105]
     assert cipher.red1 == "00000"
-    assert cipher.red2 == [195, 195, 195, 195, 195]
+    assert cipher.red2.tolist() == [195, 195, 195, 195, 195]
     assert oea_decrypt(cipher, b"A") == b"Hi"
 
 
 def test_empty_plaintext():
     cipher = oea_encrypt(b"", b"A")
-    assert cipher.sc == "" and cipher.se == [] and cipher.so == []
+    assert cipher.sc == "" and cipher.se.size == 0 and cipher.so.size == 0
     assert cipher.red1 == "00000"
-    assert cipher.red2 == [65] * 5
+    assert cipher.red2.tolist() == [65] * 5
     assert oea_decrypt(cipher, b"A") == b""
 
 
@@ -70,7 +72,7 @@ def test_weight_multiple_of_ten_gives_empty_redundancy():
     key = b"2"  # byte 50
     assert key_weight(key) % 10 == 0
     cipher = oea_encrypt(b"hello", key)
-    assert cipher.red1 == "" and cipher.red2 == []
+    assert cipher.red1 == "" and cipher.red2.size == 0
     assert oea_decrypt(cipher, key) == b"hello"
 
 
@@ -128,8 +130,8 @@ def test_intermediate_values_bounded():
         plaintext = bytes(rng.randrange(256) for _ in range(rng.randint(1, 300)))
         cipher = oea_encrypt(plaintext, key)
         bound = 2 * master_key(key_weight(key), len(plaintext)) + 255 * len(plaintext)
-        values = cipher.se + cipher.so + cipher.red2
-        assert all(abs(v) <= bound for v in values)
+        values = np.concatenate((cipher.se, cipher.so, cipher.red2))
+        assert np.all(np.abs(values) <= bound)
 
 
 def test_tampered_red2_raises_key_mismatch():
@@ -161,19 +163,24 @@ def test_same_weight_different_bytes_in_red_window():
         oea_decrypt(cipher, b"BA")  # same weight, different first byte
 
 
+def ints(*values):
+    return np.array(values, np.int64)
+
+
 def test_structural_validation():
     with pytest.raises(MalformedCipher):
-        OeaCipher("0x", "01", [1], [2], [3, 4])
+        OeaCipher("0x", "01", ints(1), ints(2), ints(3, 4))
     with pytest.raises(MalformedCipher):
-        OeaCipher("", "021", [1], [2], [])
+        OeaCipher("", "021", ints(1), ints(2), ints())
     with pytest.raises(MalformedCipher):
-        OeaCipher("", "1x", [1], [2], [])  # a non-bit marker with matching lengths
+        OeaCipher("", "1x", ints(1), ints(2), ints())  # a non-bit marker with matching lengths
     with pytest.raises(MalformedCipher):
-        OeaCipher("", "01", [1, 2], [3], [])  # lengths disagree with marker
+        OeaCipher("", "01", ints(1, 2), ints(3), ints())  # lengths disagree with marker
     with pytest.raises(MalformedCipher):
-        OeaCipher("", "01", [1], [2], [9])  # red lengths differ
+        OeaCipher("", "01", ints(1), ints(2), ints(9))  # red lengths differ
     with pytest.raises(MalformedCipher):
-        OeaCipher("", "0110", [1, 2, 3], [4], [])  # bit counts off
+        OeaCipher("", "0110", ints(1, 2, 3), ints(4), ints())  # bit counts off
+    assert OeaCipher("", "10", ints(2), ints(1), ints()).sc == "10"
 
 
 def test_mutated_cipher_detected_at_decrypt():
@@ -213,7 +220,7 @@ def test_serialization_round_trip_random():
         plaintext = bytes(rng.randrange(256) for _ in range(rng.randint(0, 200)))
         cipher = oea_encrypt(plaintext, key)
         parsed = parse_oea(serialize_oea(cipher))
-        assert parsed == cipher
+        assert sections(parsed) == sections(cipher)
         assert oea_decrypt(parsed, key) == plaintext
 
 
@@ -283,7 +290,7 @@ def loop_oea_encrypt(plaintext, key):
             so[i] += so[i - 1]
         so[-1] += mk
     red1, red2 = loop_redundancy(key, mk, weight % 10)
-    return OeaCipher(red1, "".join(sc_bits), se, so, red2)
+    return red1, "".join(sc_bits), se, so, red2
 
 
 def loop_oea_decrypt(cipher, key):
@@ -294,16 +301,16 @@ def loop_oea_decrypt(cipher, key):
     if (
         len(cipher.red1) != weight % 10
         or cipher.red1 != expected_red1
-        or cipher.red2 != expected_red2
+        or cipher.red2.tolist() != expected_red2
     ):
         raise KeyMismatch("redundancy sections do not match the supplied key")
-    se = list(cipher.se)
+    se = cipher.se.tolist()
     if se:
         se[-1] += mk
         for i in range(len(se) - 1, 0, -1):
             se[i] -= se[i - 1]
         se[0] += mk
-    so = list(cipher.so)
+    so = cipher.so.tolist()
     if so:
         so[-1] -= mk
         for i in range(len(so) - 1, 0, -1):
@@ -335,6 +342,11 @@ def loop_parse_int_line(line, count, section, line_no):
     return values
 
 
+def sections(cipher):
+    """The five sections of a cipher as str and lists of Python ints."""
+    return cipher.red1, cipher.sc, cipher.se.tolist(), cipher.so.tolist(), cipher.red2.tolist()
+
+
 def outcome(fn, *args):
     """The result of a call, or its exception class and message."""
     try:
@@ -345,20 +357,23 @@ def outcome(fn, *args):
 
 keys = st.binary(min_size=1, max_size=40)
 INT64_EDGES = [2**63 - 1, 2**63, -(2**63), -(2**63) - 1, 2**62, -(2**62), 2**70, -(2**70)]
+IN_INT64 = range(-(2**63), 2**63)
 
 
 @settings(deadline=None)
 @given(keys, st.integers(0, 2**62 - 1), st.integers(0, 30))
 def test_redundancy_matches_loop(key, mk, length):
-    assert _redundancy(key, mk, length) == loop_redundancy(key, mk, length)
+    bits, values = _redundancy(key, mk, length)
+    assert values.dtype == np.int64
+    assert (bits, values.tolist()) == loop_redundancy(key, mk, length)
 
 
 @settings(deadline=None)
 @given(st.binary(max_size=300), keys)
 def test_encrypt_matches_loop(plaintext, key):
     cipher = oea_encrypt(plaintext, key)
-    assert cipher == loop_oea_encrypt(plaintext, key)
-    assert all(type(v) is int for v in cipher.se + cipher.so + cipher.red2)
+    assert sections(cipher) == loop_oea_encrypt(plaintext, key)
+    assert cipher.se.dtype == cipher.so.dtype == cipher.red2.dtype == np.int64
 
 
 @settings(deadline=None)
@@ -379,9 +394,11 @@ def test_decrypt_matches_loop_on_edited_ciphers(plaintext, key, edits, set_value
     cipher = oea_encrypt(plaintext, key)
     for section, where, value in edits:
         stream = getattr(cipher, section)
-        if stream:
+        if stream.size:
             at = where % len(stream)
-            stream[at] = value if set_value else stream[at] + value
+            new = value if set_value else int(stream[at]) + value
+            if new in IN_INT64:  # no section can hold another value
+                stream[at] = new
     assert outcome(oea_decrypt, cipher, key) == outcome(loop_oea_decrypt, cipher, key)
 
 
@@ -390,10 +407,32 @@ def test_decrypt_matches_loop_on_edited_ciphers(plaintext, key, edits, set_value
     "section,where", [("se", 0), ("se", 1), ("se", -1), ("so", 0), ("so", -1)]
 )
 def test_decrypt_matches_loop_at_int64_edges(value, section, where):
+    """Decrypt agrees with the oracle at every edge a section can hold; a
+    section given a value outside int64 is refused when the cipher is built."""
     key = b"edge key"
     cipher = oea_encrypt(bytes(range(40)), key)
+    if value not in IN_INT64:
+        edited = getattr(cipher, section).astype(object)
+        edited[where] = value
+        with pytest.raises(MalformedCipher):
+            replace(cipher, **{section: edited})
+        return
     getattr(cipher, section)[where] = value
     assert outcome(oea_decrypt, cipher, key) == outcome(loop_oea_decrypt, cipher, key)
+
+
+def test_decrypt_leaves_the_cipher_unchanged():
+    key = b"edge key"
+    cipher = oea_encrypt(bytes(range(40)), key)
+    before = sections(cipher)
+    assert oea_decrypt(cipher, key) == bytes(range(40))
+    assert sections(cipher) == before
+    # a value this large takes the Python-integer path
+    cipher.se[-1] = 2**62
+    before = sections(cipher)
+    with pytest.raises(NonByteValue):
+        oea_decrypt(cipher, key)
+    assert sections(cipher) == before
 
 
 @settings(deadline=None)
@@ -412,12 +451,18 @@ tokens = st.one_of(
 )
 
 
+def parsed_int_line(line, count, section, line_no):
+    values = _parse_int_line(line, count, section, line_no)
+    assert values.dtype == np.int64 and values.ndim == 1
+    return values.tolist()
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.lists(tokens, max_size=8), st.integers(-1, 1))
 def test_int_line_parse_matches_loop(token_list, count_offset):
     line = " ".join(token_list)
     count = (line.count(" ") + 1 if line else 0) + count_offset
-    assert outcome(_parse_int_line, line, count, "se", 4) == outcome(
+    assert outcome(parsed_int_line, line, count, "se", 4) == outcome(
         loop_parse_int_line, line, count, "se", 4
     )
 
@@ -429,7 +474,7 @@ def one_value_text(section_line):
 
 @pytest.mark.parametrize("value", [2**63 - 1, -(2**63)])
 def test_parse_accepts_int64_ends(value):
-    assert parse_oea(one_value_text(str(value))).se == [value]
+    assert parse_oea(one_value_text(str(value))).se.tolist() == [value]
 
 
 @pytest.mark.parametrize("value", [2**63, -(2**63) - 1])
@@ -451,16 +496,35 @@ LONG = "9" * 5000  # longer than int() converts by default (4,300 digits)
 def test_token_too_long_for_int_is_parse_error(line):
     count = line.count(" ") + 1
     expected = outcome(loop_parse_int_line, line, count, "se", 4)
-    assert outcome(_parse_int_line, line, count, "se", 4) == expected
+    assert outcome(parsed_int_line, line, count, "se", 4) == expected
     with pytest.raises(ParseError) as excinfo:
         parse_oea(f"PIOU2 0 {count} {count} 0 0\n\n{'0' * count}\n{line}\n\n\n")
     assert excinfo.value.line == 4
     assert str(excinfo.value) == expected[1]
 
 
-def test_value_outside_int64_set_by_hand_is_non_byte_value():
+def test_value_outside_int64_is_malformed_cipher():
+    """A section is a 1-D int64 array and nothing else is coerced into one,
+    so no section can hold a value outside int64."""
     cipher = oea_encrypt(b"Hi", b"A")
-    cipher.se[0] = 2**70
-    with pytest.raises(NonByteValue) as excinfo:
-        oea_decrypt(cipher, b"A")
-    assert str(excinfo.value) == outcome(loop_oea_decrypt, cipher, b"A")[1]
+    for section in ("se", "so", "red2"):
+        values = getattr(cipher, section)
+        too_big = values.astype(object)
+        too_big[0] = 2**63
+        far_too_big = values.astype(object)
+        far_too_big[0] = 2**70
+        for bad in (
+            too_big,
+            far_too_big,
+            values.tolist(),
+            values.astype(np.int32),
+            values.reshape(1, -1),
+            values.astype(object),
+        ):
+            with pytest.raises(MalformedCipher, match="1-D int64 array"):
+                replace(cipher, **{section: bad})
+        setattr(cipher, section, values.tolist())
+        with pytest.raises(MalformedCipher, match="1-D int64 array"):
+            oea_decrypt(cipher, b"A")
+        setattr(cipher, section, values)
+    assert oea_decrypt(cipher, b"A") == b"Hi"

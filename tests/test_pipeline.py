@@ -19,7 +19,7 @@ from pioucrypt.errors import (
     PiouCryptError,
     UnsupportedFormat,
 )
-from pioucrypt.lattice import NmfConfig, WindowSpec
+from pioucrypt.lattice import WindowSpec
 from pioucrypt.layer1 import Layer1Key, RgbImage, SubstitutionTable, encrypt_layer1
 from pioucrypt.pipeline import (
     PipelineConfig,
@@ -323,6 +323,21 @@ def test_decrypt_output_failure_keeps_previous_file(tmp_path, monkeypatch):
     assert snapshot(out.parent) == {"plain.ppm": b"previous"}
 
 
+def test_analyze_failure_keeps_previous_csv(tmp_path, monkeypatch):
+    src = tmp_path / "img.ppm"
+    write_random_ppm(src, np.random.default_rng(34), 4, 3)
+    csv_file = tmp_path / "img.csv"
+    csv_file.write_bytes(b"previous")
+
+    def failing_replace(a, b):
+        raise OSError("disk full")
+
+    monkeypatch.setattr("pioucrypt.pipeline.os.replace", failing_replace)
+    with pytest.raises(OSError):
+        analyze(src, csv_file)
+    assert snapshot(tmp_path) == {"img.ppm": src.read_bytes(), "img.csv": b"previous"}
+
+
 def test_encrypt_missing_out_dir(tmp_path):
     rng = np.random.default_rng(37)
     src = tmp_path / "img.ppm"
@@ -395,14 +410,24 @@ def test_cli_seed_missing(tmp_path, monkeypatch, capsys):
         cli.main(["encrypt", str(src)])
 
 
+@pytest.mark.parametrize("value", ["abc", "-1"])
+def test_cli_malformed_env_seed_exits_with_error(tmp_path, value):
+    src = tmp_path / "img.ppm"
+    write_random_ppm(src, np.random.default_rng(53), 3, 3)
+    result = run_cli("encrypt", str(src), "--out", str(tmp_path), env={"PIOUCRYPT_SEED": value})
+    assert result.returncode == 1
+    assert result.stderr.startswith("error: $PIOUCRYPT_SEED: ")
+    assert "Traceback" not in result.stderr
+
+
 def test_cli_error_paths_return_nonzero(tmp_path, capsys):
     missing = tmp_path / "missing.ppm"
     assert cli.main(["analyze", str(missing)]) == 1
     assert "error:" in capsys.readouterr().err
 
 
-def run_cli(*args):
-    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+def run_cli(*args, env=None):
+    env = {**os.environ, **(env or {}), "PYTHONPATH": str(Path(cli.__file__).parents[1])}
     return subprocess.run(
         [sys.executable, "-m", "pioucrypt.cli", *args],
         capture_output=True, text=True, env=env, timeout=60,
@@ -503,11 +528,10 @@ def test_golden_bundle_bytes(tmp_path, magic, width, height, seed, digest):
     "make",
     [
         lambda: WindowSpec(0, 5),
-        lambda: NmfConfig(rank=0),
         lambda: PipelineConfig(seed=-1),
         lambda: Layer1Key(0, 1, [], [], SubstitutionTable(range(256))),
     ],
-    ids=["WindowSpec", "NmfConfig", "PipelineConfig", "Layer1Key"],
+    ids=["WindowSpec", "PipelineConfig", "Layer1Key"],
 )
 def test_config_errors_are_piou_and_value_errors(make):
     with pytest.raises(InvalidConfig) as excinfo:

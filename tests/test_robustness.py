@@ -1,15 +1,21 @@
-"""Properties over random inputs: parsers fail only with PiouCryptError, and
-the pipeline round-trips every image shape, thin strips included."""
+"""Properties over random inputs: parsers fail only with PiouCryptError, the
+command line never ends in a traceback, and the pipeline round-trips every
+image shape, thin strips included."""
 
+import contextlib
+import functools
+import io
+import os
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from pioucrypt import cli
 from pioucrypt.errors import PiouCryptError
-from pioucrypt.lattice import parse_key_matrix, serialize_key_matrix
 from pioucrypt.layer1 import RgbImage, generate_layer1_key, parse_layer1_key, serialize_layer1_key
 from pioucrypt.oea import oea_encrypt, parse_oea, serialize_oea
 from pioucrypt.pipeline import PipelineConfig, decrypt_pipeline, encrypt_pipeline, write_image
@@ -28,20 +34,14 @@ def valid_layer1_text(rng):
     return serialize_layer1_key(generate_layer1_key(rng_key, width, height))
 
 
-def valid_key_matrix_text(rng):
-    rows, cols = (int(v) for v in rng.integers(1, 6, 2))
-    return serialize_key_matrix(rng.random((rows, cols)) * 50)
-
-
 PARSERS = [
     (parse_oea, valid_oea_text),
     (parse_layer1_key, valid_layer1_text),
-    (parse_key_matrix, valid_key_matrix_text),
 ]
 
-# Characters the three grammars use, characters they reject (tab, CR, '+',
-# '_', an Arabic-Indic digit that int() accepts) and digit runs that leave
-# 64-bit range.
+# Characters the two grammars use or are near to, characters they reject
+# (tab, CR, '+', '_', an Arabic-Indic digit that int() accepts) and digit
+# runs that leave 64-bit range.
 PIECES = list("0123456789 -\nRCLPIOUW2.e") + ["\t", "\r", "+", "_", "\u0663", "9" * 19, "-" + "9" * 25, "9" * 4301]
 
 edits = st.lists(
@@ -82,6 +82,116 @@ def test_parsers_raise_only_piou_errors_on_mutated_text(parser_case, seed, edit_
         parser(text)
     except PiouCryptError:
         pass
+
+
+BUNDLE_FILES = ("img.ppm", "img.cipher.ppm", "img.cipher.oea", "img.key.oeaw")
+
+
+@functools.cache
+def bundle_files():
+    """A small image and its bundle, as file name -> bytes (BUNDLE_FILES)."""
+    pixels = np.random.default_rng(61).integers(0, 256, (2, 3, 3), dtype=np.uint8)
+    with tempfile.TemporaryDirectory() as tmp:
+        src = Path(tmp) / "img.ppm"
+        write_image(RgbImage.from_pixels(pixels), src)
+        bundle = encrypt_pipeline(src, PipelineConfig(seed=7))
+        return {path.name: path.read_bytes() for path in (src, *bundle.paths)}
+
+
+def mutate_bytes(data, edit_list):
+    return mutate(data.decode("latin-1"), edit_list).encode("utf-8") if edit_list else data
+
+
+# Each call runs in a fresh working directory that holds the bundle files and
+# an empty directory "out"; "" and "." name that directory. Each argument is
+# well formed more often than not, so that most calls get past argument
+# parsing.
+paths = st.sampled_from([*BUNDLE_FILES, "out", "missing.ppm", "none/x.ppm", "", "."])
+images = st.one_of(st.just("img.ppm"), paths)
+bundles = st.one_of(st.just(list(BUNDLE_FILES[1:])), st.lists(paths, min_size=3, max_size=3))
+
+
+def mostly(good, junk):
+    """The good strategy three times in four, the junk one otherwise."""
+    return st.integers(0, 3).flatmap(lambda pick: junk if pick == 0 else good)
+
+
+junk_seeds = st.sampled_from(["abc", "-1", "", "0x", "1e3", " 7", "\u0663", str(2**64), "9" * 5000])
+seed_texts = mostly(
+    st.one_of(st.integers(0, 2**64 - 1).map(str), st.integers(0, 2**64 - 1).map(hex)), junk_seeds
+)
+components = st.one_of(st.integers(-6, 6), st.sampled_from([2**40, -(2**40), 2**70, -(2**70)]))
+pair_texts = mostly(
+    st.tuples(components, components).map(lambda p: f"{p[0]},{p[1]}"),
+    st.sampled_from(["", "1", "1,2,3", "a,b", "1.5,2", ","]),
+)
+window_texts = mostly(
+    st.tuples(st.integers(1, 12), st.integers(1, 12)).map(lambda s: f"{s[0]}x{s[1]}"),
+    st.sampled_from(["0x5", "-1x3", "", "5", "axb", "4X3", "3x4x5", "99999999x99999999"]),
+)
+
+
+def flag(name, values):
+    return st.one_of(st.just([]), values.map(lambda value: [name, value]))
+
+
+# "--seed=-1" rather than "--seed -1", which argparse reads as two options
+seed_flag = st.one_of(st.just([]), seed_texts.map(lambda seed: [f"--seed={seed}"]))
+
+
+@st.composite
+def cli_args(draw):
+    command = draw(st.sampled_from(["encrypt", "decrypt", "analyze", "lattice"]))
+    if command == "encrypt":
+        args = [draw(images), *draw(seed_flag), *draw(flag("--out", paths))]
+    elif command == "decrypt":
+        args = [*draw(bundles), *draw(flag("--out", paths))]
+    elif command == "analyze":
+        args = [draw(images), *draw(flag("--csv", paths))]
+    else:
+        args = [f"--v0={draw(pair_texts)}", f"--v1={draw(pair_texts)}"]
+        args += [f"--window={draw(window_texts)}", *draw(seed_flag)]
+        args += draw(st.lists(st.sampled_from(["--dump-points", "--factors"]), max_size=2))
+    args += draw(st.sampled_from([[], [], [], ["--bogus"], ["extra"]]))
+    return [command, *args]
+
+
+NO_EDITS = dict.fromkeys(BUNDLE_FILES, [])
+
+
+@settings(max_examples=150, deadline=None)
+# faults this property found: a malformed $PIOUCRYPT_SEED, basis components
+# past int64 in enumeration, and a path with no name ("" or ".")
+@example(["encrypt", "img.ppm"], "abc", NO_EDITS)
+@example(["analyze", ""], None, NO_EDITS)
+@example(["decrypt", "img.cipher.ppm", "img.cipher.oea", "img.key.oeaw", "--out", "."], None, NO_EDITS)
+@example(["lattice", f"--v0=0,{2**70}", f"--v1={2**70},0", "--window=5x5"], None, NO_EDITS)
+@given(
+    cli_args(),
+    st.one_of(st.none(), seed_texts, junk_seeds),
+    st.fixed_dictionaries({name: st.one_of(st.just([]), edits) for name in BUNDLE_FILES}),
+)
+def test_cli_never_raises(args, env_seed, file_edits):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        for name, data in bundle_files().items():
+            (tmp / name).write_bytes(mutate_bytes(data, file_edits[name]))
+        (tmp / "out").mkdir()
+        with (
+            contextlib.chdir(tmp),
+            mock.patch.dict(os.environ),
+            contextlib.redirect_stdout(io.StringIO()),
+            contextlib.redirect_stderr(io.StringIO()),
+        ):
+            os.environ.pop(cli.SEED_ENV_VAR, None)
+            if env_seed is not None:
+                os.environ[cli.SEED_ENV_VAR] = env_seed
+            try:
+                status = cli.main(args)
+            except SystemExit as exc:
+                status = exc.code
+    # SystemExit with a message exits with status 1
+    assert status in (0, 1, 2) or status.startswith("error: ")
 
 
 shapes = st.one_of(
