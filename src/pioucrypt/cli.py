@@ -15,7 +15,6 @@ from .lattice import (
     WindowSpec,
     generate_lattice_points,
     nmf_multiplicative,
-    reconstruction_error,
     serialize_key_matrix,
 )
 from .pipeline import (
@@ -159,9 +158,9 @@ def _cmd_lattice(args) -> int:
         for x, y in points:
             print(f"{x} {y}")
     if points.shape[0] and args.factors:
-        factors = nmf_multiplicative(points.astype(np.float64), args.seed)
-        err = reconstruction_error(points.astype(np.float64), factors.W, factors.H)
-        print(f"reconstruction error {err:.5f}")
+        errors = []
+        factors = nmf_multiplicative(points.astype(np.float64), args.seed, error_history=errors)
+        print(f"reconstruction error {errors[-1]:.5f}")
         sys.stdout.write(serialize_key_matrix(factors.W))
     return 0
 

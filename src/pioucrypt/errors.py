@@ -40,10 +40,6 @@ class EmptyMatrix(PiouCryptError):
     """Factorization input has no rows or no columns."""
 
 
-class ShapeMismatch(PiouCryptError):
-    """Matrix operands have incompatible shapes."""
-
-
 class EmptyKey(PiouCryptError):
     """The secret key byte string is empty."""
 

@@ -16,12 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    DegenerateVectors,
-    EmptyMatrix,
-    InvalidConfig,
-    ShapeMismatch,
-)
+from .errors import DegenerateVectors, EmptyMatrix, InvalidConfig
 from .prng import Tlcg
 
 KEY_MATRIX_MAGIC = "PIOUW"
@@ -196,25 +191,6 @@ class FactorPair(NamedTuple):
     H: np.ndarray
 
 
-def reconstruction_error(data, W, H) -> float:
-    """Frobenius norm of data - W @ H."""
-    V = np.asarray(data, dtype=np.float64)
-    W = np.asarray(W, dtype=np.float64)
-    H = np.asarray(H, dtype=np.float64)
-    if (
-        V.ndim != 2
-        or W.ndim != 2
-        or H.ndim != 2
-        or W.shape[0] != V.shape[0]
-        or H.shape[1] != V.shape[1]
-        or W.shape[1] != H.shape[0]
-    ):
-        raise ShapeMismatch(
-            f"incompatible shapes: V{V.shape}, W{W.shape}, H{H.shape}"
-        )
-    return float(np.linalg.norm(V - W @ H))
-
-
 def nmf_multiplicative(data, seed: int, *, error_history: list | None = None) -> FactorPair:
     """Factorize a non-negative matrix by multiplicative updates.
 
@@ -285,9 +261,9 @@ def serialize_key_matrix(matrix) -> str:
     """Render a non-negative matrix as the layer-2 key text (5 decimals)."""
     W = np.asarray(matrix, dtype=np.float64)
     if W.ndim != 2 or W.shape[0] < 1 or W.shape[1] < 1:
-        raise ValueError("key matrix must be 2-D and non-empty")
+        raise InvalidConfig("key matrix must be 2-D and non-empty")
     if np.any(W < 0) or not np.all(np.isfinite(W)):
-        raise ValueError("key matrix entries must be non-negative and finite")
+        raise InvalidConfig("key matrix entries must be non-negative and finite")
     rows, cols = W.shape
     row_format = " ".join(["%.5f"] * cols) + "\n"
     parts = [f"{KEY_MATRIX_MAGIC} {rows} {cols}\n"]

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -27,6 +26,7 @@ from .prng import Xorshift1024
 
 ROW = "R"
 COLUMN = "C"
+LOOKUP = "L"
 
 LAYER1_MAGIC = "PIOU1"
 
@@ -45,16 +45,16 @@ class RgbImage:
         for name, plane in (("red", red), ("green", green), ("blue", blue)):
             arr = np.asarray(plane)
             if arr.ndim != 2 or arr.size == 0:
-                raise ValueError(f"{name} plane must be a non-empty 2-D array")
+                raise InvalidConfig(f"{name} plane must be a non-empty 2-D array")
             if arr.dtype != np.uint8:
                 if not np.issubdtype(arr.dtype, np.integer):
-                    raise ValueError(f"{name} plane must hold integers")
+                    raise InvalidConfig(f"{name} plane must hold integers")
                 if arr.min() < 0 or arr.max() > 255:
-                    raise ValueError(f"{name} plane has values outside [0, 255]")
+                    raise InvalidConfig(f"{name} plane has values outside [0, 255]")
                 arr = arr.astype(np.uint8)
             planes.append(arr)
         if not (planes[0].shape == planes[1].shape == planes[2].shape):
-            raise ValueError("channel planes must share dimensions")
+            raise InvalidConfig("channel planes must share dimensions")
         self.pixels = np.stack(planes, axis=-1)
 
     @classmethod
@@ -62,7 +62,7 @@ class RgbImage:
         """Wrap an (h, w, 3) uint8 array without copying it."""
         pixels = np.asarray(pixels)
         if pixels.dtype != np.uint8 or pixels.ndim != 3 or pixels.shape[2] != 3 or pixels.size == 0:
-            raise ValueError("pixels must be a non-empty (h, w, 3) uint8 array")
+            raise InvalidConfig("pixels must be a non-empty (h, w, 3) uint8 array")
         image = cls.__new__(cls)
         image.pixels = pixels
         return image
@@ -101,35 +101,6 @@ class RgbImage:
         return np.array_equal(self.pixels, other.pixels)
 
 
-class SubstitutionTable:
-    """Bijective byte substitution; entry v is the cipher value for v."""
-
-    __slots__ = ("values",)
-
-    def __init__(self, table: Iterable[int]):
-        vals = [int(v) for v in table]
-        if len(vals) != 256:
-            raise NonBijectiveTable(f"table must have 256 entries, got {len(vals)}")
-        if any(not 0 <= v <= 255 for v in vals):
-            raise NonBijectiveTable("table entries must lie in [0, 255]")
-        if len(set(vals)) != 256:
-            raise NonBijectiveTable("table is not a permutation of 0..255")
-        self.values = np.array(vals, dtype=np.uint8)
-
-    def inverse(self) -> "SubstitutionTable":
-        inv = np.empty(256, dtype=np.uint8)
-        inv[self.values] = np.arange(256, dtype=np.uint8)
-        return SubstitutionTable(inv)
-
-    def __getitem__(self, value: int) -> int:
-        return int(self.values[value])
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SubstitutionTable):
-            return NotImplemented
-        return np.array_equal(self.values, other.values)
-
-
 @dataclass(eq=False)
 class Layer1Key:
     """Full first-layer key: swap schedule plus substitution table.
@@ -142,7 +113,7 @@ class Layer1Key:
     height: int
     row_swaps: np.ndarray
     col_swaps: np.ndarray
-    lut: SubstitutionTable
+    lut: np.ndarray
 
     def __post_init__(self):
         if self.width < 1 or self.height < 1:
@@ -157,6 +128,11 @@ class Layer1Key:
                 raise InvalidConfig(f"{name} swaps must have shape ({bound}, 2)")
             if swaps.min() < 0 or swaps.max() >= bound:
                 raise InvalidConfig(f"{name} swap index outside [0, {bound})")
+        lut = self.lut
+        if not (isinstance(lut, np.ndarray) and lut.dtype == np.uint8 and lut.shape == (256,)):
+            raise NonBijectiveTable("substitution table must be a (256,) uint8 array")
+        if not np.bincount(lut, minlength=256).all():
+            raise NonBijectiveTable("substitution table is not a permutation of 0..255")
 
 
 def generate_layer1_key(rng: Xorshift1024, width: int, height: int) -> Layer1Key:
@@ -168,24 +144,22 @@ def generate_layer1_key(rng: Xorshift1024, width: int, height: int) -> Layer1Key
     table stays bijective. Total consumption is 2*height + 2*width + 256 plus
     one draw per rejection.
     """
-    if width < 1 or height < 1:
-        raise ValueError("image dimensions must be >= 1")
     row_swaps = [rng.randint(0, height - 1) for _ in range(2 * height)]
     col_swaps = [rng.randint(0, width - 1) for _ in range(2 * width)]
-    table = [0] * 256
+    lut = np.empty(256, np.uint8)
     used = set()
     for value in range(255, -1, -1):
         z = rng.randint(0, 255)
         while z in used:
             z = rng.randint(0, 255)
         used.add(z)
-        table[value] = z
+        lut[value] = z
     return Layer1Key(
         width,
         height,
-        np.array(row_swaps, np.int64).reshape(height, 2),
-        np.array(col_swaps, np.int64).reshape(width, 2),
-        SubstitutionTable(table),
+        np.array(row_swaps, np.int64).reshape(-1, 2),
+        np.array(col_swaps, np.int64).reshape(-1, 2),
+        lut,
     )
 
 
@@ -199,7 +173,7 @@ def apply_swaps(pixels, row_swaps, col_swaps) -> np.ndarray:
     """
     arr = np.asarray(pixels, dtype=np.uint8)
     if arr.ndim not in (2, 3):
-        raise ValueError("plane must be 2-D, or 3-D with channels last")
+        raise InvalidConfig("plane must be 2-D, or 3-D with channels last")
     h, w = arr.shape[:2]
     perms = []
     for swaps, size, axis, extent in (
@@ -219,9 +193,9 @@ def apply_swaps(pixels, row_swaps, col_swaps) -> np.ndarray:
     return arr.take(perms[0], axis=0).take(perms[1], axis=1)
 
 
-def apply_lut(image: RgbImage, lut: SubstitutionTable) -> RgbImage:
-    """Map every pixel of every channel through the table in one atomic pass."""
-    return RgbImage.from_pixels(lut.values[image.pixels])
+def apply_lut(image: RgbImage, lut: np.ndarray) -> RgbImage:
+    """Map every pixel of every channel through the (256,) uint8 table in one pass."""
+    return RgbImage.from_pixels(lut[image.pixels])
 
 
 def encrypt_layer1(image: RgbImage, rng: Xorshift1024) -> tuple[RgbImage, Layer1Key]:
@@ -237,54 +211,76 @@ def decrypt_layer1(cipher: RgbImage, key: Layer1Key) -> RgbImage:
         raise DimensionMismatch(
             f"key is {key.width}x{key.height}, cipher is {cipher.width}x{cipher.height}"
         )
-    unsubbed = apply_lut(cipher, key.lut.inverse())
+    inverse = np.empty(256, np.uint8)
+    inverse[key.lut] = np.arange(256, dtype=np.uint8)
+    unsubbed = apply_lut(cipher, inverse)
     swapped = apply_swaps(unsubbed.pixels, key.row_swaps[::-1], key.col_swaps[::-1])
     return RgbImage.from_pixels(swapped)
 
 
 def serialize_layer1_key(key: Layer1Key) -> str:
     """Render the key in its line-oriented text form (LF endings)."""
+    table = np.column_stack((np.arange(255, -1, -1), key.lut[::-1]))
     lines = [f"{LAYER1_MAGIC} {key.width} {key.height}"]
-    for tag, swaps in ((ROW, key.row_swaps), (COLUMN, key.col_swaps)):
+    for tag, pairs in ((ROW, key.row_swaps), (COLUMN, key.col_swaps), (LOOKUP, table)):
         # one %-format of the whole block: faster than a format per line
-        lines.append("\n".join([f"{tag} %d %d"] * len(swaps)) % tuple(swaps.ravel().tolist()))
-    lines.extend(f"L {value} {key.lut[value]}" for value in range(255, -1, -1))
+        lines.append("\n".join([f"{tag} %d %d"] * len(pairs)) % tuple(pairs.ravel().tolist()))
     return "\n".join(lines) + "\n"
 
 
-def _swap_block(tag: str) -> re.Pattern:
-    """A block of swap lines, '<tag> <i> <j>' each, joined by LF."""
-    line = f"{tag} {_text.CANON_INT} {_text.CANON_INT}"
-    return re.compile(f"{line}(?:\n{line})*+")
+# A block of body lines '<tag> <a> <b>' of canonical integers, joined by LF.
+_PAIR = f" {_text.CANON_INT} {_text.CANON_INT}"
+_BLOCKS = {tag: re.compile(f"{tag}{_PAIR}(?:\n{tag}{_PAIR})*+") for tag in (ROW, COLUMN, LOOKUP)}
 
 
-_SWAP_BLOCKS = {tag: _swap_block(tag) for tag in (ROW, COLUMN)}
+def _read_pairs(lines: list[str], start: int, count: int, tag: str) -> np.ndarray | None:
+    """count >= 1 lines of one block as (count, 2) int64, or None if the regex refuses one.
 
-
-def _read_swaps(
-    lines: list[str], start: int, count: int, tag: str, bound: int
-) -> np.ndarray:
-    """Parse count >= 1 swap lines into (count, 2) pairs with one regex and one conversion."""
+    A value outside int64 is clamped to an end of it, which every range check
+    on the result refuses.
+    """
     block = "\n".join(lines[start : start + count])
-    if _SWAP_BLOCKS[tag].fullmatch(block):
-        # a value outside int64 is clamped to an end of it, so out of range too
-        indices = np.fromstring(block.replace(tag, ""), np.int64, sep=" ")
-        if indices.min() >= 0 and indices.max() < bound:
-            return indices.reshape(count, 2)
-    # Some line is bad: check line by line, so the error names the first one.
-    for offset in range(count):
-        line_no = start + offset + 1
-        tokens = lines[start + offset].split(" ")
-        if len(tokens) != 3 or tokens[0] != tag:
-            raise ParseError(f"expected '{tag} <i> <j>'", line_no)
-        i, j = _text.canon_ints(tokens[1:], "swap index", line_no)
-        if not (0 <= i < bound and 0 <= j < bound):
-            raise ParseError(f"swap index out of range [0, {bound})", line_no)
-    raise AssertionError("unreachable: every swap block the fast path refuses has a bad line")
+    if not _BLOCKS[tag].fullmatch(block):
+        return None
+    return np.fromstring(block.replace(tag, ""), np.int64, sep=" ").reshape(count, 2)
+
+
+def _raise_first_bad_line(lines: list[str], width: int, height: int):
+    """Check the body line by line and raise the ParseError of the first bad line."""
+    seen = set()
+    for index in range(1, len(lines)):
+        line_no = index + 1
+        tokens = lines[index].split(" ")
+        if index <= height + width:
+            tag, bound = (ROW, height) if index <= height else (COLUMN, width)
+            if len(tokens) != 3 or tokens[0] != tag:
+                raise ParseError(f"expected '{tag} <i> <j>'", line_no)
+            i, j = _text.canon_ints(tokens[1:], "swap index", line_no)
+            if not (0 <= i < bound and 0 <= j < bound):
+                raise ParseError(f"swap index out of range [0, {bound})", line_no)
+            continue
+        if len(tokens) != 3 or tokens[0] != LOOKUP:
+            raise ParseError(f"expected '{LOOKUP} <value> <substitute>'", line_no)
+        value, sub = _text.canon_ints(tokens[1:], "lookup entry", line_no)
+        # the table's lines run from plain value 255 on the first to 0 on the last
+        plain = len(lines) - 1 - index
+        if value != plain:
+            raise ParseError(f"plain value must be {plain}", line_no)
+        if not 0 <= sub <= 255:
+            raise ParseError("substitute outside [0, 255]", line_no)
+        if sub in seen:
+            raise ParseError(f"substitute {sub} assigned twice", line_no)
+        seen.add(sub)
+    raise AssertionError("unreachable: every body the block checks refuse has a bad line")
 
 
 def parse_layer1_key(text: str) -> Layer1Key:
-    """Parse the text form back into a key; inverse of serialize_layer1_key."""
+    """Parse the text form back into a key; inverse of serialize_layer1_key.
+
+    Each block is read with one regex and one conversion and then checked as
+    arrays. If any check refuses, the body is checked again line by line so
+    that the error names the first bad line.
+    """
     lines = _text.split_lines(text, "key file")
     header = lines[0].split(" ")
     if len(header) != 3 or header[0] != LAYER1_MAGIC:
@@ -296,24 +292,19 @@ def parse_layer1_key(text: str) -> Layer1Key:
     if len(lines) != expected:
         raise ParseError(f"expected {expected} lines, found {len(lines)}", len(lines) + 1)
 
-    row_swaps = _read_swaps(lines, 1, height, ROW, height)
-    col_swaps = _read_swaps(lines, 1 + height, width, COLUMN, width)
-
-    table = [0] * 256
-    seen = set()
-    start = 1 + height + width
-    for offset in range(256):
-        line_no = start + offset + 1
-        tokens = lines[start + offset].split(" ")
-        if len(tokens) != 3 or tokens[0] != "L":
-            raise ParseError("expected 'L <value> <substitute>'", line_no)
-        value, sub = _text.canon_ints(tokens[1:], "lookup entry", line_no)
-        if value != 255 - offset:
-            raise ParseError(f"plain value must be {255 - offset}", line_no)
-        if not 0 <= sub <= 255:
-            raise ParseError("substitute outside [0, 255]", line_no)
-        if sub in seen:
-            raise ParseError(f"substitute {sub} assigned twice", line_no)
-        seen.add(sub)
-        table[value] = sub
-    return Layer1Key(width, height, row_swaps, col_swaps, SubstitutionTable(table))
+    row_swaps = _read_pairs(lines, 1, height, ROW)
+    col_swaps = _read_pairs(lines, 1 + height, width, COLUMN)
+    table = _read_pairs(lines, 1 + height + width, 256, LOOKUP)
+    if (
+        row_swaps is None
+        or col_swaps is None
+        or table is None
+        or row_swaps.min() < 0
+        or row_swaps.max() >= height
+        or col_swaps.min() < 0
+        or col_swaps.max() >= width
+        or not np.array_equal(table[:, 0], np.arange(255, -1, -1))
+        or not np.array_equal(np.sort(table[:, 1]), np.arange(256))
+    ):
+        _raise_first_bad_line(lines, width, height)
+    return Layer1Key(width, height, row_swaps, col_swaps, table[::-1, 1].astype(np.uint8))

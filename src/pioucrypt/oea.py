@@ -16,6 +16,7 @@ import numpy as np
 from . import _text
 from .errors import (
     EmptyKey,
+    InvalidConfig,
     KeyMismatch,
     MalformedCipher,
     NonByteValue,
@@ -40,7 +41,7 @@ def key_weight(key: bytes) -> int:
 def master_key(weight: int, plaintext_length: int) -> int:
     """Key weight times plaintext length, with the overflow guard applied."""
     if plaintext_length < 0:
-        raise ValueError("plaintext length must be >= 0")
+        raise InvalidConfig("plaintext length must be >= 0")
     value = weight * plaintext_length
     if value >= MASTER_KEY_LIMIT:
         raise OverflowGuard(

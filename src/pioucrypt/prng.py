@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import AllZeroState, InvalidRange
+from .errors import AllZeroState, InvalidConfig, InvalidRange
 
 _MASK64 = (1 << 64) - 1
 
@@ -42,7 +42,7 @@ class Xorshift1024:
 
     def __init__(self, seed: int):
         if not 0 <= seed <= _MASK64:
-            raise ValueError("seed must fit in an unsigned 64-bit integer")
+            raise InvalidConfig("seed must fit in an unsigned 64-bit integer")
         state = []
         x = seed
         for _ in range(16):
@@ -59,11 +59,11 @@ class Xorshift1024:
         """Build a generator from 16 explicit state words and a word index."""
         words = [int(w) for w in words]
         if len(words) != 16 or not all(0 <= w <= _MASK64 for w in words):
-            raise ValueError("state must be 16 unsigned 64-bit words")
+            raise InvalidConfig("state must be 16 unsigned 64-bit words")
         if not any(words):
             raise AllZeroState("the all-zero state is absorbing")
         if not 0 <= index <= 15:
-            raise ValueError("state index must be in 0..15")
+            raise InvalidConfig("state index must be in 0..15")
         gen = cls.__new__(cls)
         gen.s = words
         gen.p = index
@@ -120,13 +120,13 @@ class LcgParams:
 
     def __post_init__(self):
         if self.modulus <= 0:
-            raise ValueError("modulus must be positive")
+            raise InvalidConfig("modulus must be positive")
         if not 0 < self.multiplier < self.modulus:
-            raise ValueError("multiplier must satisfy 0 < a < m")
+            raise InvalidConfig("multiplier must satisfy 0 < a < m")
         if not 0 <= self.increment < self.modulus:
-            raise ValueError("increment must satisfy 0 <= c < m")
+            raise InvalidConfig("increment must satisfy 0 <= c < m")
         if not 0 <= self.seed < self.modulus:
-            raise ValueError("seed must satisfy 0 <= x < m")
+            raise InvalidConfig("seed must satisfy 0 <= x < m")
 
 
 DEFAULT_TLCG_MODULUS = 2**31 - 1
@@ -150,7 +150,7 @@ class Tlcg:
     def __init__(self, streams: Iterable[LcgParams]):
         streams = tuple(streams)
         if len(streams) != 3 or not all(isinstance(s, LcgParams) for s in streams):
-            raise ValueError("Tlcg needs exactly three LcgParams streams")
+            raise InvalidConfig("Tlcg needs exactly three LcgParams streams")
         self.streams = streams
         self.values = [s.seed for s in streams]
 
@@ -158,7 +158,7 @@ class Tlcg:
     def from_seed(cls, seed: int) -> "Tlcg":
         """Derive the three default streams' seeds from a single master seed."""
         if seed < 0:
-            raise ValueError("seed must be non-negative")
+            raise InvalidConfig("seed must be non-negative")
         m = DEFAULT_TLCG_MODULUS
         return cls(
             LcgParams(m, a, c, (seed + off) % m)
@@ -188,9 +188,9 @@ class Tlcg:
         stays below 2^62.
         """
         if count < 0:
-            raise ValueError("count must be >= 0")
+            raise InvalidConfig("count must be >= 0")
         if any(st.modulus > 1 << 31 for st in self.streams):
-            raise ValueError("bulk draws need every stream modulus <= 2^31")
+            raise InvalidConfig("bulk draws need every stream modulus <= 2^31")
         if count == 0:
             return np.empty(0)
         total = np.zeros(count, dtype=np.int64)
@@ -215,7 +215,7 @@ class Tlcg:
 
 def _check_unit(value: float, name: str) -> None:
     if not 0.0 <= value <= 1.0:
-        raise ValueError(f"{name} must lie in [0, 1], got {value}")
+        raise InvalidConfig(f"{name} must lie in [0, 1], got {value}")
 
 
 def xor_bias_expected(p: float, q: float) -> float:
@@ -234,7 +234,7 @@ def xor_bias_empirical(p: float, q: float, n: int, rng: Xorshift1024) -> float:
     _check_unit(p, "p")
     _check_unit(q, "q")
     if n < 1:
-        raise ValueError("sample count must be >= 1")
+        raise InvalidConfig("sample count must be >= 1")
     draws = np.array(rng.fill_u64(2 * n), dtype=np.uint64)
     u = (draws >> np.uint64(11)).astype(np.float64) * 2.0**-53
     x = u[0::2] < p

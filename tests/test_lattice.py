@@ -12,7 +12,6 @@ from pioucrypt.errors import (
     EmptyMatrix,
     InvalidRange,
     PiouCryptError,
-    ShapeMismatch,
 )
 from pioucrypt.lattice import (
     _KEY_FORMAT_ROWS,
@@ -22,7 +21,6 @@ from pioucrypt.lattice import (
     derive_lattice_vectors,
     generate_lattice_points,
     nmf_multiplicative,
-    reconstruction_error,
     serialize_key_matrix,
     vector_component_bound,
 )
@@ -364,23 +362,13 @@ def test_nmf_matches_temporaries_loop(m, n, seed, data_seed):
     assert_nmf_key_matches_temporaries(V, seed)
 
 
-def test_reconstruction_error_examples():
-    V = np.array([[1.0]])
-    assert reconstruction_error(V, np.array([[0.0]]), np.array([[0.0]])) == 1.0
-    W0 = np.array([[1.0, 2.0], [3.0, 4.0]])
-    H0 = np.array([[1.0, 0.0], [0.0, 1.0]])
-    assert reconstruction_error(W0 @ H0, W0, H0) == 0.0
-    with pytest.raises(ShapeMismatch):
-        reconstruction_error(np.ones((2, 2)), np.ones((3, 2)), np.ones((2, 2)))
-
-
 def test_reconstruction_probe_row_product():
     W = np.array([[3.53299, 2.09400]])
     H = np.array([[2.67699, 6.99999], [8.69999, 4.47100]])
     product = W @ H
     assert product[0, 0] == pytest.approx(27.675557960099997, abs=1e-12)
     assert product[0, 1] == pytest.approx(34.0931686701, abs=1e-12)
-    assert reconstruction_error(product, W, H) < 1e-12
+    assert np.linalg.norm(product - W @ H) < 1e-12
 
 
 def test_serialize_key_matrix_shapes_and_exact_text():

@@ -17,9 +17,8 @@ from pioucrypt.layer1 import (
     COLUMN,
     ROW,
     Layer1Key,
+    LOOKUP,
     RgbImage,
-    SubstitutionTable,
-    _read_swaps,
     apply_lut,
     apply_swaps,
     decrypt_layer1,
@@ -157,36 +156,50 @@ def test_apply_swaps_matches_loop_oracle(case):
     assert np.array_equal(loop_apply_swaps(folded, schedule[::-1]), arr)
 
 
-def test_substitution_table_rejects_non_bijective():
-    with pytest.raises(NonBijectiveTable):
-        SubstitutionTable([0] * 256)
-    with pytest.raises(NonBijectiveTable):
-        SubstitutionTable(range(255))
-    with pytest.raises(NonBijectiveTable):
-        SubstitutionTable(list(range(255)) + [256])
+IDENTITY_LUT = np.arange(256, dtype=np.uint8)
+
+
+def identity_swaps(size):
+    return np.repeat(np.arange(size, dtype=np.int64), 2).reshape(size, 2)
+
+
+def test_layer1_key_rejects_bad_table():
+    rows, cols = identity_swaps(2), identity_swaps(3)
+    for lut in (
+        np.zeros(256, np.uint8),  # not a permutation
+        np.arange(255, dtype=np.uint8),  # too short
+        np.concatenate((IDENTITY_LUT, IDENTITY_LUT[:1])),  # too long
+        IDENTITY_LUT.reshape(16, 16),  # shape
+        np.arange(256, dtype=np.int64),  # dtype
+        list(range(256)),  # list, not an array
+    ):
+        with pytest.raises(NonBijectiveTable):
+            Layer1Key(3, 2, rows, cols, lut)
 
 
 def test_apply_lut_identity_and_single_lookup():
     image = RgbImage(np.array([[255]]), np.array([[0]]), np.array([[7]]))
-    assert apply_lut(image, SubstitutionTable(range(256))) == image
-    table = list(range(256))
+    assert apply_lut(image, IDENTITY_LUT) == image
+    table = IDENTITY_LUT.copy()
     table[255], table[10] = 10, 255
-    mapped = apply_lut(image, SubstitutionTable(table))
+    mapped = apply_lut(image, table)
     assert mapped.red[0, 0] == 10
 
 
 def test_apply_lut_inverse_round_trip():
     rng = np.random.default_rng(1)
     image = random_image(rng, 8, 6)
-    table = SubstitutionTable(rng.permutation(256))
-    assert apply_lut(apply_lut(image, table), table.inverse()) == image
+    table = rng.permutation(256).astype(np.uint8)
+    inverse = np.argsort(table).astype(np.uint8)
+    assert apply_lut(apply_lut(image, table), inverse) == image
 
 
 def test_generate_key_forced_1x1():
     key = generate_layer1_key(Xorshift1024(5), 1, 1)
     assert key.row_swaps.tolist() == [[0, 0]]
     assert key.col_swaps.tolist() == [[0, 0]]
-    assert sorted(int(v) for v in key.lut.values) == list(range(256))
+    assert key.lut.dtype == np.uint8
+    assert sorted(key.lut.tolist()) == list(range(256))
 
 
 def test_generate_key_lengths_contract():
@@ -214,7 +227,7 @@ def test_generate_key_replays_documented_draw_sequence():
 
     assert key.row_swaps.tolist() == rows
     assert key.col_swaps.tolist() == cols
-    assert [key.lut[v] for v in range(256)] == [table[v] for v in range(256)]
+    assert key.lut.tolist() == [table[v] for v in range(256)]
 
 
 def test_generate_key_draw_count():
@@ -288,13 +301,7 @@ def test_decrypt_dimension_mismatch():
 
 def test_identity_key_decrypts_to_same_image():
     image = random_image(np.random.default_rng(10), 3, 2)
-    key = Layer1Key(
-        3,
-        2,
-        np.array([[0, 0], [1, 1]], np.int64),
-        np.array([[k, k] for k in range(3)], np.int64),
-        SubstitutionTable(range(256)),
-    )
+    key = Layer1Key(3, 2, identity_swaps(2), identity_swaps(3), IDENTITY_LUT)
     assert decrypt_layer1(image, key) == image
 
 
@@ -313,7 +320,7 @@ def test_identity_key_decrypts_to_same_image():
 )
 def test_layer1_key_rejects_bad_schedule(rows, cols):
     with pytest.raises(InvalidConfig):
-        Layer1Key(3, 2, rows, cols, SubstitutionTable(range(256)))
+        Layer1Key(3, 2, rows, cols, IDENTITY_LUT)
 
 
 def test_serialize_1x1_has_259_lines():
@@ -340,7 +347,8 @@ def test_serialization_round_trip():
         assert serialize_layer1_key(parsed) == text
         assert np.array_equal(parsed.row_swaps, key.row_swaps)
         assert np.array_equal(parsed.col_swaps, key.col_swaps)
-        assert parsed.lut == key.lut
+        assert parsed.lut.dtype == np.uint8
+        assert np.array_equal(parsed.lut, key.lut)
 
 
 def test_parse_errors_carry_line_numbers():
@@ -382,60 +390,105 @@ def test_parse_rejects_duplicate_substitute():
     assert excinfo.value.line == 5
 
 
-def loop_read_swaps(lines, start, count, tag, bound):
-    """Reference: the swap block parsed one line at a time, as [i, j] lists."""
-    pairs = []
-    for offset in range(count):
+
+
+def loop_parse_layer1_key(text):
+    """Reference: the key text parsed one line at a time, as plain lists.
+
+    Returns (width, height, row pairs, column pairs, table), where table[v] is
+    the substitute of plain value v.
+    """
+    lines = _text.split_lines(text, "key file")
+    header = lines[0].split(" ")
+    if len(header) != 3 or header[0] != "PIOU1":
+        raise ParseError("header must be 'PIOU1 <width> <height>'", 1)
+    width, height = _text.canon_ints(header[1:], "dimensions", 1)
+    if width < 1 or height < 1:
+        raise ParseError("dimensions must be >= 1", 1)
+    expected = 1 + height + width + 256
+    if len(lines) != expected:
+        raise ParseError(f"expected {expected} lines, found {len(lines)}", len(lines) + 1)
+    swaps = {}
+    start = 1
+    for tag, count in ((ROW, height), (COLUMN, width)):
+        pairs = []
+        for offset in range(count):
+            line_no = start + offset + 1
+            tokens = lines[start + offset].split(" ")
+            if len(tokens) != 3 or tokens[0] != tag:
+                raise ParseError(f"expected '{tag} <i> <j>'", line_no)
+            i, j = _text.canon_ints(tokens[1:], "swap index", line_no)
+            if not (0 <= i < count and 0 <= j < count):
+                raise ParseError(f"swap index out of range [0, {count})", line_no)
+            pairs.append([i, j])
+        swaps[tag] = pairs
+        start += count
+    table = [0] * 256
+    seen = set()
+    for offset in range(256):
         line_no = start + offset + 1
         tokens = lines[start + offset].split(" ")
-        if len(tokens) != 3 or tokens[0] != tag:
-            raise ParseError(f"expected '{tag} <i> <j>'", line_no)
-        i, j = _text.canon_ints(tokens[1:], "swap index", line_no)
-        if not (0 <= i < bound and 0 <= j < bound):
-            raise ParseError(f"swap index out of range [0, {bound})", line_no)
-        pairs.append([i, j])
-    return pairs
+        if len(tokens) != 3 or tokens[0] != "L":
+            raise ParseError("expected 'L <value> <substitute>'", line_no)
+        value, sub = _text.canon_ints(tokens[1:], "lookup entry", line_no)
+        if value != 255 - offset:
+            raise ParseError(f"plain value must be {255 - offset}", line_no)
+        if not 0 <= sub <= 255:
+            raise ParseError("substitute outside [0, 255]", line_no)
+        if sub in seen:
+            raise ParseError(f"substitute {sub} assigned twice", line_no)
+        seen.add(sub)
+        table[value] = sub
+    return width, height, swaps[ROW], swaps[COLUMN], table
 
 
-def outcome(fn, *args):
-    """The result of a call, or its exception class and message."""
+def parse_outcome(parse, text):
+    """The parsed key as plain lists, or the error's (class, message, line)."""
     try:
-        return fn(*args)
-    except Exception as exc:  # compared as (class, message)
-        return type(exc), str(exc)
+        key = parse(text)
+    except ParseError as exc:
+        return type(exc), str(exc), exc.line
+    if isinstance(key, Layer1Key):
+        assert key.lut.dtype == np.uint8
+        return key.width, key.height, key.row_swaps.tolist(), key.col_swaps.tolist(), key.lut.tolist()
+    return key
 
 
-index_tokens = st.one_of(
-    st.integers(-2, 12).map(str),
-    st.sampled_from([2**63 - 1, 2**63, -(2**63) - 1, 10**30]).map(str),
-    st.sampled_from(["+1", "01", "-0", "", "1_0", "\u0663", "x"]),
+bad_tokens = st.one_of(
+    st.integers(-2, 300).map(str),
+    st.sampled_from([2**63 - 1, 2**63, -(2**63), -(2**63) - 1, 10**30]).map(str),
+    st.sampled_from(["+1", "01", "-0", "", "1_0", "\u0663", "x", "1\r"]),
+    st.sampled_from([ROW, COLUMN, LOOKUP, "PIOU1"]),
 )
 
 
 @st.composite
-def swap_blocks(draw):
-    tag = draw(st.sampled_from([ROW, COLUMN]))
-    bound = draw(st.integers(1, 10))
-    count = draw(st.integers(1, 8))
-    good = st.tuples(st.integers(0, bound - 1), st.integers(0, bound - 1)).map(
-        lambda ij: f"{tag} {ij[0]} {ij[1]}"
-    )
-    bad = st.one_of(
-        st.tuples(
-            st.sampled_from([tag, ROW, COLUMN, "L", ""]), index_tokens, index_tokens
-        ).map(" ".join),
-        st.lists(index_tokens, max_size=4).map(lambda t: " ".join([tag] + t)),
-    )
-    lines = draw(st.lists(st.one_of(good, good, bad), min_size=count, max_size=count))
-    return ["PIOU1 header"] + lines + ["L 255 0"], count, tag, bound
+def mutated_key_texts(draw):
+    width, height = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    key = generate_layer1_key(Xorshift1024(draw(st.integers(0, 2**32 - 1))), width, height)
+    lines = serialize_layer1_key(key).splitlines()
+    for _ in range(draw(st.integers(0, 3))):
+        k = draw(st.integers(0, len(lines) - 1))
+        kind = draw(st.sampled_from(["token", "token", "copy", "insert", "swap", "arity"]))
+        if kind == "token":
+            tokens = lines[k].split(" ")
+            tokens[draw(st.integers(0, len(tokens) - 1))] = draw(bad_tokens)
+            lines[k] = " ".join(tokens)
+        elif kind == "arity":
+            lines[k] = " ".join(draw(st.lists(bad_tokens, max_size=4)))
+        else:
+            j = draw(st.integers(0, len(lines) - 1))
+            if kind == "copy":
+                lines[k] = lines[j]
+            elif kind == "insert":
+                lines.insert(k, lines[j])
+            else:
+                lines[k], lines[j] = lines[j], lines[k]
+    return "\n".join(lines) + "\n"
 
 
-@settings(max_examples=300, deadline=None)
-@given(swap_blocks())
-def test_read_swaps_matches_line_loop(case):
-    lines, count, tag, bound = case
-    fast = outcome(_read_swaps, lines, 1, count, tag, bound)
-    if isinstance(fast, np.ndarray):
-        assert fast.dtype == np.int64
-        fast = fast.tolist()
-    assert fast == outcome(loop_read_swaps, lines, 1, count, tag, bound)
+@settings(max_examples=500, deadline=None)
+@given(mutated_key_texts())
+def test_parse_matches_line_loop(text):
+    expected = parse_outcome(loop_parse_layer1_key, text)
+    assert parse_outcome(parse_layer1_key, text) == expected

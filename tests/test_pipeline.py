@@ -19,8 +19,15 @@ from pioucrypt.errors import (
     PiouCryptError,
     UnsupportedFormat,
 )
-from pioucrypt.lattice import WindowSpec
-from pioucrypt.layer1 import Layer1Key, RgbImage, SubstitutionTable, encrypt_layer1
+from pioucrypt.lattice import (
+    LatticeVectors,
+    WindowSpec,
+    generate_lattice_points,
+    nmf_multiplicative,
+    serialize_key_matrix,
+)
+from pioucrypt.layer1 import Layer1Key, RgbImage, apply_swaps, encrypt_layer1
+from pioucrypt.oea import master_key
 from pioucrypt.pipeline import (
     PipelineConfig,
     analyze,
@@ -30,7 +37,13 @@ from pioucrypt.pipeline import (
     read_image,
     write_image,
 )
-from pioucrypt.prng import Xorshift1024
+from pioucrypt.prng import (
+    LcgParams,
+    Tlcg,
+    Xorshift1024,
+    xor_bias_empirical,
+    xor_bias_expected,
+)
 
 
 def random_image(rng, width, height):
@@ -491,6 +504,12 @@ def test_cli_lattice_factors(capsys):
     out = capsys.readouterr().out
     assert "points 25" in out
     assert "PIOUW 25 2" in out
+    # the printed error is the factorization's own, that of the printed W
+    points = generate_lattice_points(LatticeVectors((2, 0), (0, 2)), WindowSpec(10, 10))
+    points = points.astype(np.float64)
+    factors = nmf_multiplicative(points, 0)
+    error = np.linalg.norm(points - factors.W @ factors.H)
+    assert f"reconstruction error {error:.5f}\n" in out
 
 
 def test_cli_lattice_negative_components_equals_form(capsys):
@@ -542,14 +561,41 @@ def test_golden_bundle_bytes(tmp_path, magic, width, height, seed, digest):
     assert hashlib.sha256(blob).hexdigest() == digest
 
 
+PLANE = np.zeros((2, 2), np.uint8)
+STREAM = LcgParams(7, 3, 1, 0)
+
+
+# Every configuration check in the package raises InvalidConfig.
 @pytest.mark.parametrize(
     "make",
     [
-        lambda: WindowSpec(0, 5),
-        lambda: PipelineConfig(seed=-1),
-        lambda: Layer1Key(0, 1, [], [], SubstitutionTable(range(256))),
+        pytest.param(lambda: WindowSpec(0, 5), id="WindowSpec"),
+        pytest.param(lambda: PipelineConfig(seed=-1), id="PipelineConfig"),
+        pytest.param(lambda: Layer1Key(0, 1, [], [], np.arange(256, dtype=np.uint8)), id="Layer1Key"),
+        pytest.param(lambda: Xorshift1024(-1), id="Xorshift1024-seed"),
+        pytest.param(lambda: Xorshift1024.from_state([1] * 15), id="from_state-words"),
+        pytest.param(lambda: Xorshift1024.from_state([1] * 16, 16), id="from_state-index"),
+        pytest.param(lambda: LcgParams(0, 1, 0, 0), id="LcgParams-modulus"),
+        pytest.param(lambda: LcgParams(7, 7, 0, 0), id="LcgParams-multiplier"),
+        pytest.param(lambda: LcgParams(7, 3, 7, 0), id="LcgParams-increment"),
+        pytest.param(lambda: LcgParams(7, 3, 0, -1), id="LcgParams-seed"),
+        pytest.param(lambda: Tlcg([STREAM, STREAM]), id="Tlcg-streams"),
+        pytest.param(lambda: Tlcg.from_seed(-1), id="Tlcg.from_seed"),
+        pytest.param(lambda: Tlcg.from_seed(0).next_units(-1), id="next_units-count"),
+        pytest.param(lambda: Tlcg([LcgParams(2**32, 3, 0, 0), STREAM, STREAM]).next_units(1), id="next_units-modulus"),
+        pytest.param(lambda: xor_bias_expected(1.5, 0.5), id="xor_bias_expected"),
+        pytest.param(lambda: xor_bias_empirical(0.5, -0.5, 1, Xorshift1024(0)), id="xor_bias_empirical-unit"),
+        pytest.param(lambda: xor_bias_empirical(0.5, 0.5, 0, Xorshift1024(0)), id="xor_bias_empirical-count"),
+        pytest.param(lambda: master_key(1, -1), id="master_key"),
+        pytest.param(lambda: serialize_key_matrix(np.zeros((0, 2))), id="serialize_key_matrix-shape"),
+        pytest.param(lambda: serialize_key_matrix(np.array([[-1.0, 0.0]])), id="serialize_key_matrix-entries"),
+        pytest.param(lambda: RgbImage(PLANE[0], PLANE, PLANE), id="RgbImage-ndim"),
+        pytest.param(lambda: RgbImage(PLANE + 0.5, PLANE, PLANE), id="RgbImage-dtype"),
+        pytest.param(lambda: RgbImage(PLANE.astype(np.int64) - 1, PLANE, PLANE), id="RgbImage-range"),
+        pytest.param(lambda: RgbImage(PLANE, PLANE, PLANE[:1]), id="RgbImage-shapes"),
+        pytest.param(lambda: RgbImage.from_pixels(PLANE), id="RgbImage.from_pixels"),
+        pytest.param(lambda: apply_swaps(PLANE[0], [], []), id="apply_swaps"),
     ],
-    ids=["WindowSpec", "PipelineConfig", "Layer1Key"],
 )
 def test_config_errors_are_piou_and_value_errors(make):
     with pytest.raises(InvalidConfig) as excinfo:
