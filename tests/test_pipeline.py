@@ -541,6 +541,10 @@ GOLDEN_BUNDLES = [
     # paths of the NMF loop, which the inputs above stay below
     ("P6", 256, 256, 24,
      "9297bf412feccf940dfcfc3fdb1c9c0d78ea57639a2e64802cfb6b72e8b56b59"),
+    # rows of 3,003 bytes: layer 1 maps it in blocks of 64, 64 and 1 rows, and
+    # the last block ends on an odd byte
+    ("P6", 1001, 129, 3,
+     "83709dc5e1f34145b60a349d7430941debc2c12ded24f7a1bdb345f1c6ba4570"),
 ]
 
 
