@@ -142,10 +142,14 @@ def generate_layer1_key(rng: Xorshift1024, width: int, height: int) -> Layer1Key
     column pairs, then the substitution table built by walking the plain value
     down from 255 to 0 and rejecting already-assigned cipher values so the
     table stays bijective. Total consumption is 2*height + 2*width + 256 plus
-    one draw per rejection.
+    one draw per rejection. The swap indices are drawn in one block; each is
+    the draw modulo its axis length, as `randint` would give.
     """
-    row_swaps = [rng.randint(0, height - 1) for _ in range(2 * height)]
-    col_swaps = [rng.randint(0, width - 1) for _ in range(2 * width)]
+    if width < 1 or height < 1:
+        raise InvalidConfig("key dimensions must be >= 1")
+    words = np.array(rng.fill_u64(2 * height + 2 * width), np.uint64)
+    row_swaps = (words[: 2 * height] % np.uint64(height)).astype(np.int64).reshape(-1, 2)
+    col_swaps = (words[2 * height :] % np.uint64(width)).astype(np.int64).reshape(-1, 2)
     lut = np.empty(256, np.uint8)
     used = set()
     for value in range(255, -1, -1):
@@ -154,55 +158,77 @@ def generate_layer1_key(rng: Xorshift1024, width: int, height: int) -> Layer1Key
             z = rng.randint(0, 255)
         used.add(z)
         lut[value] = z
-    return Layer1Key(
-        width,
-        height,
-        np.array(row_swaps, np.int64).reshape(-1, 2),
-        np.array(col_swaps, np.int64).reshape(-1, 2),
-        lut,
-    )
+    return Layer1Key(width, height, row_swaps, col_swaps, lut)
 
 
-def apply_swaps(pixels, row_swaps, col_swaps) -> np.ndarray:
-    """Exchange rows, then columns, of an (h, w) or (h, w, 3) array.
+def _fold(swaps, size: int, axis: str, extent: str) -> np.ndarray:
+    """The permutation of an axis that a sequence of (i, j) exchanges makes, in order.
+
+    A pair with an index outside [0, size) raises IndexOutOfRange, naming the first.
+    """
+    pairs = np.asarray(swaps, np.int64).reshape(len(swaps), 2)
+    bad = ((pairs < 0) | (pairs >= size)).any(axis=1)
+    if bad.any():
+        i, j = pairs[bad.argmax()].tolist()
+        raise IndexOutOfRange(f"{axis} swap ({i}, {j}) outside {extent} {size}")
+    # exchanges compose in order, so the fold stays a loop
+    perm = list(range(size))
+    for i, j in zip(pairs[:, 0].tolist(), pairs[:, 1].tolist()):
+        perm[i], perm[j] = perm[j], perm[i]
+    return np.array(perm, np.intp)
+
+
+# Output bytes gathered and mapped per block: 64 rows of a 2048-pixel RGB
+# image. A block stays in cache between its gathers and its lookup.
+BLOCK_BYTES = 64 * 2048 * 3
+
+
+def apply_swaps(pixels, row_swaps, col_swaps, lut) -> np.ndarray:
+    """Exchange rows, then columns, of an (h, w) or (h, w, c) array, and map every byte through lut.
 
     Each schedule is a sequence of (i, j) index pairs, applied in order. Each
-    one is folded into a permutation of its axis, and both are applied as a
-    single gather into a new array. Row and column exchanges commute, so
-    applying both schedules reversed to the result restores the input.
+    one is folded into a permutation of its axis. The output is then written
+    in blocks of rows: each block is one row gather and one column gather,
+    mapped through a 65,536-entry table of byte pairs built from the (256,)
+    uint8 `lut`. Row and column exchanges commute with each other and with the
+    byte lookup, so applying both schedules reversed and the inverse table to
+    the result restores the input.
     """
     arr = np.asarray(pixels, dtype=np.uint8)
     if arr.ndim not in (2, 3):
         raise InvalidConfig("plane must be 2-D, or 3-D with channels last")
+    if not (isinstance(lut, np.ndarray) and lut.dtype == np.uint8 and lut.shape == (256,)):
+        raise InvalidConfig("lut must be a (256,) uint8 array")
     h, w = arr.shape[:2]
-    perms = []
-    for swaps, size, axis, extent in (
-        (row_swaps, h, "row", "height"),
-        (col_swaps, w, "column", "width"),
-    ):
-        pairs = np.asarray(swaps, np.int64).reshape(len(swaps), 2)
-        bad = ((pairs < 0) | (pairs >= size)).any(axis=1)
-        if bad.any():
-            i, j = pairs[bad.argmax()].tolist()
-            raise IndexOutOfRange(f"{axis} swap ({i}, {j}) outside {extent} {size}")
-        # exchanges compose in order, so the fold stays a loop
-        perm = list(range(size))
-        for i, j in pairs.tolist():
-            perm[i], perm[j] = perm[j], perm[i]
-        perms.append(perm)
-    return arr.take(perms[0], axis=0).take(perms[1], axis=1)
-
-
-def apply_lut(image: RgbImage, lut: np.ndarray) -> RgbImage:
-    """Map every pixel of every channel through the (256,) uint8 table in one pass."""
-    return RgbImage.from_pixels(lut[image.pixels])
+    rows = _fold(row_swaps, h, "row", "height")
+    cols = _fold(col_swaps, w, "column", "width")
+    channels = arr.shape[2] if arr.ndim == 3 else 1
+    row_bytes = w * channels
+    # the source byte, within its row, of each output byte of a row
+    index = (cols[:, None] * channels + np.arange(channels)).ravel()
+    # the table of byte pairs, built in native byte order through uint8 views
+    paired = lut[np.arange(65536, dtype=np.uint16).view(np.uint8)].view(np.uint16)
+    out = np.empty(arr.shape, np.uint8)
+    out_rows = out.reshape(h, row_bytes)
+    # an even row count keeps every block on an even byte offset of out
+    step = max(2, BLOCK_BYTES // max(row_bytes, 1) & ~1)
+    for start in range(0, h, step):
+        block = rows[start : start + step]
+        gathered = arr.take(block, axis=0).reshape(len(block), row_bytes).take(index, axis=1).ravel()
+        dest = out_rows[start : start + step].ravel()
+        even = dest.size & ~1
+        # every index is in range, and "clip" spares take a buffered copy of out
+        np.take(paired, gathered[:even].view(np.uint16), out=dest[:even].view(np.uint16), mode="clip")
+        if even < dest.size:
+            dest[-1] = lut[gathered[-1]]
+    return out
 
 
 def encrypt_layer1(image: RgbImage, rng: Xorshift1024) -> tuple[RgbImage, Layer1Key]:
     """Scramble the image; returns the cipher image and the key that inverts it."""
     key = generate_layer1_key(rng, image.width, image.height)
-    swapped = apply_swaps(image.pixels, key.row_swaps, key.col_swaps)
-    return apply_lut(RgbImage.from_pixels(swapped), key.lut), key
+    swapped = apply_swaps(image.pixels, key.row_swaps, key.col_swaps, key.lut)
+    return RgbImage.from_pixels(swapped), key
 
 
 def decrypt_layer1(cipher: RgbImage, key: Layer1Key) -> RgbImage:
@@ -213,8 +239,7 @@ def decrypt_layer1(cipher: RgbImage, key: Layer1Key) -> RgbImage:
         )
     inverse = np.empty(256, np.uint8)
     inverse[key.lut] = np.arange(256, dtype=np.uint8)
-    unsubbed = apply_lut(cipher, inverse)
-    swapped = apply_swaps(unsubbed.pixels, key.row_swaps[::-1], key.col_swaps[::-1])
+    swapped = apply_swaps(cipher.pixels, key.row_swaps[::-1], key.col_swaps[::-1], inverse)
     return RgbImage.from_pixels(swapped)
 
 

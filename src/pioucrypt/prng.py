@@ -81,7 +81,7 @@ class Xorshift1024:
         return (s1 * XS1024_MULTIPLIER) & _MASK64
 
     def fill_u64(self, count: int) -> list[int]:
-        """Draw `count` outputs in one call (hot path for the bias checks)."""
+        """Draw `count` outputs in one call (hot path for layer-1 keys and the bias checks)."""
         s = self.s
         p = self.p
         mask = _MASK64

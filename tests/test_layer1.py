@@ -1,5 +1,7 @@
 """Unit tests for the pixel-scrambling layer and its key format."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,12 +16,12 @@ from pioucrypt.errors import (
     ParseError,
 )
 from pioucrypt.layer1 import (
+    BLOCK_BYTES,
     COLUMN,
     ROW,
     Layer1Key,
     LOOKUP,
     RgbImage,
-    apply_lut,
     apply_swaps,
     decrypt_layer1,
     encrypt_layer1,
@@ -36,7 +38,7 @@ def random_image(rng, width, height):
 
 
 class CountingRng:
-    """Wraps the generator to count randint draws."""
+    """Wraps the generator to count its draws, one by one or in bulk."""
 
     def __init__(self, inner):
         self.inner = inner
@@ -45,6 +47,13 @@ class CountingRng:
     def randint(self, lo, hi):
         self.count += 1
         return self.inner.randint(lo, hi)
+
+    def fill_u64(self, count):
+        self.count += count
+        return self.inner.fill_u64(count)
+
+
+IDENTITY_LUT = np.arange(256, dtype=np.uint8)
 
 
 def test_rgb_image_validation():
@@ -68,19 +77,19 @@ def test_from_gray_replicates_planes():
 
 def test_apply_swaps_row_example():
     plane = np.array([[1, 2], [3, 4]], dtype=np.uint8)
-    swapped = apply_swaps(plane, [(0, 1)], [])
+    swapped = apply_swaps(plane, [(0, 1)], [], IDENTITY_LUT)
     assert swapped.tolist() == [[3, 4], [1, 2]]
 
 
 def test_apply_swaps_column():
     plane = np.array([[1, 2], [3, 4]], dtype=np.uint8)
-    swapped = apply_swaps(plane, [], [(0, 1)])
+    swapped = apply_swaps(plane, [], [(0, 1)], IDENTITY_LUT)
     assert swapped.tolist() == [[2, 1], [4, 3]]
 
 
 def test_apply_swaps_self_swap_is_noop():
     plane = np.arange(12, dtype=np.uint8).reshape(3, 4)
-    assert np.array_equal(apply_swaps(plane, [(2, 2)], []), plane)
+    assert np.array_equal(apply_swaps(plane, [(2, 2)], [], IDENTITY_LUT), plane)
 
 
 def test_apply_swaps_reversed_restores():
@@ -88,26 +97,26 @@ def test_apply_swaps_reversed_restores():
     plane = rng.integers(0, 256, (9, 7), dtype=np.uint8)
     rows = rng.integers(0, 9, (20, 2))
     cols = rng.integers(0, 7, (20, 2))
-    forward = apply_swaps(plane, rows, cols)
-    restored = apply_swaps(forward, rows[::-1], cols[::-1])
+    forward = apply_swaps(plane, rows, cols, IDENTITY_LUT)
+    restored = apply_swaps(forward, rows[::-1], cols[::-1], IDENTITY_LUT)
     assert np.array_equal(restored, plane)
 
 
 def test_apply_swaps_out_of_range():
     plane = np.zeros((2, 2), np.uint8)
     with pytest.raises(IndexOutOfRange, match=r"^row swap \(0, 2\) outside height 2$"):
-        apply_swaps(plane, [(1, 0), (0, 2), (3, 0)], [])
+        apply_swaps(plane, [(1, 0), (0, 2), (3, 0)], [], IDENTITY_LUT)
     with pytest.raises(IndexOutOfRange, match=r"^column swap \(5, 0\) outside width 2$"):
-        apply_swaps(plane, [(1, 1)], [(5, 0), (-1, 0)])
+        apply_swaps(plane, [(1, 1)], [(5, 0), (-1, 0)], IDENTITY_LUT)
     with pytest.raises(IndexOutOfRange, match=r"^row swap \(1, -1\) outside height 2$"):
-        apply_swaps(plane, [(1, -1)], [])
+        apply_swaps(plane, [(1, -1)], [], IDENTITY_LUT)
 
 
 def loop_apply_swaps(plane, schedule):
     """Reference: each (axis, i, j) entry as its own exchange, in list order."""
     arr = np.array(plane, dtype=np.uint8, copy=True)
     if arr.ndim == 3:
-        return np.stack([loop_apply_swaps(arr[:, :, c], schedule) for c in range(3)], axis=-1)
+        return np.stack([loop_apply_swaps(arr[:, :, c], schedule) for c in range(arr.shape[2])], axis=-1)
     h, w = arr.shape
     for axis, i, j in schedule:
         if axis == ROW:
@@ -149,14 +158,67 @@ def test_apply_swaps_matches_loop_oracle(case):
     # by axis, which gives the same result because the two kinds commute.
     arr, schedule = case
     rows, cols = pairs_of(schedule, ROW), pairs_of(schedule, COLUMN)
-    folded = apply_swaps(arr, rows, cols)
+    folded = apply_swaps(arr, rows, cols, IDENTITY_LUT)
     assert np.array_equal(folded, loop_apply_swaps(arr, schedule))
-    assert np.array_equal(folded, apply_swaps(arr, np.array(rows, np.int64), np.array(cols, np.int64)))
-    assert np.array_equal(apply_swaps(folded, rows[::-1], cols[::-1]), arr)
+    as_arrays = apply_swaps(arr, np.array(rows, np.int64), np.array(cols, np.int64), IDENTITY_LUT)
+    assert np.array_equal(folded, as_arrays)
+    assert np.array_equal(apply_swaps(folded, rows[::-1], cols[::-1], IDENTITY_LUT), arr)
     assert np.array_equal(loop_apply_swaps(folded, schedule[::-1]), arr)
 
 
-IDENTITY_LUT = np.arange(256, dtype=np.uint8)
+# Heights on both sides of the edges of 64-row blocks.
+block_heights = st.one_of(
+    st.sampled_from([1, 2, 63, 64, 65, 127, 128, 129, 130, 193]), st.integers(1, 200)
+)
+
+
+@st.composite
+def fused_cases(draw):
+    """An array, a schedule, a table and a layout for the fused pass.
+
+    Narrow arrays are one block. Wide ones have rows of BLOCK_BYTES / 64 or
+    BLOCK_BYTES / 2 bytes, or one pixel less, so they run in blocks of 64 or 2
+    rows; one pixel less makes the row length odd, and so the byte count of a
+    last block with an odd number of rows.
+    """
+    channels = draw(st.sampled_from([None, 1, 3]))
+    block_rows = draw(st.sampled_from([None, 64, 2]))
+    if block_rows is None:
+        w, h = draw(st.integers(1, 12)), draw(block_heights)
+    else:
+        w = BLOCK_BYTES // (block_rows * (channels or 1)) - draw(st.integers(0, 1))
+        h = draw(block_heights if block_rows == 64 else st.integers(1, 7))
+    shape = (h, w) if channels is None else (h, w, channels)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    layout = draw(st.sampled_from(["fresh", "read-only", "non-contiguous"]))
+    if layout == "non-contiguous":
+        arr = rng.integers(0, 256, (h, 2 * w) + shape[2:], dtype=np.uint8)[:, ::2]
+    else:
+        arr = rng.integers(0, 256, shape, dtype=np.uint8)
+    if layout == "read-only":
+        # the layout of a P6 payload read from bytes
+        arr = np.frombuffer(arr.tobytes(), np.uint8).reshape(shape)
+    entry = st.one_of(
+        st.tuples(st.just(ROW), st.integers(0, h - 1), st.integers(0, h - 1)),
+        st.tuples(st.just(COLUMN), st.integers(0, w - 1), st.integers(0, w - 1)),
+    )
+    lut = rng.permutation(256).astype(np.uint8)
+    return arr, draw(st.lists(entry, max_size=40)), lut
+
+
+@settings(deadline=None)
+@given(fused_cases())
+def test_fused_pass_matches_swaps_then_byte_lookup(case):
+    arr, schedule, lut = case
+    before = arr.copy()
+    rows, cols = pairs_of(schedule, ROW), pairs_of(schedule, COLUMN)
+    out = apply_swaps(arr, rows, cols, lut)
+    assert np.array_equal(out, lut[loop_apply_swaps(arr, schedule)])
+    assert np.array_equal(arr, before)
+    assert out.dtype == np.uint8 and out.shape == arr.shape
+    assert out.flags.c_contiguous and out.flags.writeable and out.base is None
+    inverse = np.argsort(lut).astype(np.uint8)
+    assert np.array_equal(apply_swaps(out, rows[::-1], cols[::-1], inverse), arr)
 
 
 def identity_swaps(size):
@@ -177,21 +239,36 @@ def test_layer1_key_rejects_bad_table():
             Layer1Key(3, 2, rows, cols, lut)
 
 
-def test_apply_lut_identity_and_single_lookup():
-    image = RgbImage(np.array([[255]]), np.array([[0]]), np.array([[7]]))
-    assert apply_lut(image, IDENTITY_LUT) == image
+def test_apply_swaps_lookup_identity_and_single_byte():
+    pixels = RgbImage(np.array([[255]]), np.array([[0]]), np.array([[7]])).pixels
+    assert np.array_equal(apply_swaps(pixels, [], [], IDENTITY_LUT), pixels)
     table = IDENTITY_LUT.copy()
     table[255], table[10] = 10, 255
-    mapped = apply_lut(image, table)
-    assert mapped.red[0, 0] == 10
+    mapped = apply_swaps(pixels, [], [], table)
+    assert mapped[0, 0].tolist() == [10, 0, 7]
 
 
-def test_apply_lut_inverse_round_trip():
+def test_apply_swaps_inverse_table_round_trip():
     rng = np.random.default_rng(1)
-    image = random_image(rng, 8, 6)
+    pixels = random_image(rng, 8, 6).pixels
     table = rng.permutation(256).astype(np.uint8)
     inverse = np.argsort(table).astype(np.uint8)
-    assert apply_lut(apply_lut(image, table), inverse) == image
+    mapped = apply_swaps(pixels, [], [], table)
+    assert np.array_equal(mapped, table[pixels])
+    assert np.array_equal(apply_swaps(mapped, [], [], inverse), pixels)
+
+
+@pytest.mark.parametrize(
+    "lut",
+    [
+        np.arange(256, dtype=np.int64),  # dtype
+        IDENTITY_LUT[:255],  # too short
+        IDENTITY_LUT.reshape(16, 16),  # shape
+    ],
+)
+def test_apply_swaps_rejects_bad_lut(lut):
+    with pytest.raises(InvalidConfig):
+        apply_swaps(np.zeros((2, 2), np.uint8), [], [], lut)
 
 
 def test_generate_key_forced_1x1():
@@ -272,6 +349,27 @@ def test_round_trip_64x64_many_trials():
         image = random_image(rng, 64, 64)
         cipher, key = encrypt_layer1(image, gen)
         assert decrypt_layer1(cipher, key) == image
+
+
+def traced_peak(fn, *args):
+    """fn(*args) and the peak bytes it allocated, as tracemalloc counts them."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_layer1_peak_memory_is_about_one_image():
+    # Room for the output, a few block-sized buffers and the paired table,
+    # but not for a second image-sized array.
+    image = random_image(np.random.default_rng(12), 2048, 2048)
+    (cipher, key), encrypt_peak = traced_peak(encrypt_layer1, image, Xorshift1024(5))
+    plain, decrypt_peak = traced_peak(decrypt_layer1, cipher, key)
+    assert plain == image
+    assert encrypt_peak <= 1.5 * image.pixels.nbytes
+    assert decrypt_peak <= 1.5 * image.pixels.nbytes
 
 
 def test_dimensions_preserved():

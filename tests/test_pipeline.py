@@ -26,7 +26,7 @@ from pioucrypt.lattice import (
     nmf_multiplicative,
     serialize_key_matrix,
 )
-from pioucrypt.layer1 import Layer1Key, RgbImage, apply_swaps, encrypt_layer1
+from pioucrypt.layer1 import Layer1Key, RgbImage, apply_swaps, encrypt_layer1, generate_layer1_key
 from pioucrypt.oea import master_key
 from pioucrypt.pipeline import (
     PipelineConfig,
@@ -576,6 +576,7 @@ STREAM = LcgParams(7, 3, 1, 0)
         pytest.param(lambda: WindowSpec(0, 5), id="WindowSpec"),
         pytest.param(lambda: PipelineConfig(seed=-1), id="PipelineConfig"),
         pytest.param(lambda: Layer1Key(0, 1, [], [], np.arange(256, dtype=np.uint8)), id="Layer1Key"),
+        pytest.param(lambda: generate_layer1_key(Xorshift1024(0), 3, -1), id="generate_layer1_key"),
         pytest.param(lambda: Xorshift1024(-1), id="Xorshift1024-seed"),
         pytest.param(lambda: Xorshift1024.from_state([1] * 15), id="from_state-words"),
         pytest.param(lambda: Xorshift1024.from_state([1] * 16, 16), id="from_state-index"),
@@ -598,7 +599,8 @@ STREAM = LcgParams(7, 3, 1, 0)
         pytest.param(lambda: RgbImage(PLANE.astype(np.int64) - 1, PLANE, PLANE), id="RgbImage-range"),
         pytest.param(lambda: RgbImage(PLANE, PLANE, PLANE[:1]), id="RgbImage-shapes"),
         pytest.param(lambda: RgbImage.from_pixels(PLANE), id="RgbImage.from_pixels"),
-        pytest.param(lambda: apply_swaps(PLANE[0], [], []), id="apply_swaps"),
+        pytest.param(lambda: apply_swaps(PLANE[0], [], [], np.arange(256, dtype=np.uint8)), id="apply_swaps"),
+        pytest.param(lambda: apply_swaps(PLANE, [], [], list(range(256))), id="apply_swaps-lut"),
     ],
 )
 def test_config_errors_are_piou_and_value_errors(make):
