@@ -7,8 +7,6 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .errors import PiouCryptError
 from .lattice import (
     LatticeVectors,
@@ -159,7 +157,7 @@ def _cmd_lattice(args) -> int:
             print(f"{x} {y}")
     if points.shape[0] and args.factors:
         errors = []
-        factors = nmf_multiplicative(points.astype(np.float64), args.seed, error_history=errors)
+        factors = nmf_multiplicative(points, args.seed, error_history=errors)
         print(f"reconstruction error {errors[-1]:.5f}")
         sys.stdout.write(serialize_key_matrix(factors.W))
     return 0

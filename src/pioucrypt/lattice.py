@@ -203,8 +203,13 @@ def nmf_multiplicative(data, seed: int, *, error_history: list | None = None) ->
     stream seeded by seed (W row-major, then H row-major).
     error_history: optional list collecting the error before iteration 0 and
     after each iteration.
+    An integer array is cast straight into the loop's buffer; any other data
+    is converted to float64 first.
     """
-    V = np.asarray(data, dtype=np.float64)
+    if isinstance(data, np.ndarray) and data.dtype.kind in "iu":
+        V = data
+    else:
+        V = np.asarray(data, dtype=np.float64)
     if V.ndim != 2 or V.shape[0] == 0 or V.shape[1] == 0:
         raise EmptyMatrix(f"cannot factorize a matrix of shape {V.shape}")
     if np.any(V < 0) or not np.all(np.isfinite(V)):

@@ -182,6 +182,10 @@ def _fold(swaps, size: int, axis: str, extent: str) -> np.ndarray:
 # image. A block stays in cache between its gathers and its lookup.
 BLOCK_BYTES = 64 * 2048 * 3
 
+# Byte pairs looked up per np.take call. take copies its uint16 indices into
+# an intp array, and this caps that copy at 256 KiB however wide a block is.
+_TAKE_PAIRS = 32768
+
 
 def apply_swaps(pixels, row_swaps, col_swaps, lut) -> np.ndarray:
     """Exchange rows, then columns, of an (h, w) or (h, w, c) array, and map every byte through lut.
@@ -217,8 +221,12 @@ def apply_swaps(pixels, row_swaps, col_swaps, lut) -> np.ndarray:
         gathered = arr.take(block, axis=0).reshape(len(block), row_bytes).take(index, axis=1).ravel()
         dest = out_rows[start : start + step].ravel()
         even = dest.size & ~1
-        # every index is in range, and "clip" spares take a buffered copy of out
-        np.take(paired, gathered[:even].view(np.uint16), out=dest[:even].view(np.uint16), mode="clip")
+        pairs = gathered[:even].view(np.uint16)
+        dest_pairs = dest[:even].view(np.uint16)
+        for lo in range(0, len(pairs), _TAKE_PAIRS):
+            hi = lo + _TAKE_PAIRS
+            # every index is in range, and "clip" spares take a buffered copy of out
+            np.take(paired, pairs[lo:hi], out=dest_pairs[lo:hi], mode="clip")
         if even < dest.size:
             dest[-1] = lut[gathered[-1]]
     return out

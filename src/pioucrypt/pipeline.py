@@ -102,7 +102,7 @@ def read_image(path) -> RgbImage:
     pos += 1
     channels = 3 if magic == b"P6" else 1
     expected = width * height * channels
-    payload = data[pos : pos + expected]
+    payload = memoryview(data)[pos : pos + expected]
     if len(payload) < expected:
         raise MalformedHeader(
             f"truncated pixel data: expected {expected} bytes, found {len(payload)}"
@@ -255,19 +255,18 @@ def encrypt_pipeline(image_path, config: PipelineConfig) -> EncryptionBundle:
     stage leaves no partial bundle behind.
     """
     image_path = Path(image_path)
-    image = read_image(image_path)
-
-    rng = Xorshift1024(config.seed)
-    cipher_image, layer1_key = encrypt_layer1(image, rng)
+    # No name holds the source image, so it is freed once layer 1 has run.
+    cipher_image, layer1_key = encrypt_layer1(read_image(image_path), Xorshift1024(config.seed))
     plaintext = serialize_layer1_key(layer1_key).encode("ascii")
 
-    window = WindowSpec(image.width, image.height)
+    window = WindowSpec(cipher_image.width, cipher_image.height)
     vectors = derive_lattice_vectors(Tlcg.from_seed(config.seed), window)
     points = generate_lattice_points(vectors, window)
-    factors = nmf_multiplicative(points.astype(np.float64), config.seed ^ NMF_SEED_SALT)
+    factors = nmf_multiplicative(points, config.seed ^ NMF_SEED_SALT)
     oea_key_text = serialize_key_matrix(factors.W)
+    oea_key = oea_key_text.encode("ascii")
 
-    cipher = oea_encrypt(plaintext, oea_key_text.encode("ascii"))
+    cipher = oea_encrypt(plaintext, oea_key)
     oea_cipher_text = serialize_oea(cipher)
 
     out_dir = config.out_dir if config.out_dir is not None else image_path.parent
@@ -279,7 +278,7 @@ def encrypt_pipeline(image_path, config: PipelineConfig) -> EncryptionBundle:
         [
             (paths[0], _encode_ppm(cipher_image)),
             (paths[1], (oea_cipher_text.encode("ascii"),)),
-            (paths[2], (oea_key_text.encode("ascii"),)),
+            (paths[2], (oea_key,)),
         ]
     )
     return EncryptionBundle(cipher_image, oea_cipher_text, oea_key_text, paths)

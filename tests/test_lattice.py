@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from pioucrypt.errors import (
     DegenerateVectors,
     EmptyMatrix,
+    InvalidConfig,
     InvalidRange,
     PiouCryptError,
 )
@@ -199,6 +200,22 @@ def test_nmf_rejects_empty_and_negative():
     ):
         with pytest.raises(PiouCryptError):
             nmf_multiplicative(data, seed)
+
+
+def test_nmf_takes_integer_points_as_they_are():
+    # the pipeline passes its int64 points without a float64 copy
+    points = generate_lattice_points(LatticeVectors((3, 1), (-1, 2)), WindowSpec(300, 200))
+    assert points.dtype == np.int64
+    int_history, float_history = [], []
+    a = nmf_multiplicative(points, 9, error_history=int_history)
+    b = nmf_multiplicative(points.astype(np.float64), 9, error_history=float_history)
+    assert a.W.tobytes() == b.W.tobytes()
+    assert a.H.tobytes() == b.H.tobytes()
+    assert int_history == float_history
+    with pytest.raises(EmptyMatrix):
+        nmf_multiplicative(np.empty((0, 2), np.int64), 0)
+    with pytest.raises(InvalidConfig):
+        nmf_multiplicative(np.array([[1, -2]]), 0)
 
 
 def test_nmf_zero_matrix():

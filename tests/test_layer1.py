@@ -372,6 +372,14 @@ def test_layer1_peak_memory_is_about_one_image():
     assert decrypt_peak <= 1.5 * image.pixels.nbytes
 
 
+def test_layer1_peak_memory_on_a_small_image():
+    # np.take copies the indices of each lookup into intp; in chunks of byte
+    # pairs that copy stays small beside a 512^2 image
+    image = random_image(np.random.default_rng(14), 512, 512)
+    _, peak = traced_peak(encrypt_layer1, image, Xorshift1024(6))
+    assert peak <= 3.0 * image.pixels.nbytes
+
+
 def test_dimensions_preserved():
     image = random_image(np.random.default_rng(2), 13, 5)
     cipher, _ = encrypt_layer1(image, Xorshift1024(1))

@@ -1,15 +1,19 @@
 """Unit tests for image I/O, histograms, the full pipeline, and the CLI."""
 
+import ctypes
+import glob
 import hashlib
 import os
 import subprocess
 import sys
+import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from pioucrypt import cli
+from pioucrypt import cli, pipeline
 from pioucrypt.errors import (
     DimensionMismatch,
     InvalidConfig,
@@ -109,6 +113,20 @@ def test_malformed_headers(tmp_path):
     (tmp_path / "eof.ppm").write_bytes(b"P6\n2")
     with pytest.raises(MalformedHeader):
         read_image(tmp_path / "eof.ppm")
+
+
+def test_read_image_holds_the_file_once(tmp_path):
+    # the pixels are a view into the file's bytes, not a second copy of them
+    path = tmp_path / "r.ppm"
+    write_random_ppm(path, np.random.default_rng(13), 512, 512)
+    tracemalloc.start()
+    try:
+        image = read_image(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert image.pixels.nbytes == 512 * 512 * 3
+    assert peak <= 1.05 * path.stat().st_size
 
 
 def test_histogram_uniform_block():
@@ -563,6 +581,76 @@ def test_golden_bundle_bytes(tmp_path, magic, width, height, seed, digest):
     bundle = encrypt_pipeline(src, PipelineConfig(seed=seed, out_dir=tmp_path))
     blob = b"".join(path.read_bytes() for path in bundle.paths)
     assert hashlib.sha256(blob).hexdigest() == digest
+
+
+def test_encrypt_frees_the_source_image_before_nmf(tmp_path, monkeypatch):
+    sources = []
+
+    def read_and_watch(path):
+        image = read_image(path)
+        sources.append(weakref.ref(image.pixels))
+        return image
+
+    def nmf_with_source_freed(*args, **kwargs):
+        assert len(sources) == 1
+        assert sources[0]() is None, "the source image is still alive during NMF"
+        return nmf_multiplicative(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "read_image", read_and_watch)
+    monkeypatch.setattr(pipeline, "nmf_multiplicative", nmf_with_source_freed)
+    src = tmp_path / "golden.ppm"
+    golden_input(src, "P6", 64, 48)
+    bundle = encrypt_pipeline(src, PipelineConfig(seed=0xC0FFEE, out_dir=tmp_path))
+    blob = b"".join(path.read_bytes() for path in bundle.paths)
+    assert hashlib.sha256(blob).hexdigest() == GOLDEN_BUNDLES[3][4]
+
+
+def openblas_corename() -> str | None:
+    """The kernel numpy's bundled OpenBLAS runs in this process, or None if it has no name."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "libscipy_openblas64_*.so")):
+        lib = ctypes.CDLL(path)
+        corename = getattr(lib, "scipy_openblas_get_corename64_", None)
+        if corename is not None:
+            corename.argtypes = []
+            corename.restype = ctypes.c_char_p
+            return corename().decode()
+    return None
+
+
+# Run in a child process: print the active kernel, then the golden pins.
+_PINS_UNDER_KERNEL = f"""
+import sys
+sys.path.insert(0, {os.path.dirname(__file__)!r})
+import pytest
+from test_pipeline import openblas_corename
+print("corename", openblas_corename(), flush=True)
+sys.exit(pytest.main(["-q", "-p", "no:cacheprovider", {__file__!r} + "::test_golden_bundle_bytes"]))
+"""
+
+
+# OpenBLAS picks its kernel per process, and each kernel rounds the NMF's
+# products its own way; the 5-decimal key text must not see that.
+@pytest.mark.parametrize("kernel", ["Haswell", "Sandybridge", "Prescott"])
+def test_golden_bundle_bytes_under_each_blas_kernel(kernel):
+    parent = openblas_corename()
+    if parent is None:
+        pytest.skip("numpy's OpenBLAS does not name its kernel (no scipy_openblas_get_corename64_)")
+    if parent.lower() == kernel.lower():
+        pytest.skip(f"{kernel} is already this machine's default kernel")
+    env = {
+        **os.environ,
+        "OPENBLAS_CORETYPE": kernel,
+        "PYTHONPATH": str(Path(cli.__file__).parents[1]),
+    }
+    result = subprocess.run(
+        [sys.executable, "-c", _PINS_UNDER_KERNEL],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert result.returncode == 0, result.stdout + result.stderr
+    child = result.stdout.splitlines()[0].removeprefix("corename ")
+    assert child != parent
+    assert f"{len(GOLDEN_BUNDLES)} passed" in result.stdout
 
 
 PLANE = np.zeros((2, 2), np.uint8)
