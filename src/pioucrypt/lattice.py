@@ -1,7 +1,8 @@
 """Lattice-point generation and the factorization that yields the layer-2 key.
 
 An integer basis pair is drawn from the TLCG, every lattice point inside the
-image-sized window is enumerated into an m x 2 matrix of coordinates, and that
+image-sized window is enumerated row by row from the basis's Hermite normal
+form into an m x 2 matrix of (x, y) coordinates in (y, x) order, and that
 matrix is factorized into non-negative W (m x rank) and H (rank x n) by
 multiplicative updates. The serialized W text is the secret key consumed by
 the second security layer; decryption never reconstructs the point matrix, so
@@ -85,103 +86,53 @@ def derive_lattice_vectors(tlcg: Tlcg, window: WindowSpec) -> LatticeVectors:
     raise DegenerateVectors("64 consecutive degenerate draws; check TLCG parameters")
 
 
-def _ceil_div(a: int, b: int) -> int:
-    # exact ceiling division for any sign of b (b != 0)
-    return -((-a) // b)
-
-
-def _reduced_basis(a: tuple[int, int], b: tuple[int, int]):
-    """Lagrange-Gauss reduction of a basis; spans the same lattice.
-
-    Returns (v, u): u is a shortest non-zero lattice vector and v a shortest
-    one independent of u, so the angle between them lies in [60, 120] degrees.
-    """
-
-    def norm2(p):
-        return p[0] * p[0] + p[1] * p[1]
-
-    u, v = sorted((a, b), key=norm2)
-    while True:
-        n = norm2(u)
-        # q is the integer nearest to <u, v> / |u|^2
-        q = (2 * (u[0] * v[0] + u[1] * v[1]) + n) // (2 * n)
-        v = (v[0] - q * u[0], v[1] - q * u[1])
-        if norm2(v) >= n:
-            return v, u
-        u, v = v, u
+def _bezout(a: int, b: int) -> tuple[int, int, int]:
+    """(g, s, t) with g = gcd(a, b) >= 0 and s*a + t*b = g (extended Euclid)."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    return (a, s0, t0) if a >= 0 else (-a, -s0, -t0)
 
 
 def generate_lattice_points(vectors: LatticeVectors, window: WindowSpec) -> np.ndarray:
     """Enumerate every lattice point inside the window.
 
-    Returns an m x 2 integer array of (x, y) rows sorted ascending by (y, x).
-    The basis is reduced first, so at most about width + height index rows
-    are walked, however skewed the given basis is.
-    Index bounds come from mapping the window corners through the inverse
-    basis with a +/-2 margin; within those bounds each index row is reduced to
-    its exact in-window sub-interval, so the result is the full point set.
+    Returns an m x 2 int64 array of (x, y) rows sorted ascending by (y, x).
+    The points are read off the basis's Hermite normal form: with
+    g = gcd(v0.y, v1.y) = s*v0.y + t*v1.y and d = |det| / g, the lattice's
+    rows are y = k*g, and row k holds exactly x = (k*shift mod d) + j*d for
+    shift = s*v0.x + t*v1.x. So the rows come out in (y, x) order and the
+    result does not depend on which basis of the lattice is given.
     """
-    (v0x, v0y), (v1x, v1y) = _reduced_basis(vectors.v0, vectors.v1)
-    det = v0x * v1y - v0y * v1x
-    x_max = window.width - 1
-    y_max = window.height - 1
-
-    corners = ((0, 0), (x_max, 0), (0, y_max), (x_max, y_max))
-    n1_images = [(v1y * x - v1x * y) / det for x, y in corners]
-    n2_images = [(v0x * y - v0y * x) / det for x, y in corners]
-    lo1 = math.floor(min(n1_images)) - 2
-    hi1 = math.ceil(max(n1_images)) + 2
-    lo2 = math.floor(min(n2_images)) - 2
-    hi2 = math.ceil(max(n2_images)) + 2
-
-    rows = []  # (x, y, count): first point and point count of each index row
-    for n1 in range(lo1, hi1 + 1):
-        cx = n1 * v0x
-        cy = n1 * v0y
-        lo, hi = lo2, hi2
-        if v1x > 0:
-            lo = max(lo, _ceil_div(-cx, v1x))
-            hi = min(hi, (x_max - cx) // v1x)
-        elif v1x < 0:
-            lo = max(lo, _ceil_div(x_max - cx, v1x))
-            hi = min(hi, (-cx) // v1x)
-        elif not 0 <= cx <= x_max:
-            continue
-        if v1y > 0:
-            lo = max(lo, _ceil_div(-cy, v1y))
-            hi = min(hi, (y_max - cy) // v1y)
-        elif v1y < 0:
-            lo = max(lo, _ceil_div(y_max - cy, v1y))
-            hi = min(hi, (-cy) // v1y)
-        elif not 0 <= cy <= y_max:
-            continue
-        if lo > hi:
-            continue
-        rows.append((cx + lo * v1x, cy + lo * v1y, hi - lo + 1))
-
-    m = sum(count for _, _, count in rows)
-    if m == 0:
-        return np.empty((0, 2), dtype=np.int64)
-    if m == len(rows):
-        # One point a row never takes a step, whose size may be past int64.
-        v1x = v1y = 0
-    # The rows are written into two preallocated columns, and each column is
-    # gathered into sorted order on its own, so at most four arrays of m
-    # values are alive at once.
-    xs = np.empty(m, dtype=np.int64)
-    ys = np.empty(m, dtype=np.int64)
-    start = 0
-    for x, y, count in rows:
-        steps = np.arange(count, dtype=np.int64)
-        end = start + count
-        xs[start:end] = x + steps * v1x
-        ys[start:end] = y + steps * v1y
-        start = end
-    order = np.lexsort((xs, ys))
-    xs = xs[order]
-    ys = ys[order]
-    del order
-    return np.column_stack((xs, ys))
+    (v0x, v0y), (v1x, v1y) = vectors.v0, vectors.v1
+    width, height = window.width, window.height
+    g, s, t = _bezout(v0y, v1y)
+    d = abs(vectors.det) // g
+    shift = (s * v0x + t * v1x) % d
+    ys = np.arange(0, height, min(g, height), dtype=np.int64)
+    # k * shift stays below height * d; past int64 the starts are Python ints.
+    ks = np.arange(len(ys), dtype=np.int64 if height * d < 2**63 else object)
+    starts = ks * shift % d
+    inside = starts < width
+    starts = starts[inside].astype(np.int64)
+    ys = ys[inside]
+    # When d >= width every row holds one point and its step is never taken,
+    # so d, which may be past int64, is never multiplied.
+    step = min(d, width)
+    counts = (width - 1 - starts) // step + 1
+    m = int(counts.sum())
+    # Point i, in a row whose first point is point `first`, has
+    # x = start + (i - first) * step. Each column is filled through one m-long
+    # temporary at a time, so the call peaks at 1.5x the array it returns.
+    points = np.empty((m, 2), dtype=np.int64)
+    points[:, 1] = np.repeat(ys, counts)
+    xs = points[:, 0]
+    np.multiply(np.arange(m, dtype=np.int64), step, out=xs)
+    xs += np.repeat(starts - (np.cumsum(counts) - counts) * step, counts)
+    return points
 
 
 class FactorPair(NamedTuple):

@@ -1,6 +1,7 @@
 """Unit tests for lattice enumeration and the multiplicative factorization."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -66,16 +67,37 @@ def test_window_and_vector_validation():
     assert vectors.det == 1498
 
 
+def membership_points(v0, v1, width, height):
+    # independent enumeration in Python ints: (x, y) is a lattice point exactly
+    # when its basis coordinates (v1.y x - v1.x y) / det and
+    # (v0.x y - v0.y x) / det are both integers
+    det = v0[0] * v1[1] - v0[1] * v1[0]
+    return [
+        [x, y]
+        for y in range(height)
+        for x in range(width)
+        if (v1[1] * x - v1[0] * y) % det == 0 and (v0[0] * y - v0[1] * x) % det == 0
+    ]
+
+
 @pytest.mark.parametrize(
-    "v0,v1",
-    [((0, 2**70), (2**70, 0)), ((2**63, 1), (0, -(2**63))), ((7, 2**64), (2**64, 3))],
-    ids=["axes", "int64-ends", "skewed"],
+    "v0,v1,width,height,count",
+    [
+        ((0, 2**70), (2**70, 0), 5, 5, 1),
+        ((2**63, 1), (0, -(2**63)), 5, 5, 1),
+        ((7, 2**64), (2**64, 3), 5, 5, 1),
+        ((1, 1), (2**70, 0), 7, 9, 7),
+        ((5, 1), (3, 2**63 + 7), 40, 40, 8),
+        ((2, 3), (2**66, 2**65 + 1), 30, 30, 10),
+    ],
+    ids=["axes", "int64-ends", "skewed", "one-a-row", "few-rows", "two-a-row"],
 )
-def test_basis_past_int64_enumerates(v0, v1):
-    # both reduced vectors are longer than the window, so only the origin is in it
-    points = generate_lattice_points(LatticeVectors(v0, v1), WindowSpec(5, 5))
+def test_basis_past_int64_enumerates(v0, v1, width, height, count):
+    # the basis and its determinant are past int64, the points in the window are not
+    points = generate_lattice_points(LatticeVectors(v0, v1), WindowSpec(width, height))
     assert points.dtype == np.int64
-    assert points.tolist() == [[0, 0]]
+    assert points.tolist() == membership_points(v0, v1, width, height)
+    assert len(points) == count
 
 
 def test_component_bound():
@@ -159,7 +181,7 @@ def test_random_instances_match_brute_force():
         points = generate_lattice_points(vectors, WindowSpec(width, height))
         oracle = brute_force_points(vectors.v0, vectors.v1, width, height)
         assert [tuple(r) for r in points.tolist()] == oracle
-        # the same lattice under a skewed basis, which enumeration reduces back
+        # the same lattice under a skewed basis gives the same points
         k, j = (int(c) for c in skew_rng.integers(-10**6, 10**6, 2))
         (ax, ay), (bx, by) = vectors.v0, vectors.v1
         bx, by = bx + k * ax, by + k * ay
@@ -168,6 +190,18 @@ def test_random_instances_match_brute_force():
         points = generate_lattice_points(skewed, WindowSpec(width, height))
         assert [tuple(r) for r in points.tolist()] == oracle
         checked += 1
+
+
+def test_unit_lattice_peak_memory_is_one_and_a_half_results():
+    # each column is filled through one temporary of m values at a time
+    tracemalloc.start()
+    try:
+        points = generate_lattice_points(LatticeVectors((1, 0), (0, 1)), WindowSpec(1024, 1024))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert points.shape == (1024 * 1024, 2)
+    assert peak <= 1.6 * points.nbytes
 
 
 def test_point_count_respects_area_bound():

@@ -491,7 +491,7 @@ def test_cli_lattice_rejects_empty_window():
 
 
 def test_cli_lattice_skewed_basis_finishes():
-    # det 1 and 100 points, but walking the unreduced basis visits ~10^9 rows
+    # det 1 and 100 points, though one basis vector is 10^8 long
     result = run_cli("lattice", "--v0=1,0", "--v1=100000000,1", "--window", "10x10")
     assert result.returncode == 0
     assert "points 100" in result.stdout
