@@ -9,6 +9,7 @@ from pathlib import Path
 
 from .errors import PiouCryptError
 from .lattice import (
+    _KEY_FORMAT_ROWS,
     LatticeVectors,
     WindowSpec,
     generate_lattice_points,
@@ -154,8 +155,10 @@ def _cmd_lattice(args) -> int:
     print(f"basis {vectors.v0} {vectors.v1}  det {vectors.det}")
     print(f"window {window.width}x{window.height}  points {points.shape[0]}")
     if args.dump_points:
-        for x, y in points:
-            print(f"{x} {y}")
+        # one %-format per block of rows, as serialize_key_matrix writes its rows
+        for start in range(0, len(points), _KEY_FORMAT_ROWS):
+            block = points[start : start + _KEY_FORMAT_ROWS]
+            sys.stdout.write("%d %d\n" * len(block) % tuple(block.ravel().tolist()))
     if points.shape[0] and args.factors:
         errors = []
         factors = nmf_multiplicative(points, args.seed, error_history=errors)

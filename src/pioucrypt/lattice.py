@@ -165,8 +165,6 @@ def nmf_multiplicative(data, seed: int, *, error_history: list | None = None) ->
         raise EmptyMatrix(f"cannot factorize a matrix of shape {V.shape}")
     if np.any(V < 0) or not np.all(np.isfinite(V)):
         raise InvalidConfig("data entries must be non-negative and finite")
-    if seed < 0:
-        raise InvalidConfig("seed must be non-negative")
     m, n = V.shape
     r = NMF_RANK
     stream = Tlcg.from_seed(seed)

@@ -188,7 +188,7 @@ _TAKE_PAIRS = 32768
 
 
 def apply_swaps(pixels, row_swaps, col_swaps, lut) -> np.ndarray:
-    """Exchange rows, then columns, of an (h, w) or (h, w, c) array, and map every byte through lut.
+    """Exchange rows, then columns, of a uint8 (h, w) or (h, w, c) array; map its bytes through lut.
 
     Each schedule is a sequence of (i, j) index pairs, applied in order. Each
     one is folded into a permutation of its axis. The output is then written
@@ -198,9 +198,9 @@ def apply_swaps(pixels, row_swaps, col_swaps, lut) -> np.ndarray:
     byte lookup, so applying both schedules reversed and the inverse table to
     the result restores the input.
     """
-    arr = np.asarray(pixels, dtype=np.uint8)
-    if arr.ndim not in (2, 3):
-        raise InvalidConfig("plane must be 2-D, or 3-D with channels last")
+    arr = np.asarray(pixels)
+    if arr.dtype != np.uint8 or arr.ndim not in (2, 3):
+        raise InvalidConfig("plane must be a uint8 array, 2-D or 3-D with channels last")
     if not (isinstance(lut, np.ndarray) and lut.dtype == np.uint8 and lut.shape == (256,)):
         raise InvalidConfig("lut must be a (256,) uint8 array")
     h, w = arr.shape[:2]
@@ -251,31 +251,21 @@ def decrypt_layer1(cipher: RgbImage, key: Layer1Key) -> RgbImage:
     return RgbImage.from_pixels(swapped)
 
 
+def _body_layout(width: int, height: int) -> tuple[tuple[str, int], ...]:
+    """The blocks of a PIOU1 body in order, as (line tag, line count)."""
+    return ((ROW, height), (COLUMN, width), (LOOKUP, 256))
+
+
+_DELETE_TAGS = str.maketrans("", "", ROW + COLUMN + LOOKUP)
+
+
 def serialize_layer1_key(key: Layer1Key) -> str:
     """Render the key in its line-oriented text form (LF endings)."""
     table = np.column_stack((np.arange(255, -1, -1), key.lut[::-1]))
-    lines = [f"{LAYER1_MAGIC} {key.width} {key.height}"]
-    for tag, pairs in ((ROW, key.row_swaps), (COLUMN, key.col_swaps), (LOOKUP, table)):
-        # one %-format of the whole block: faster than a format per line
-        lines.append("\n".join([f"{tag} %d %d"] * len(pairs)) % tuple(pairs.ravel().tolist()))
-    return "\n".join(lines) + "\n"
-
-
-# A block of body lines '<tag> <a> <b>' of canonical integers, joined by LF.
-_PAIR = f" {_text.CANON_INT} {_text.CANON_INT}"
-_BLOCKS = {tag: re.compile(f"{tag}{_PAIR}(?:\n{tag}{_PAIR})*+") for tag in (ROW, COLUMN, LOOKUP)}
-
-
-def _read_pairs(lines: list[str], start: int, count: int, tag: str) -> np.ndarray | None:
-    """count >= 1 lines of one block as (count, 2) int64, or None if the regex refuses one.
-
-    A value outside int64 is clamped to an end of it, which every range check
-    on the result refuses.
-    """
-    block = "\n".join(lines[start : start + count])
-    if not _BLOCKS[tag].fullmatch(block):
-        return None
-    return np.fromstring(block.replace(tag, ""), np.int64, sep=" ").reshape(count, 2)
+    layout = _body_layout(key.width, key.height)
+    text_format = f"{LAYER1_MAGIC} %d %d\n" + "".join(f"{tag} %d %d\n" * n for tag, n in layout)
+    values = np.concatenate(([[key.width, key.height]], key.row_swaps, key.col_swaps, table))
+    return text_format % tuple(values.ravel().tolist())
 
 
 def _raise_first_bad_line(lines: list[str], width: int, height: int):
@@ -310,9 +300,10 @@ def _raise_first_bad_line(lines: list[str], width: int, height: int):
 def parse_layer1_key(text: str) -> Layer1Key:
     """Parse the text form back into a key; inverse of serialize_layer1_key.
 
-    Each block is read with one regex and one conversion and then checked as
-    arrays. If any check refuses, the body is checked again line by line so
-    that the error names the first bad line.
+    The body (every line after the first) is matched with one regex built
+    from the writer's layout, converted with one call and cut into its three
+    blocks, which are checked as arrays. If any check refuses, the body is
+    checked again line by line so that the error names the first bad line.
     """
     lines = _text.split_lines(text, "key file")
     header = lines[0].split(" ")
@@ -325,14 +316,15 @@ def parse_layer1_key(text: str) -> Layer1Key:
     if len(lines) != expected:
         raise ParseError(f"expected {expected} lines, found {len(lines)}", len(lines) + 1)
 
-    row_swaps = _read_pairs(lines, 1, height, ROW)
-    col_swaps = _read_pairs(lines, 1 + height, width, COLUMN)
-    table = _read_pairs(lines, 1 + height + width, 256, LOOKUP)
+    body = text[len(lines[0]) + 1 :]
+    layout = _body_layout(width, height)
+    pattern = "".join(f"(?:{tag} {_text.CANON_INT} {_text.CANON_INT}\n){{{n}}}+" for tag, n in layout)
+    if not re.fullmatch(pattern, body):
+        _raise_first_bad_line(lines, width, height)
+    values = np.fromstring(body.translate(_DELETE_TAGS), np.int64, sep=" ").reshape(-1, 2)
+    row_swaps, col_swaps, table = np.split(values, [height, height + width])
     if (
-        row_swaps is None
-        or col_swaps is None
-        or table is None
-        or row_swaps.min() < 0
+        row_swaps.min() < 0
         or row_swaps.max() >= height
         or col_swaps.min() < 0
         or col_swaps.max() >= width

@@ -13,7 +13,9 @@ break the losslessness guarantee, so they are rejected outright.
 from __future__ import annotations
 
 import contextlib
+import operator
 import os
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -50,36 +52,23 @@ CIPHER_IMAGE_SUFFIX = ".cipher.ppm"
 OEA_CIPHER_SUFFIX = ".cipher.oea"
 OEA_KEY_SUFFIX = ".key.oeaw"
 
-_WHITESPACE = b" \t\n\r\x0b\x0c"
-
-
-def _next_header_token(data: bytes, pos: int) -> tuple[bytes, int]:
-    while pos < len(data):
-        byte = data[pos : pos + 1]
-        if byte in (b"#",):
-            while pos < len(data) and data[pos : pos + 1] not in (b"\n", b"\r"):
-                pos += 1
-        elif byte in _WHITESPACE:
-            pos += 1
-        else:
-            break
-    start = pos
-    while pos < len(data) and data[pos : pos + 1] not in _WHITESPACE:
-        pos += 1
-    if start == pos:
-        raise MalformedHeader("unexpected end of header")
-    return data[start:pos], pos
+# One PPM header token after any whitespace and comments. In a bytes pattern
+# \s is exactly the six whitespace bytes of the PPM format.
+_HEADER_TOKEN = re.compile(rb"(?:\s|#[^\n\r]*)*+(\S*)")
 
 
 def _header_int(data: bytes, pos: int, what: str) -> tuple[int, int]:
-    token, pos = _next_header_token(data, pos)
+    match = _HEADER_TOKEN.match(data, pos)
+    token = match[1]
+    if not token:
+        raise MalformedHeader("unexpected end of header")
     try:
         value = int(token)
     except ValueError:
         raise MalformedHeader(f"{what}: {token!r} is not an integer") from None
     if value < 1:
         raise MalformedHeader(f"{what} must be >= 1")
-    return value, pos
+    return value, match.end()
 
 
 def read_image(path) -> RgbImage:
@@ -97,7 +86,7 @@ def read_image(path) -> RgbImage:
     maxval, pos = _header_int(data, pos, "maxval")
     if maxval != 255:
         raise UnsupportedFormat(f"maxval {maxval} unsupported; need 255")
-    if pos >= len(data) or data[pos : pos + 1] not in _WHITESPACE:
+    if not data[pos : pos + 1].isspace():
         raise MalformedHeader("missing whitespace after maxval")
     pos += 1
     channels = 3 if magic == b"P6" else 1
@@ -177,6 +166,10 @@ class PipelineConfig:
     out_dir: Path | None = None
 
     def __post_init__(self):
+        try:
+            self.seed = operator.index(self.seed)
+        except TypeError:
+            raise InvalidConfig("seed must be an integer") from None
         if not 0 <= self.seed < 1 << 64:
             raise InvalidConfig("seed must be an unsigned 64-bit integer")
 

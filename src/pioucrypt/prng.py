@@ -13,6 +13,7 @@ sanity-check the generators' bit streams.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -41,16 +42,17 @@ class Xorshift1024:
     __slots__ = ("s", "p")
 
     def __init__(self, seed: int):
-        if not 0 <= seed <= _MASK64:
+        try:
+            x = operator.index(seed)
+        except TypeError:
+            raise InvalidConfig("seed must be an integer") from None
+        if not 0 <= x <= _MASK64:
             raise InvalidConfig("seed must fit in an unsigned 64-bit integer")
+        # the increment is odd, so no step maps 0 to 0 and the state is never all zero
         state = []
-        x = seed
         for _ in range(16):
             x = (SEED_EXPAND_MULTIPLIER * x + SEED_EXPAND_INCREMENT) & _MASK64
             state.append(x)
-        if not any(state):
-            # unreachable for the fixed expansion constants; kept as a guard
-            raise AllZeroState("seed expansion produced an all-zero state")
         self.s = state
         self.p = 0
 
@@ -71,14 +73,7 @@ class Xorshift1024:
 
     def next_u64(self) -> int:
         """Advance one step and return the next 64-bit output."""
-        s = self.s
-        s0 = s[self.p]
-        self.p = p = (self.p + 1) & 15
-        s1 = s[p]
-        s1 ^= (s1 << 31) & _MASK64
-        s1 ^= s0 ^ (s1 >> 11) ^ (s0 >> 30)
-        s[p] = s1
-        return (s1 * XS1024_MULTIPLIER) & _MASK64
+        return self.fill_u64(1)[0]
 
     def fill_u64(self, count: int) -> list[int]:
         """Draw `count` outputs in one call (hot path for layer-1 keys and the bias checks)."""
@@ -157,6 +152,10 @@ class Tlcg:
     @classmethod
     def from_seed(cls, seed: int) -> "Tlcg":
         """Derive the three default streams' seeds from a single master seed."""
+        try:
+            seed = operator.index(seed)
+        except TypeError:
+            raise InvalidConfig("seed must be an integer") from None
         if seed < 0:
             raise InvalidConfig("seed must be non-negative")
         m = DEFAULT_TLCG_MODULUS

@@ -457,6 +457,22 @@ def test_serialization_round_trip():
         assert np.array_equal(parsed.lut, key.lut)
 
 
+
+def line_serialize_layer1_key(key):
+    """The PIOU1 text written one f-string per line: an oracle for the writer."""
+    lines = [f"PIOU1 {key.width} {key.height}"]
+    lines += [f"{ROW} {i} {j}" for i, j in key.row_swaps.tolist()]
+    lines += [f"{COLUMN} {i} {j}" for i, j in key.col_swaps.tolist()]
+    lines += [f"{LOOKUP} {value} {key.lut[value]}" for value in range(255, -1, -1)]
+    return "".join(line + "\n" for line in lines)
+
+
+@settings(deadline=None)
+@given(st.integers(1, 64), st.integers(1, 64), st.integers(0, 2**64 - 1))
+def test_serialize_matches_line_oracle(width, height, seed):
+    key = generate_layer1_key(Xorshift1024(seed), width, height)
+    assert serialize_layer1_key(key) == line_serialize_layer1_key(key)
+
 def test_parse_errors_carry_line_numbers():
     key = generate_layer1_key(Xorshift1024(8), 2, 2)
     text = serialize_layer1_key(key)

@@ -115,6 +115,7 @@ def test_malformed_headers(tmp_path):
         read_image(tmp_path / "eof.ppm")
 
 
+
 def test_read_image_holds_the_file_once(tmp_path):
     # the pixels are a view into the file's bytes, not a second copy of them
     path = tmp_path / "r.ppm"
@@ -514,6 +515,26 @@ def test_cli_lattice_dump(capsys):
     assert "0 0" in out and "3 2" in out
 
 
+
+@pytest.mark.parametrize(
+    "v0,v1,window",
+    [
+        ("1,0", "0,1", "100x50"),  # 5,000 points: more than one block of rows
+        ("3,1", "1,3", "40x30"),
+        ("-40,-1", "18,-37", "300x200"),
+        ("100000000000000000000,1", "1,0", "7x3"),  # past int64: Python-int points
+    ],
+)
+def test_cli_lattice_dump_bytes_match_one_print_per_point(capsys, v0, v1, window):
+    args = ["lattice", f"--v0={v0}", f"--v1={v1}", "--window", window]
+    assert cli.main(args) == 0
+    head = capsys.readouterr().out
+    assert cli.main(args + ["--dump-points"]) == 0
+    out = capsys.readouterr().out
+    vectors = LatticeVectors(*(tuple(int(c) for c in v.split(",")) for v in (v0, v1)))
+    points = generate_lattice_points(vectors, WindowSpec(*(int(d) for d in window.split("x"))))
+    assert out == head + "".join(f"{x} {y}\n" for x, y in points)
+
 def test_cli_lattice_factors(capsys):
     code = cli.main(
         ["lattice", "--v0", "2,0", "--v1", "0,2", "--window", "10x10", "--factors"]
@@ -582,6 +603,19 @@ def test_golden_bundle_bytes(tmp_path, magic, width, height, seed, digest):
     blob = b"".join(path.read_bytes() for path in bundle.paths)
     assert hashlib.sha256(blob).hexdigest() == digest
 
+
+
+@pytest.mark.parametrize("seed", [np.uint64(11), np.int64(11), np.uint8(11)], ids=lambda s: type(s).__name__)
+def test_numpy_seed_gives_the_int_seed_bundle(tmp_path, seed):
+    magic, width, height, int_seed, digest = GOLDEN_BUNDLES[1]
+    assert seed == int_seed
+    src = tmp_path / "golden.ppm"
+    golden_input(src, magic, width, height)
+    config = PipelineConfig(seed=seed, out_dir=tmp_path)
+    assert type(config.seed) is int
+    bundle = encrypt_pipeline(src, config)
+    blob = b"".join(path.read_bytes() for path in bundle.paths)
+    assert hashlib.sha256(blob).hexdigest() == digest
 
 def test_encrypt_frees_the_source_image_before_nmf(tmp_path, monkeypatch):
     sources = []
@@ -663,9 +697,12 @@ STREAM = LcgParams(7, 3, 1, 0)
     [
         pytest.param(lambda: WindowSpec(0, 5), id="WindowSpec"),
         pytest.param(lambda: PipelineConfig(seed=-1), id="PipelineConfig"),
+        pytest.param(lambda: PipelineConfig(seed=1.5), id="PipelineConfig-float"),
+        pytest.param(lambda: PipelineConfig(seed="5"), id="PipelineConfig-str"),
         pytest.param(lambda: Layer1Key(0, 1, [], [], np.arange(256, dtype=np.uint8)), id="Layer1Key"),
         pytest.param(lambda: generate_layer1_key(Xorshift1024(0), 3, -1), id="generate_layer1_key"),
         pytest.param(lambda: Xorshift1024(-1), id="Xorshift1024-seed"),
+        pytest.param(lambda: Xorshift1024(1.5), id="Xorshift1024-float"),
         pytest.param(lambda: Xorshift1024.from_state([1] * 15), id="from_state-words"),
         pytest.param(lambda: Xorshift1024.from_state([1] * 16, 16), id="from_state-index"),
         pytest.param(lambda: LcgParams(0, 1, 0, 0), id="LcgParams-modulus"),
@@ -674,6 +711,7 @@ STREAM = LcgParams(7, 3, 1, 0)
         pytest.param(lambda: LcgParams(7, 3, 0, -1), id="LcgParams-seed"),
         pytest.param(lambda: Tlcg([STREAM, STREAM]), id="Tlcg-streams"),
         pytest.param(lambda: Tlcg.from_seed(-1), id="Tlcg.from_seed"),
+        pytest.param(lambda: Tlcg.from_seed("5"), id="Tlcg.from_seed-str"),
         pytest.param(lambda: Tlcg.from_seed(0).next_units(-1), id="next_units-count"),
         pytest.param(lambda: Tlcg([LcgParams(2**32, 3, 0, 0), STREAM, STREAM]).next_units(1), id="next_units-modulus"),
         pytest.param(lambda: xor_bias_expected(1.5, 0.5), id="xor_bias_expected"),
@@ -689,6 +727,7 @@ STREAM = LcgParams(7, 3, 1, 0)
         pytest.param(lambda: RgbImage.from_pixels(PLANE), id="RgbImage.from_pixels"),
         pytest.param(lambda: apply_swaps(PLANE[0], [], [], np.arange(256, dtype=np.uint8)), id="apply_swaps"),
         pytest.param(lambda: apply_swaps(PLANE, [], [], list(range(256))), id="apply_swaps-lut"),
+        pytest.param(lambda: apply_swaps(PLANE.astype(np.int64), [], [], np.arange(256, dtype=np.uint8)), id="apply_swaps-dtype"),
     ],
 )
 def test_config_errors_are_piou_and_value_errors(make):

@@ -1,6 +1,7 @@
 """Properties over random inputs: parsers fail only with PiouCryptError, the
-command line never ends in a traceback, and the pipeline round-trips every
-image shape, thin strips included."""
+command line never ends in a traceback, the pipeline round-trips every
+image shape, thin strips included, and the PPM header reader agrees with a
+byte-at-a-time oracle."""
 
 import contextlib
 import functools
@@ -15,10 +16,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pioucrypt import cli
-from pioucrypt.errors import PiouCryptError
+from pioucrypt.errors import MalformedHeader, PiouCryptError, UnsupportedFormat
 from pioucrypt.layer1 import RgbImage, generate_layer1_key, parse_layer1_key, serialize_layer1_key
 from pioucrypt.oea import oea_encrypt, parse_oea, serialize_oea
-from pioucrypt.pipeline import PipelineConfig, decrypt_pipeline, encrypt_pipeline, write_image
+from pioucrypt.pipeline import PipelineConfig, decrypt_pipeline, encrypt_pipeline, read_image, write_image
 from pioucrypt.prng import Xorshift1024
 
 
@@ -213,3 +214,121 @@ def test_pipeline_round_trip_any_shape(shape, seed, pixel_seed):
         plain = decrypt_pipeline(*bundle.paths, out_path=Path(tmp) / "dec.ppm")
         assert np.array_equal(plain.pixels, pixels)
         assert (Path(tmp) / "dec.ppm").read_bytes() == src.read_bytes()
+
+
+PPM_WHITESPACE = b" \t\n\r\x0b\x0c"
+
+
+def loop_header_token(data, pos):
+    """The next PPM header token and the position after it, read byte by byte."""
+    while pos < len(data):
+        byte = data[pos : pos + 1]
+        if byte == b"#":
+            while pos < len(data) and data[pos : pos + 1] not in (b"\n", b"\r"):
+                pos += 1
+        elif byte in PPM_WHITESPACE:
+            pos += 1
+        else:
+            break
+    start = pos
+    while pos < len(data) and data[pos : pos + 1] not in PPM_WHITESPACE:
+        pos += 1
+    if start == pos:
+        raise MalformedHeader("unexpected end of header")
+    return data[start:pos], pos
+
+
+def loop_read_pixels(data):
+    """The (h, w, 3) pixels read_image gives for the file bytes data: an oracle."""
+    magic = data[:2]
+    if magic not in (b"P6", b"P5"):
+        raise UnsupportedFormat(f"unsupported magic {magic!r}; need binary P6 or P5")
+    pos = 2
+    values = []
+    for what in ("width", "height", "maxval"):
+        token, pos = loop_header_token(data, pos)
+        try:
+            value = int(token)
+        except ValueError:
+            raise MalformedHeader(f"{what}: {token!r} is not an integer") from None
+        if value < 1:
+            raise MalformedHeader(f"{what} must be >= 1")
+        values.append(value)
+    width, height, maxval = values
+    if maxval != 255:
+        raise UnsupportedFormat(f"maxval {maxval} unsupported; need 255")
+    if pos >= len(data) or data[pos : pos + 1] not in PPM_WHITESPACE:
+        raise MalformedHeader("missing whitespace after maxval")
+    channels = 3 if magic == b"P6" else 1
+    payload = data[pos + 1 : pos + 1 + width * height * channels]
+    if len(payload) < width * height * channels:
+        raise MalformedHeader(
+            f"truncated pixel data: expected {width * height * channels} bytes, found {len(payload)}"
+        )
+    pixels = np.frombuffer(payload, np.uint8).reshape(height, width, channels)
+    return np.repeat(pixels, 3 // channels, axis=2)
+
+
+def read_outcome(read, arg):
+    """The pixels read, or the error's (class, message)."""
+    try:
+        return read(arg).tolist()
+    except PiouCryptError as exc:
+        return type(exc), str(exc)
+
+
+# A valid header: every PPM whitespace byte, and comments ended by LF or CR.
+ppm_spaces = st.sampled_from([bytes([b]) for b in PPM_WHITESPACE])
+ppm_comments = st.builds(
+    lambda text, end: b"#" + text.replace(b"\n", b"").replace(b"\r", b"") + end,
+    st.binary(max_size=4),
+    st.sampled_from([b"\n", b"\r"]),
+)
+ppm_separators = st.builds(
+    lambda first, rest: first + b"".join(rest),
+    ppm_spaces,
+    st.lists(st.one_of(ppm_spaces, ppm_comments), max_size=2),
+)
+# Edits that break it: signs, '_', '#' in a token or an unended comment,
+# bytes that are not whitespace to a PPM reader, other magics and maxvals,
+# and a cut at any byte.
+ppm_edits = st.lists(
+    st.tuples(
+        st.sampled_from(["insert", "replace", "delete", "cut"]),
+        st.floats(0, 1, exclude_max=True),
+        st.sampled_from([b"#", b"+", b"-", b"_", b"0", b"x", b"\x00", b"\x85", b"\x1c", b" ", b"\n", b"P3", b"65535"]),
+    ),
+    max_size=2,
+)
+
+
+@st.composite
+def ppm_files(draw):
+    magic = draw(st.sampled_from([b"P6", b"P5"]))
+    width, height = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    header = magic + draw(st.one_of(ppm_separators, ppm_comments))
+    header += b"%d" % width + draw(ppm_separators) + b"%d" % height + draw(ppm_separators)
+    header += b"255" + draw(ppm_spaces)
+    payload = draw(st.binary(min_size=width * height * 3, max_size=width * height * 3 + 4))
+    for kind, where, piece in draw(ppm_edits):
+        at = int(where * (len(header) + 1))
+        if kind == "insert":
+            header = header[:at] + piece + header[at:]
+        elif kind == "replace":
+            header = header[:at] + piece + header[at + 1 :]
+        elif kind == "delete":
+            header = header[:at] + header[at + 1 :]
+        else:
+            payload = (header + payload)[: int(where * len(header + payload))]
+            header = b""
+    return header + payload
+
+
+@settings(max_examples=500, deadline=None)
+@given(ppm_files())
+def test_read_image_matches_byte_loop_header_reader(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "h.ppm"
+        path.write_bytes(data)
+        got = read_outcome(lambda p: read_image(p).pixels, path)
+    assert got == read_outcome(loop_read_pixels, data)
