@@ -26,6 +26,7 @@ from pioucrypt.errors import (
 from pioucrypt.lattice import (
     LatticeVectors,
     WindowSpec,
+    derive_lattice_vectors,
     generate_lattice_points,
     nmf_multiplicative,
     serialize_key_matrix,
@@ -604,6 +605,22 @@ def test_golden_bundle_bytes(tmp_path, magic, width, height, seed, digest):
     assert hashlib.sha256(blob).hexdigest() == digest
 
 
+def test_large_m_key_text():
+    # The PIOUW text of a 2048 x 2048 image at a tail seed: basis (-31, 59),
+    # (-38, 71), m = 102,300 points, several blocks of every BLAS path. Built
+    # as encrypt_pipeline builds it; the key does not depend on the pixels.
+    seed = 4944949517691095761
+    window = WindowSpec(2048, 2048)
+    vectors = derive_lattice_vectors(Tlcg.from_seed(seed), window)
+    assert (vectors.v0, vectors.v1) == ((-31, 59), (-38, 71))
+    points = generate_lattice_points(vectors, window)
+    assert len(points) == 102_300
+    text = serialize_key_matrix(nmf_multiplicative(points, seed ^ pipeline.NMF_SEED_SALT).W)
+    assert len(text) == 1_636_815
+    assert hashlib.sha256(text.encode("ascii")).hexdigest() == (
+        "b8a0e570a497ccaf12864abb441c76a99ecf318d6e7d01581beaa73d0ac80425"
+    )
+
 
 @pytest.mark.parametrize("seed", [np.uint64(11), np.int64(11), np.uint8(11)], ids=lambda s: type(s).__name__)
 def test_numpy_seed_gives_the_int_seed_bundle(tmp_path, seed):
@@ -652,14 +669,17 @@ def openblas_corename() -> str | None:
     return None
 
 
-# Run in a child process: print the active kernel, then the golden pins.
+# Run in a child process: print the active kernel, then the golden pins and
+# the large-m key pin.
 _PINS_UNDER_KERNEL = f"""
 import sys
 sys.path.insert(0, {os.path.dirname(__file__)!r})
 import pytest
 from test_pipeline import openblas_corename
 print("corename", openblas_corename(), flush=True)
-sys.exit(pytest.main(["-q", "-p", "no:cacheprovider", {__file__!r} + "::test_golden_bundle_bytes"]))
+sys.exit(pytest.main(["-q", "-p", "no:cacheprovider",
+                      {__file__!r} + "::test_golden_bundle_bytes",
+                      {__file__!r} + "::test_large_m_key_text"]))
 """
 
 
@@ -684,7 +704,7 @@ def test_golden_bundle_bytes_under_each_blas_kernel(kernel):
     assert result.returncode == 0, result.stdout + result.stderr
     child = result.stdout.splitlines()[0].removeprefix("corename ")
     assert child != parent
-    assert f"{len(GOLDEN_BUNDLES)} passed" in result.stdout
+    assert f"{len(GOLDEN_BUNDLES) + 1} passed" in result.stdout
 
 
 PLANE = np.zeros((2, 2), np.uint8)
