@@ -1,8 +1,14 @@
-"""Grammar shared by the line-oriented text artifacts that are parsed (PIOU1, PIOU2)."""
+"""Reading and writing of the line-oriented text artifacts.
+
+The grammar here is shared by the texts that are parsed (PIOU1, PIOU2); the
+blocked row writer by the texts written from arrays (PIOUW, the CLI's point
+dump).
+"""
 
 from __future__ import annotations
 
 import re
+from typing import Iterator
 
 import numpy as np
 
@@ -16,6 +22,10 @@ CANON_INT = "(?:-?[1-9][0-9]*|0)"
 # given back, because every token ends at a space or at the end.
 _INT_LINE = re.compile(f"{CANON_INT}(?: {CANON_INT})*+")
 _INT64 = np.iinfo(np.int64)
+
+# Rows rendered by one string format in format_rows: formatting a whole array
+# at once holds a tuple of every entry.
+FORMAT_BLOCK_ROWS = 4096
 
 
 def split_lines(text: str, what: str) -> list[str]:
@@ -65,3 +75,13 @@ def int_line(line: str, what: str, line_no: int) -> np.ndarray:
             if not _INT64.min <= value <= _INT64.max:
                 raise ParseError(f"{what}: {token!r} is outside the 64-bit integer range", line_no)
     return values
+
+
+def format_rows(row_format: str, rows: np.ndarray) -> Iterator[str]:
+    """The text of a 2-D array, each row through row_format, one block of rows at a time.
+
+    Adding 0 to each block prints a float -0.0 as 0.
+    """
+    for start in range(0, len(rows), FORMAT_BLOCK_ROWS):
+        block = rows[start : start + FORMAT_BLOCK_ROWS] + 0
+        yield row_format * len(block) % tuple(block.ravel().tolist())

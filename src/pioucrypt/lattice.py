@@ -17,13 +17,11 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import _text
 from .errors import DegenerateVectors, EmptyMatrix, InvalidConfig
 from .prng import Tlcg
 
 KEY_MATRIX_MAGIC = "PIOUW"
-
-# Rows of the key text rendered by one string format.
-_KEY_FORMAT_ROWS = 4096
 
 # The factorization's fixed settings: the rank of W and H, the step budget,
 # the guard added to every denominator, and the relative change of the error
@@ -220,10 +218,4 @@ def serialize_key_matrix(matrix) -> str:
         raise InvalidConfig("key matrix entries must be non-negative and finite")
     rows, cols = W.shape
     row_format = " ".join(["%.5f"] * cols) + "\n"
-    parts = [f"{KEY_MATRIX_MAGIC} {rows} {cols}\n"]
-    # One %-format per block of rows: formatting the whole matrix at once
-    # holds a tuple of every entry. Adding 0.0 prints -0.0 as 0.00000.
-    for start in range(0, rows, _KEY_FORMAT_ROWS):
-        block = W[start : start + _KEY_FORMAT_ROWS] + 0.0
-        parts.append((row_format * len(block)) % tuple(block.ravel().tolist()))
-    return "".join(parts)
+    return "".join([f"{KEY_MATRIX_MAGIC} {rows} {cols}\n", *_text.format_rows(row_format, W)])

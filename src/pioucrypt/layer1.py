@@ -34,50 +34,17 @@ LAYER1_MAGIC = "PIOU1"
 class RgbImage:
     """An h x w colour image stored as one interleaved uint8 array.
 
-    `pixels` has shape (h, w, 3), the byte order of a P6 payload; `red`,
-    `green` and `blue` are views into it.
+    `pixels` has shape (h, w, 3), the byte order of a P6 payload. The
+    constructor wraps the array without copying it.
     """
 
     __slots__ = ("pixels",)
 
-    def __init__(self, red, green, blue):
-        planes = []
-        for name, plane in (("red", red), ("green", green), ("blue", blue)):
-            arr = np.asarray(plane)
-            if arr.ndim != 2 or arr.size == 0:
-                raise InvalidConfig(f"{name} plane must be a non-empty 2-D array")
-            if arr.dtype != np.uint8:
-                if not np.issubdtype(arr.dtype, np.integer):
-                    raise InvalidConfig(f"{name} plane must hold integers")
-                if arr.min() < 0 or arr.max() > 255:
-                    raise InvalidConfig(f"{name} plane has values outside [0, 255]")
-                arr = arr.astype(np.uint8)
-            planes.append(arr)
-        if not (planes[0].shape == planes[1].shape == planes[2].shape):
-            raise InvalidConfig("channel planes must share dimensions")
-        self.pixels = np.stack(planes, axis=-1)
-
-    @classmethod
-    def from_pixels(cls, pixels: np.ndarray) -> "RgbImage":
-        """Wrap an (h, w, 3) uint8 array without copying it."""
+    def __init__(self, pixels: np.ndarray):
         pixels = np.asarray(pixels)
         if pixels.dtype != np.uint8 or pixels.ndim != 3 or pixels.shape[2] != 3 or pixels.size == 0:
             raise InvalidConfig("pixels must be a non-empty (h, w, 3) uint8 array")
-        image = cls.__new__(cls)
-        image.pixels = pixels
-        return image
-
-    @property
-    def red(self) -> np.ndarray:
-        return self.pixels[:, :, 0]
-
-    @property
-    def green(self) -> np.ndarray:
-        return self.pixels[:, :, 1]
-
-    @property
-    def blue(self) -> np.ndarray:
-        return self.pixels[:, :, 2]
+        self.pixels = pixels
 
     @property
     def height(self) -> int:
@@ -86,14 +53,6 @@ class RgbImage:
     @property
     def width(self) -> int:
         return int(self.pixels.shape[1])
-
-    def planes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return (self.red, self.green, self.blue)
-
-    @classmethod
-    def from_gray(cls, plane) -> "RgbImage":
-        """Promote a single-channel plane to RGB by replication."""
-        return cls(plane, plane, plane)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RgbImage):
@@ -236,7 +195,7 @@ def encrypt_layer1(image: RgbImage, rng: Xorshift1024) -> tuple[RgbImage, Layer1
     """Scramble the image; returns the cipher image and the key that inverts it."""
     key = generate_layer1_key(rng, image.width, image.height)
     swapped = apply_swaps(image.pixels, key.row_swaps, key.col_swaps, key.lut)
-    return RgbImage.from_pixels(swapped), key
+    return RgbImage(swapped), key
 
 
 def decrypt_layer1(cipher: RgbImage, key: Layer1Key) -> RgbImage:
@@ -248,7 +207,7 @@ def decrypt_layer1(cipher: RgbImage, key: Layer1Key) -> RgbImage:
     inverse = np.empty(256, np.uint8)
     inverse[key.lut] = np.arange(256, dtype=np.uint8)
     swapped = apply_swaps(cipher.pixels, key.row_swaps[::-1], key.col_swaps[::-1], inverse)
-    return RgbImage.from_pixels(swapped)
+    return RgbImage(swapped)
 
 
 def _body_layout(width: int, height: int) -> tuple[tuple[str, int], ...]:

@@ -96,10 +96,10 @@ def read_image(path) -> RgbImage:
         raise MalformedHeader(
             f"truncated pixel data: expected {expected} bytes, found {len(payload)}"
         )
-    pixels = np.frombuffer(payload, dtype=np.uint8)
-    if magic == b"P6":
-        return RgbImage.from_pixels(pixels.reshape(height, width, 3))
-    return RgbImage.from_gray(pixels.reshape(height, width))
+    pixels = np.frombuffer(payload, dtype=np.uint8).reshape(height, width, channels)
+    if magic == b"P5":
+        pixels = pixels.repeat(3, axis=2)
+    return RgbImage(pixels)
 
 
 def _encode_ppm(image: RgbImage) -> tuple[bytes, np.ndarray]:
@@ -137,7 +137,7 @@ class HistogramReport:
 def histogram(image: RgbImage) -> HistogramReport:
     """Exact per-channel level counts; each channel sums to width*height."""
     counts = [
-        np.bincount(plane.ravel(), minlength=256).tolist() for plane in image.planes()
+        np.bincount(image.pixels[..., c].ravel(), minlength=256).tolist() for c in range(3)
     ]
     return HistogramReport(image.width, image.height, *counts)
 

@@ -59,7 +59,11 @@ class Xorshift1024:
     @classmethod
     def from_state(cls, words: Sequence[int], index: int = 0) -> "Xorshift1024":
         """Build a generator from 16 explicit state words and a word index."""
-        words = [int(w) for w in words]
+        try:
+            words = [operator.index(w) for w in words]
+            index = operator.index(index)
+        except TypeError:
+            raise InvalidConfig("state words and index must be integers") from None
         if len(words) != 16 or not all(0 <= w <= _MASK64 for w in words):
             raise InvalidConfig("state must be 16 unsigned 64-bit words")
         if not any(words):
@@ -114,6 +118,11 @@ class LcgParams:
     seed: int
 
     def __post_init__(self):
+        try:
+            for name in ("modulus", "multiplier", "increment", "seed"):
+                object.__setattr__(self, name, operator.index(getattr(self, name)))
+        except TypeError:
+            raise InvalidConfig("stream parameters must be integers") from None
         if self.modulus <= 0:
             raise InvalidConfig("modulus must be positive")
         if not 0 < self.multiplier < self.modulus:

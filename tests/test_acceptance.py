@@ -39,7 +39,7 @@ def criterion(name):
 
 def random_image(rng, width, height):
     planes = rng.integers(0, 256, (3, height, width), dtype=np.uint8)
-    return RgbImage(planes[0], planes[1], planes[2])
+    return RgbImage(np.stack(planes, axis=-1))
 
 
 def test_c1_end_to_end_losslessness(tmp_path):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pioucrypt import _text
 from pioucrypt.errors import (
     DegenerateVectors,
     EmptyMatrix,
@@ -16,7 +17,6 @@ from pioucrypt.errors import (
     PiouCryptError,
 )
 from pioucrypt.lattice import (
-    _KEY_FORMAT_ROWS,
     FactorPair,
     LatticeVectors,
     WindowSpec,
@@ -440,7 +440,10 @@ def per_entry_key_text(W):
 KEY_TEXT_EDGES = [0.0, -0.0, 1 / 64, 3 / 64, 0.5 + 5 / 64, 1234 + 9 / 64, 5e-6, 4.999995]
 
 
-@pytest.mark.parametrize("rows", [1, _KEY_FORMAT_ROWS, _KEY_FORMAT_ROWS + 3, 2 * _KEY_FORMAT_ROWS])
+ROWS = _text.FORMAT_BLOCK_ROWS
+
+
+@pytest.mark.parametrize("rows", [1, ROWS, ROWS + 3, 2 * ROWS])
 def test_key_text_matches_per_entry_format(rows):
     rng = np.random.default_rng(rows)
     W = rng.uniform(0.0, 2100.0, (rows, 2))

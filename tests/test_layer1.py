@@ -34,7 +34,7 @@ from pioucrypt.prng import Xorshift1024
 
 def random_image(rng, width, height):
     planes = rng.integers(0, 256, (3, height, width), dtype=np.uint8)
-    return RgbImage(planes[0], planes[1], planes[2])
+    return RgbImage(np.stack(planes, axis=-1))
 
 
 class CountingRng:
@@ -57,22 +57,19 @@ IDENTITY_LUT = np.arange(256, dtype=np.uint8)
 
 
 def test_rgb_image_validation():
-    with pytest.raises(ValueError):
-        RgbImage(np.zeros((2, 2), np.uint8), np.zeros((2, 3), np.uint8), np.zeros((2, 2), np.uint8))
-    with pytest.raises(ValueError):
-        RgbImage(np.full((2, 2), 300), np.zeros((2, 2)), np.zeros((2, 2)))
-    with pytest.raises(ValueError):
-        RgbImage(np.zeros((0, 2), np.uint8), np.zeros((0, 2), np.uint8), np.zeros((0, 2), np.uint8))
-    image = RgbImage(np.zeros((2, 3), np.uint8), np.zeros((2, 3), np.uint8), np.zeros((2, 3), np.uint8))
+    for bad in (
+        np.zeros((2, 3), np.uint8),
+        np.zeros((2, 3, 3)),
+        np.zeros((2, 3, 3), np.int64),
+        np.zeros((0, 3, 3), np.uint8),
+        np.zeros((2, 3, 2), np.uint8),
+    ):
+        with pytest.raises(InvalidConfig):
+            RgbImage(bad)
+    pixels = np.zeros((2, 3, 3), np.uint8)
+    image = RgbImage(pixels)
+    assert image.pixels is pixels
     assert image.width == 3 and image.height == 2
-
-
-def test_from_gray_replicates_planes():
-    gray = np.arange(6, dtype=np.uint8).reshape(2, 3)
-    image = RgbImage.from_gray(gray)
-    assert np.array_equal(image.red, gray)
-    assert np.array_equal(image.green, gray)
-    assert np.array_equal(image.blue, gray)
 
 
 def test_apply_swaps_row_example():
@@ -240,7 +237,7 @@ def test_layer1_key_rejects_bad_table():
 
 
 def test_apply_swaps_lookup_identity_and_single_byte():
-    pixels = RgbImage(np.array([[255]]), np.array([[0]]), np.array([[7]])).pixels
+    pixels = np.array([[[255, 0, 7]]], np.uint8)
     assert np.array_equal(apply_swaps(pixels, [], [], IDENTITY_LUT), pixels)
     table = IDENTITY_LUT.copy()
     table[255], table[10] = 10, 255
@@ -327,11 +324,9 @@ def test_generate_key_draw_count():
 
 
 def test_encrypt_1x1_forced():
-    image = RgbImage(np.array([[200]]), np.array([[0]]), np.array([[255]]))
+    image = RgbImage(np.array([[[200, 0, 255]]], np.uint8))
     cipher, key = encrypt_layer1(image, Xorshift1024(77))
-    assert cipher.red[0, 0] == key.lut[200]
-    assert cipher.green[0, 0] == key.lut[0]
-    assert cipher.blue[0, 0] == key.lut[255]
+    assert cipher.pixels[0, 0].tolist() == key.lut[[200, 0, 255]].tolist()
 
 
 def test_round_trip_small_images():
@@ -391,9 +386,9 @@ def test_histogram_bins_are_permuted():
     for trial in range(10):
         image = random_image(rng, 24, 15)
         cipher, _ = encrypt_layer1(image, Xorshift1024(trial))
-        for plain_plane, cipher_plane in zip(image.planes(), cipher.planes()):
-            plain_counts = np.bincount(plain_plane.ravel(), minlength=256)
-            cipher_counts = np.bincount(cipher_plane.ravel(), minlength=256)
+        for c in range(3):
+            plain_counts = np.bincount(image.pixels[..., c].ravel(), minlength=256)
+            cipher_counts = np.bincount(cipher.pixels[..., c].ravel(), minlength=256)
             assert sorted(plain_counts) == sorted(cipher_counts)
 
 

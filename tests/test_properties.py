@@ -22,7 +22,7 @@ BUNDLES = [(1, 1, 0), (1, 9, 1), (9, 1, 2), (5, 3, 3), (16, 16, 4), (79, 2, 5), 
 
 def write_random_ppm(path, rng, width, height):
     planes = rng.integers(0, 256, (3, height, width), dtype=np.uint8)
-    image = RgbImage(*planes)
+    image = RgbImage(np.stack(planes, axis=-1))
     write_image(image, path)
     return image
 
@@ -89,7 +89,7 @@ def test_per_channel_histograms_survive_encryption(tmp_path):
         image = write_random_ppm(src, rng, width, height)
         bundle = encrypt_pipeline(src, PipelineConfig(seed=seed, out_dir=tmp_path))
         cipher = read_image(bundle.paths[0])
-        for plain_plane, cipher_plane in zip(image.planes(), cipher.planes()):
-            plain_counts = np.bincount(plain_plane.ravel(), minlength=256)
-            cipher_counts = np.bincount(cipher_plane.ravel(), minlength=256)
+        for c in range(3):
+            plain_counts = np.bincount(image.pixels[..., c].ravel(), minlength=256)
+            cipher_counts = np.bincount(cipher.pixels[..., c].ravel(), minlength=256)
             assert sorted(plain_counts) == sorted(cipher_counts)

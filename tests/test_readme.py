@@ -22,7 +22,7 @@ def library_snippet() -> str:
 def test_readme_library_snippet(tmp_path, monkeypatch):
     code = library_snippet()
     planes = np.random.default_rng(5).integers(0, 256, (3, 9, 12), dtype=np.uint8)
-    write_image(RgbImage(*planes), tmp_path / "photo.ppm")
+    write_image(RgbImage(np.stack(planes, axis=-1)), tmp_path / "photo.ppm")
     monkeypatch.chdir(tmp_path)
     exec(compile(code, str(README), "exec"), {})
     assert (tmp_path / "photo.dec.ppm").read_bytes() == (tmp_path / "photo.ppm").read_bytes()

@@ -94,7 +94,7 @@ def bundle_files():
     pixels = np.random.default_rng(61).integers(0, 256, (2, 3, 3), dtype=np.uint8)
     with tempfile.TemporaryDirectory() as tmp:
         src = Path(tmp) / "img.ppm"
-        write_image(RgbImage.from_pixels(pixels), src)
+        write_image(RgbImage(pixels), src)
         bundle = encrypt_pipeline(src, PipelineConfig(seed=7))
         return {path.name: path.read_bytes() for path in (src, *bundle.paths)}
 
@@ -209,7 +209,7 @@ def test_pipeline_round_trip_any_shape(shape, seed, pixel_seed):
     pixels = np.random.default_rng(pixel_seed).integers(0, 256, (height, width, 3), dtype=np.uint8)
     with tempfile.TemporaryDirectory() as tmp:
         src = Path(tmp) / "img.ppm"
-        write_image(RgbImage.from_pixels(pixels), src)
+        write_image(RgbImage(pixels), src)
         bundle = encrypt_pipeline(src, PipelineConfig(seed=seed))
         plain = decrypt_pipeline(*bundle.paths, out_path=Path(tmp) / "dec.ppm")
         assert np.array_equal(plain.pixels, pixels)
