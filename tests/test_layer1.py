@@ -29,6 +29,7 @@ from pioucrypt.layer1 import (
     parse_layer1_key,
     serialize_layer1_key,
 )
+from pioucrypt.pipeline import read_image
 from pioucrypt.prng import Xorshift1024
 
 
@@ -70,6 +71,16 @@ def test_rgb_image_validation():
     image = RgbImage(pixels)
     assert image.pixels is pixels
     assert image.width == 3 and image.height == 2
+
+
+def test_from_gray_replicates_planes(tmp_path):
+    # a P5 plane is read into all three channels of one (h, w, 3) image
+    gray = np.arange(6, dtype=np.uint8).reshape(2, 3)
+    (tmp_path / "g.pgm").write_bytes(b"P5\n3 2\n255\n" + gray.tobytes())
+    image = read_image(tmp_path / "g.pgm")
+    assert image.pixels.shape == (2, 3, 3)
+    for c in range(3):
+        assert np.array_equal(image.pixels[..., c], gray)
 
 
 def test_apply_swaps_row_example():
