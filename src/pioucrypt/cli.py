@@ -53,24 +53,17 @@ def _file_path(text: str) -> Path:
     return path
 
 
-def _parse_pair(text: str, flag: str) -> tuple[int, int]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError(f"{flag} expects 'x,y', got {text!r}")
+def _int_pair(text: str, sep: str) -> tuple[int, int]:
+    """Two integers written as a<sep>b; a letter sep matches in either case."""
     try:
-        return int(parts[0]), int(parts[1])
+        a, b = map(int, text.lower().split(sep))
     except ValueError:
-        raise argparse.ArgumentTypeError(f"{flag} components must be integers") from None
+        raise argparse.ArgumentTypeError(f"{text!r} is not two integers split by {sep!r}") from None
+    return a, b
 
 
-def _parse_window(text: str) -> tuple[int, int]:
-    parts = text.lower().split("x")
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError(f"--window expects 'WxH', got {text!r}")
-    try:
-        width, height = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise argparse.ArgumentTypeError("--window dimensions must be integers") from None
+def _window(text: str) -> tuple[int, int]:
+    width, height = _int_pair(text, "x")
     if width < 1 or height < 1:
         raise argparse.ArgumentTypeError("--window dimensions must be >= 1")
     return width, height
@@ -112,9 +105,9 @@ def build_parser() -> argparse.ArgumentParser:
     ana.add_argument("--csv", type=_file_path, default=None)
 
     lat = sub.add_parser("lattice", help="debug dump of lattice points and factors")
-    lat.add_argument("--v0", required=True, type=lambda s: _parse_pair(s, "--v0"))
-    lat.add_argument("--v1", required=True, type=lambda s: _parse_pair(s, "--v1"))
-    lat.add_argument("--window", required=True, type=_parse_window)
+    lat.add_argument("--v0", required=True, type=lambda s: _int_pair(s, ","))
+    lat.add_argument("--v1", required=True, type=lambda s: _int_pair(s, ","))
+    lat.add_argument("--window", required=True, type=_window)
     lat.add_argument("--seed", type=parse_seed, default=0,
                      help="factorization initializer seed")
     lat.add_argument("--dump-points", action="store_true", help="print one 'x y' per point")

@@ -1,4 +1,6 @@
-"""Exception types shared across the pioucrypt package."""
+"""Exception types shared across the pioucrypt package, and its one integer check."""
+
+import operator
 
 
 class PiouCryptError(Exception):
@@ -10,6 +12,14 @@ class InvalidConfig(PiouCryptError, ValueError):
 
     Also a ValueError, so callers that catch ValueError keep working.
     """
+
+
+def as_int(value, what: str) -> int:
+    """value as a Python int, from any integer type; a float or a string is InvalidConfig."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidConfig(f"{what} must be an integer, not {type(value).__name__}") from None
 
 
 class AllZeroState(PiouCryptError):

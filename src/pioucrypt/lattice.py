@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _text
-from .errors import DegenerateVectors, EmptyMatrix, InvalidConfig
+from .errors import DegenerateVectors, EmptyMatrix, InvalidConfig, as_int
 from .prng import Tlcg
 
 KEY_MATRIX_MAGIC = "PIOUW"
@@ -40,6 +40,8 @@ class WindowSpec:
     height: int
 
     def __post_init__(self):
+        for name in ("width", "height"):
+            object.__setattr__(self, name, as_int(getattr(self, name), f"window {name}"))
         if self.width < 1 or self.height < 1:
             raise InvalidConfig("window dimensions must be >= 1")
 
@@ -52,8 +54,12 @@ class LatticeVectors:
     v1: tuple[int, int]
 
     def __post_init__(self):
-        object.__setattr__(self, "v0", (int(self.v0[0]), int(self.v0[1])))
-        object.__setattr__(self, "v1", (int(self.v1[0]), int(self.v1[1])))
+        for name in ("v0", "v1"):
+            try:
+                x, y = getattr(self, name)
+            except (TypeError, ValueError):
+                raise InvalidConfig(f"{name} must be an (x, y) pair") from None
+            object.__setattr__(self, name, (as_int(x, f"{name} x"), as_int(y, f"{name} y")))
         if self.det == 0:
             raise DegenerateVectors(f"basis {self.v0}, {self.v1} is collinear or zero")
 
@@ -71,7 +77,8 @@ def derive_lattice_vectors(tlcg: Tlcg, window: WindowSpec) -> LatticeVectors:
     """Draw a basis pair from the TLCG, rejecting degenerate candidates.
 
     Draw order per attempt: v0.x, v0.y, v1.x, v1.y, each uniform over
-    [-B, B] where B = vector_component_bound(window).
+    [-B, B] where B = vector_component_bound(window). A draw is kept when
+    its determinant is non-zero, which also rules out a zero vector.
     """
     bound = vector_component_bound(window)
     for _ in range(64):
@@ -79,7 +86,7 @@ def derive_lattice_vectors(tlcg: Tlcg, window: WindowSpec) -> LatticeVectors:
         y0 = tlcg.randrange(-bound, bound + 1)
         x1 = tlcg.randrange(-bound, bound + 1)
         y1 = tlcg.randrange(-bound, bound + 1)
-        if (x0 or y0) and (x1 or y1) and x0 * y1 - y0 * x1 != 0:
+        if x0 * y1 - y0 * x1 != 0:
             return LatticeVectors((x0, y0), (x1, y1))
     raise DegenerateVectors("64 consecutive degenerate draws; check TLCG parameters")
 
@@ -133,6 +140,19 @@ def generate_lattice_points(vectors: LatticeVectors, window: WindowSpec) -> np.n
     return points
 
 
+def _nonnegative(data, what: str) -> np.ndarray:
+    """data as an array of non-negative finite bool, integer or float entries; an array is kept."""
+    try:
+        array = np.asarray(data)
+    except ValueError:  # a ragged nested sequence
+        raise InvalidConfig(f"{what} must be a rectangular array") from None
+    if array.dtype.kind not in "biuf":
+        raise InvalidConfig(f"{what} must be numbers, not {array.dtype}")
+    if np.any(array < 0) or not np.all(np.isfinite(array)):
+        raise InvalidConfig(f"{what} entries must be non-negative and finite")
+    return array
+
+
 class FactorPair(NamedTuple):
     """Non-negative factors approximating data ~= W @ H."""
 
@@ -152,17 +172,12 @@ def nmf_multiplicative(data, seed: int, *, error_history: list | None = None) ->
     stream seeded by seed (W row-major, then H row-major).
     error_history: optional list collecting the error before iteration 0 and
     after each iteration.
-    An integer array is cast straight into the loop's buffer; any other data
-    is converted to float64 first.
+    The data is cast straight into the loop's buffer, so integer points are
+    not copied to float64 first.
     """
-    if isinstance(data, np.ndarray) and data.dtype.kind in "iu":
-        V = data
-    else:
-        V = np.asarray(data, dtype=np.float64)
+    V = _nonnegative(data, "data")
     if V.ndim != 2 or V.shape[0] == 0 or V.shape[1] == 0:
         raise EmptyMatrix(f"cannot factorize a matrix of shape {V.shape}")
-    if np.any(V < 0) or not np.all(np.isfinite(V)):
-        raise InvalidConfig("data entries must be non-negative and finite")
     m, n = V.shape
     r = NMF_RANK
     stream = Tlcg.from_seed(seed)
@@ -211,11 +226,9 @@ def nmf_multiplicative(data, seed: int, *, error_history: list | None = None) ->
 
 def serialize_key_matrix(matrix) -> str:
     """Render a non-negative matrix as the layer-2 key text (5 decimals)."""
-    W = np.asarray(matrix, dtype=np.float64)
+    W = _nonnegative(matrix, "key matrix")
     if W.ndim != 2 or W.shape[0] < 1 or W.shape[1] < 1:
         raise InvalidConfig("key matrix must be 2-D and non-empty")
-    if np.any(W < 0) or not np.all(np.isfinite(W)):
-        raise InvalidConfig("key matrix entries must be non-negative and finite")
     rows, cols = W.shape
     row_format = " ".join(["%.5f"] * cols) + "\n"
     return "".join([f"{KEY_MATRIX_MAGIC} {rows} {cols}\n", *_text.format_rows(row_format, W)])

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import NoReturn
 
 import numpy as np
 
@@ -21,6 +22,7 @@ from .errors import (
     InvalidConfig,
     NonBijectiveTable,
     ParseError,
+    as_int,
 )
 from .prng import Xorshift1024
 
@@ -65,33 +67,35 @@ class Layer1Key:
     """Full first-layer key: swap schedule plus substitution table.
 
     The schedule is two int64 arrays of (i, j) exchange pairs, applied in
-    array order: `row_swaps` has shape (height, 2), `col_swaps` (width, 2).
+    array order: `row_swaps` has one pair per row of the image, `col_swaps`
+    one per column, so their lengths are the key's height and width.
     """
 
-    width: int
-    height: int
     row_swaps: np.ndarray
     col_swaps: np.ndarray
     lut: np.ndarray
 
     def __post_init__(self):
-        if self.width < 1 or self.height < 1:
-            raise InvalidConfig("key dimensions must be >= 1")
-        for name, swaps, bound in (
-            ("row", self.row_swaps, self.height),
-            ("column", self.col_swaps, self.width),
-        ):
+        for name, swaps in (("row", self.row_swaps), ("column", self.col_swaps)):
             if not (isinstance(swaps, np.ndarray) and swaps.dtype == np.int64):
                 raise InvalidConfig(f"{name} swaps must be an int64 array")
-            if swaps.shape != (bound, 2):
-                raise InvalidConfig(f"{name} swaps must have shape ({bound}, 2)")
-            if swaps.min() < 0 or swaps.max() >= bound:
-                raise InvalidConfig(f"{name} swap index outside [0, {bound})")
+            if swaps.ndim != 2 or swaps.shape[1] != 2 or len(swaps) == 0:
+                raise InvalidConfig(f"{name} swaps must have shape (n, 2) with n >= 1")
+            if swaps.min() < 0 or swaps.max() >= len(swaps):
+                raise InvalidConfig(f"{name} swap index outside [0, {len(swaps)})")
         lut = self.lut
         if not (isinstance(lut, np.ndarray) and lut.dtype == np.uint8 and lut.shape == (256,)):
             raise NonBijectiveTable("substitution table must be a (256,) uint8 array")
         if not np.bincount(lut, minlength=256).all():
             raise NonBijectiveTable("substitution table is not a permutation of 0..255")
+
+    @property
+    def width(self) -> int:
+        return len(self.col_swaps)
+
+    @property
+    def height(self) -> int:
+        return len(self.row_swaps)
 
 
 def generate_layer1_key(rng: Xorshift1024, width: int, height: int) -> Layer1Key:
@@ -104,6 +108,7 @@ def generate_layer1_key(rng: Xorshift1024, width: int, height: int) -> Layer1Key
     one draw per rejection. The swap indices are drawn in one block; each is
     the draw modulo its axis length, as `randint` would give.
     """
+    width, height = as_int(width, "key width"), as_int(height, "key height")
     if width < 1 or height < 1:
         raise InvalidConfig("key dimensions must be >= 1")
     words = np.array(rng.fill_u64(2 * height + 2 * width), np.uint64)
@@ -117,7 +122,7 @@ def generate_layer1_key(rng: Xorshift1024, width: int, height: int) -> Layer1Key
             z = rng.randint(0, 255)
         used.add(z)
         lut[value] = z
-    return Layer1Key(width, height, row_swaps, col_swaps, lut)
+    return Layer1Key(row_swaps, col_swaps, lut)
 
 
 def _fold(swaps, size: int, axis: str, extent: str) -> np.ndarray:
@@ -227,32 +232,33 @@ def serialize_layer1_key(key: Layer1Key) -> str:
     return text_format % tuple(values.ravel().tolist())
 
 
-def _raise_first_bad_line(lines: list[str], width: int, height: int):
+def _raise_first_bad_line(lines: list[str], layout: tuple[tuple[str, int], ...]) -> NoReturn:
     """Check the body line by line and raise the ParseError of the first bad line."""
     seen = set()
-    for index in range(1, len(lines)):
-        line_no = index + 1
-        tokens = lines[index].split(" ")
-        if index <= height + width:
-            tag, bound = (ROW, height) if index <= height else (COLUMN, width)
-            if len(tokens) != 3 or tokens[0] != tag:
-                raise ParseError(f"expected '{tag} <i> <j>'", line_no)
-            i, j = _text.canon_ints(tokens[1:], "swap index", line_no)
-            if not (0 <= i < bound and 0 <= j < bound):
-                raise ParseError(f"swap index out of range [0, {bound})", line_no)
-            continue
-        if len(tokens) != 3 or tokens[0] != LOOKUP:
-            raise ParseError(f"expected '{LOOKUP} <value> <substitute>'", line_no)
-        value, sub = _text.canon_ints(tokens[1:], "lookup entry", line_no)
-        # the table's lines run from plain value 255 on the first to 0 on the last
-        plain = len(lines) - 1 - index
-        if value != plain:
-            raise ParseError(f"plain value must be {plain}", line_no)
-        if not 0 <= sub <= 255:
-            raise ParseError("substitute outside [0, 255]", line_no)
-        if sub in seen:
-            raise ParseError(f"substitute {sub} assigned twice", line_no)
-        seen.add(sub)
+    body = enumerate(lines[1:], start=2)
+    for tag, count in layout:
+        # a swap index of a block lies in [0, count); the table's lines run
+        # from plain value 255 on the first to 0 on the last
+        for offset, (line_no, line) in zip(range(count), body):
+            tokens = line.split(" ")
+            if tag != LOOKUP:
+                if len(tokens) != 3 or tokens[0] != tag:
+                    raise ParseError(f"expected '{tag} <i> <j>'", line_no)
+                i, j = _text.canon_ints(tokens[1:], "swap index", line_no)
+                if not (0 <= i < count and 0 <= j < count):
+                    raise ParseError(f"swap index out of range [0, {count})", line_no)
+                continue
+            if len(tokens) != 3 or tokens[0] != LOOKUP:
+                raise ParseError(f"expected '{LOOKUP} <value> <substitute>'", line_no)
+            value, sub = _text.canon_ints(tokens[1:], "lookup entry", line_no)
+            plain = count - 1 - offset
+            if value != plain:
+                raise ParseError(f"plain value must be {plain}", line_no)
+            if not 0 <= sub <= 255:
+                raise ParseError("substitute outside [0, 255]", line_no)
+            if sub in seen:
+                raise ParseError(f"substitute {sub} assigned twice", line_no)
+            seen.add(sub)
     raise AssertionError("unreachable: every body the block checks refuse has a bad line")
 
 
@@ -261,8 +267,10 @@ def parse_layer1_key(text: str) -> Layer1Key:
 
     The body (every line after the first) is matched with one regex built
     from the writer's layout, converted with one call and cut into its three
-    blocks, which are checked as arrays. If any check refuses, the body is
-    checked again line by line so that the error names the first bad line.
+    blocks. The table's plain values and the range of its substitutes are
+    checked here, the swap ranges and the table's permutation by Layer1Key.
+    If any check refuses, the body is checked again line by line so that the
+    error names the first bad line.
     """
     lines = _text.split_lines(text, "key file")
     header = lines[0].split(" ")
@@ -271,24 +279,22 @@ def parse_layer1_key(text: str) -> Layer1Key:
     width, height = _text.canon_ints(header[1:], "dimensions", 1)
     if width < 1 or height < 1:
         raise ParseError("dimensions must be >= 1", 1)
-    expected = 1 + height + width + 256
+    layout = _body_layout(width, height)
+    expected = 1 + sum(n for _, n in layout)
     if len(lines) != expected:
         raise ParseError(f"expected {expected} lines, found {len(lines)}", len(lines) + 1)
 
     body = text[len(lines[0]) + 1 :]
-    layout = _body_layout(width, height)
     pattern = "".join(f"(?:{tag} {_text.CANON_INT} {_text.CANON_INT}\n){{{n}}}+" for tag, n in layout)
     if not re.fullmatch(pattern, body):
-        _raise_first_bad_line(lines, width, height)
+        _raise_first_bad_line(lines, layout)
     values = np.fromstring(body.translate(_DELETE_TAGS), np.int64, sep=" ").reshape(-1, 2)
     row_swaps, col_swaps, table = np.split(values, [height, height + width])
-    if (
-        row_swaps.min() < 0
-        or row_swaps.max() >= height
-        or col_swaps.min() < 0
-        or col_swaps.max() >= width
-        or not np.array_equal(table[:, 0], np.arange(255, -1, -1))
-        or not np.array_equal(np.sort(table[:, 1]), np.arange(256))
-    ):
-        _raise_first_bad_line(lines, width, height)
-    return Layer1Key(width, height, row_swaps, col_swaps, table[::-1, 1].astype(np.uint8))
+    # the substitutes are range-checked before the cast to uint8 would wrap 256 to 0
+    plain, subs = table[::-1].T
+    if np.array_equal(plain, np.arange(256)) and subs.min() >= 0 and subs.max() <= 255:
+        try:
+            return Layer1Key(row_swaps, col_swaps, subs.astype(np.uint8))
+        except (InvalidConfig, NonBijectiveTable):
+            pass
+    _raise_first_bad_line(lines, layout)

@@ -13,7 +13,6 @@ break the losslessness guarantee, so they are rejected outright.
 from __future__ import annotations
 
 import contextlib
-import operator
 import os
 import re
 from dataclasses import dataclass
@@ -26,6 +25,7 @@ from .errors import (
     MalformedHeader,
     ParseError,
     UnsupportedFormat,
+    as_int,
 )
 from .layer1 import (
     RgbImage,
@@ -120,42 +120,27 @@ def write_image(image: RgbImage, path) -> None:
     _write_all_or_nothing([(Path(path), _encode_ppm(image))])
 
 
-@dataclass
-class HistogramReport:
-    """Per-channel counts of the 256 brightness levels."""
+def histogram(image: RgbImage) -> np.ndarray:
+    """Exact level counts: a (3, 256) int64 array, one row per channel (red, green, blue).
 
-    width: int
-    height: int
-    red: list[int]
-    green: list[int]
-    blue: list[int]
-
-    def channel(self, name: str) -> list[int]:
-        return getattr(self, name)
+    Each row sums to width*height.
+    """
+    channels = [np.bincount(image.pixels[..., c].ravel(), minlength=256) for c in range(3)]
+    return np.array(channels, np.int64)
 
 
-def histogram(image: RgbImage) -> HistogramReport:
-    """Exact per-channel level counts; each channel sums to width*height."""
-    counts = [
-        np.bincount(image.pixels[..., c].ravel(), minlength=256).tolist() for c in range(3)
-    ]
-    return HistogramReport(image.width, image.height, *counts)
-
-
-def analyze(image_path, csv_path) -> HistogramReport:
-    """Write the histogram as CSV (channel, level, count; 768 data rows).
+def analyze(image_path, csv_path) -> np.ndarray:
+    """Write the histogram as CSV (channel, level, count; 768 data rows) and return it.
 
     A failed write leaves any previous file at csv_path as it was.
     """
-    report = histogram(read_image(image_path))
+    counts = histogram(read_image(image_path))
     lines = ["channel,level,count"]
-    for name in ("red", "green", "blue"):
-        lines.extend(
-            f"{name},{level},{count}" for level, count in enumerate(report.channel(name))
-        )
+    for name, row in zip(("red", "green", "blue"), counts.tolist()):
+        lines.extend(f"{name},{level},{count}" for level, count in enumerate(row))
     text = "\n".join(lines) + "\n"
     _write_all_or_nothing([(Path(csv_path), (text.encode("ascii"),))])
-    return report
+    return counts
 
 
 @dataclass
@@ -166,10 +151,7 @@ class PipelineConfig:
     out_dir: Path | None = None
 
     def __post_init__(self):
-        try:
-            self.seed = operator.index(self.seed)
-        except TypeError:
-            raise InvalidConfig("seed must be an integer") from None
+        self.seed = as_int(self.seed, "seed")
         if not 0 <= self.seed < 1 << 64:
             raise InvalidConfig("seed must be an unsigned 64-bit integer")
 

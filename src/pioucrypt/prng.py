@@ -13,13 +13,12 @@ sanity-check the generators' bit streams.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import AllZeroState, InvalidConfig, InvalidRange
+from .errors import AllZeroState, InvalidConfig, InvalidRange, as_int
 
 _MASK64 = (1 << 64) - 1
 
@@ -42,10 +41,7 @@ class Xorshift1024:
     __slots__ = ("s", "p")
 
     def __init__(self, seed: int):
-        try:
-            x = operator.index(seed)
-        except TypeError:
-            raise InvalidConfig("seed must be an integer") from None
+        x = as_int(seed, "seed")
         if not 0 <= x <= _MASK64:
             raise InvalidConfig("seed must fit in an unsigned 64-bit integer")
         # the increment is odd, so no step maps 0 to 0 and the state is never all zero
@@ -59,11 +55,8 @@ class Xorshift1024:
     @classmethod
     def from_state(cls, words: Sequence[int], index: int = 0) -> "Xorshift1024":
         """Build a generator from 16 explicit state words and a word index."""
-        try:
-            words = [operator.index(w) for w in words]
-            index = operator.index(index)
-        except TypeError:
-            raise InvalidConfig("state words and index must be integers") from None
+        words = [as_int(w, "state word") for w in words]
+        index = as_int(index, "state index")
         if len(words) != 16 or not all(0 <= w <= _MASK64 for w in words):
             raise InvalidConfig("state must be 16 unsigned 64-bit words")
         if not any(words):
@@ -81,6 +74,7 @@ class Xorshift1024:
 
     def fill_u64(self, count: int) -> list[int]:
         """Draw `count` outputs in one call (hot path for layer-1 keys and the bias checks)."""
+        count = as_int(count, "count")
         s = self.s
         p = self.p
         mask = _MASK64
@@ -103,6 +97,7 @@ class Xorshift1024:
         Plain modulo mapping: the bias is negligible for the byte and index
         ranges used here and keeps the draw sequence trivially portable.
         """
+        lo, hi = as_int(lo, "lo"), as_int(hi, "hi")
         if lo > hi:
             raise InvalidRange(f"empty range: lo={lo} > hi={hi}")
         return lo + self.next_u64() % (hi - lo + 1)
@@ -118,11 +113,8 @@ class LcgParams:
     seed: int
 
     def __post_init__(self):
-        try:
-            for name in ("modulus", "multiplier", "increment", "seed"):
-                object.__setattr__(self, name, operator.index(getattr(self, name)))
-        except TypeError:
-            raise InvalidConfig("stream parameters must be integers") from None
+        for name in ("modulus", "multiplier", "increment", "seed"):
+            object.__setattr__(self, name, as_int(getattr(self, name), name))
         if self.modulus <= 0:
             raise InvalidConfig("modulus must be positive")
         if not 0 < self.multiplier < self.modulus:
@@ -161,10 +153,7 @@ class Tlcg:
     @classmethod
     def from_seed(cls, seed: int) -> "Tlcg":
         """Derive the three default streams' seeds from a single master seed."""
-        try:
-            seed = operator.index(seed)
-        except TypeError:
-            raise InvalidConfig("seed must be an integer") from None
+        seed = as_int(seed, "seed")
         if seed < 0:
             raise InvalidConfig("seed must be non-negative")
         m = DEFAULT_TLCG_MODULUS
@@ -177,6 +166,7 @@ class Tlcg:
 
     def randrange(self, lo: int, hi: int) -> int:
         """Value in [lo, hi); advances all three streams exactly once."""
+        lo, hi = as_int(lo, "lo"), as_int(hi, "hi")
         if hi <= lo:
             raise InvalidRange(f"empty range: [{lo}, {hi})")
         total = 0
@@ -195,6 +185,7 @@ class Tlcg:
         x -> A*x + C (mod m) over int64 arrays: with m <= 2^31 every product
         stays below 2^62.
         """
+        count = as_int(count, "count")
         if count < 0:
             raise InvalidConfig("count must be >= 0")
         if any(st.modulus > 1 << 31 for st in self.streams):

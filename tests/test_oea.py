@@ -233,6 +233,12 @@ def test_parse_rejects_non_canonical_header_lengths(length):
     assert excinfo.value.line == 1
 
 
+def test_parse_rejects_negative_header_length():
+    with pytest.raises(ParseError, match="header lengths must be >= 0") as excinfo:
+        parse_oea("PIOU2 -1 0 0 0 0\n" + "\n" * 5)
+    assert excinfo.value.line == 1
+
+
 def test_parse_errors_name_sections():
     good = serialize_oea(oea_encrypt(b"Hi", b"A"))
 

@@ -32,7 +32,7 @@ from pioucrypt.lattice import (
     serialize_key_matrix,
 )
 from pioucrypt.layer1 import Layer1Key, RgbImage, apply_swaps, encrypt_layer1, generate_layer1_key
-from pioucrypt.oea import master_key
+from pioucrypt.oea import master_key, oea_encrypt, serialize_oea
 from pioucrypt.pipeline import (
     PipelineConfig,
     analyze,
@@ -113,6 +113,12 @@ def test_malformed_headers(tmp_path):
     (tmp_path / "eof.ppm").write_bytes(b"P6\n2")
     with pytest.raises(MalformedHeader):
         read_image(tmp_path / "eof.ppm")
+    (tmp_path / "zero.ppm").write_bytes(b"P6\n0 2\n255\n")
+    with pytest.raises(MalformedHeader, match="width must be >= 1"):
+        read_image(tmp_path / "zero.ppm")
+    (tmp_path / "maxval.ppm").write_bytes(b"P6\n1 1\n255")
+    with pytest.raises(MalformedHeader, match="missing whitespace after maxval"):
+        read_image(tmp_path / "maxval.ppm")
 
 
 
@@ -133,8 +139,8 @@ def test_read_image_holds_the_file_once(tmp_path):
 def test_histogram_uniform_block():
     plane = np.full((2, 2), 5, dtype=np.uint8)
     report = histogram(RgbImage(np.stack([plane, plane.copy(), plane.copy()], axis=-1)))
-    for name in ("red", "green", "blue"):
-        counts = report.channel(name)
+    assert report.shape == (3, 256) and report.dtype == np.int64
+    for counts in report:
         assert counts[5] == 4
         assert sum(counts) == 4
 
@@ -142,8 +148,8 @@ def test_histogram_uniform_block():
 def test_histogram_conservation():
     image = random_image(np.random.default_rng(1), 13, 9)
     report = histogram(image)
-    for name in ("red", "green", "blue"):
-        assert sum(report.channel(name)) == 13 * 9
+    for counts in report:
+        assert sum(counts) == 13 * 9
 
 
 def test_analyze_csv(tmp_path):
@@ -155,8 +161,8 @@ def test_analyze_csv(tmp_path):
     assert len(lines) == 1 + 768
     assert "red,255,1" in lines
     assert lines[1] == "red,0,0"
-    for name in ("red", "green", "blue"):
-        assert report.channel(name)[255] == 1
+    for counts in report:
+        assert counts[255] == 1
 
 
 def test_analyze_matches_histogram(tmp_path):
@@ -164,8 +170,7 @@ def test_analyze_matches_histogram(tmp_path):
     image = write_random_ppm(tmp_path / "a.ppm", rng, 6, 4)
     report = analyze(tmp_path / "a.ppm", tmp_path / "a.csv")
     direct = histogram(image)
-    for name in ("red", "green", "blue"):
-        assert report.channel(name) == direct.channel(name)
+    assert np.array_equal(report, direct)
 
 
 def test_pipeline_round_trip(tmp_path):
@@ -177,6 +182,9 @@ def test_pipeline_round_trip(tmp_path):
     plain = decrypt_pipeline(*bundle.paths, out_path=tmp_path / "dec.ppm")
     assert (tmp_path / "dec.ppm").read_bytes() == src.read_bytes()
     assert plain == read_image(src)
+    # with no out_path the image goes beside the cipher image
+    decrypt_pipeline(*bundle.paths)
+    assert (tmp_path / "img.cipher.dec.ppm").read_bytes() == src.read_bytes()
 
 
 def test_pipeline_1x1_bundle_contains_259_line_key(tmp_path):
@@ -250,6 +258,21 @@ def test_truncated_ciphertext_raises_parse_error(tmp_path):
     bundle.paths[1].write_text("\n".join(text.splitlines()[:3]) + "\n")
     with pytest.raises(ParseError):
         decrypt_pipeline(*bundle.paths, out_path=tmp_path / "x.ppm")
+
+
+def test_non_ascii_cipher_or_key_text_raises_parse_error(tmp_path):
+    src = tmp_path / "img.ppm"
+    write_random_ppm(src, np.random.default_rng(29), 4, 4)
+    bundle = encrypt_pipeline(src, PipelineConfig(seed=6, out_dir=tmp_path))
+    bundle.paths[1].write_bytes(bundle.oea_cipher_text.encode("ascii") + b"\xff\n")
+    with pytest.raises(ParseError, match="ciphertext is not ASCII"):
+        decrypt_pipeline(*bundle.paths, out_path=tmp_path / "x.ppm")
+    # a well-formed PIOU2 text under the real key whose plaintext is not ASCII
+    cipher = oea_encrypt(b"\xff\xfe", bundle.paths[2].read_bytes())
+    bundle.paths[1].write_text(serialize_oea(cipher), encoding="ascii")
+    with pytest.raises(ParseError, match="recovered key text is not ASCII"):
+        decrypt_pipeline(*bundle.paths, out_path=tmp_path / "x.ppm")
+    assert not (tmp_path / "x.ppm").exists()
 
 
 def test_key_with_same_sum_and_prefix_decrypts(tmp_path):
@@ -413,8 +436,8 @@ def test_layer1_histogram_invariance_via_pipeline_modules():
     cipher, _ = encrypt_layer1(image, Xorshift1024(55))
     plain_report = histogram(image)
     cipher_report = histogram(cipher)
-    for name in ("red", "green", "blue"):
-        assert sorted(plain_report.channel(name)) == sorted(cipher_report.channel(name))
+    for c in range(3):
+        assert sorted(plain_report[c]) == sorted(cipher_report[c])
 
 
 def test_cli_encrypt_decrypt_and_analyze(tmp_path, capsys):
@@ -500,10 +523,32 @@ def test_cli_lattice_skewed_basis_finishes():
 
 
 def test_cli_lattice_rejects_huge_window():
-    result = run_cli("lattice", "--v0=1,0", "--v1=0,1", "--window", "99999999x99999999")
-    assert result.returncode == 1
-    assert result.stderr.startswith("error:")
-    assert "Traceback" not in result.stderr
+    # the cap is 2^24 pixels: 4097 x 4096 is one row of pixels over it
+    for window in ("99999999x99999999", "4097x4096"):
+        result = run_cli("lattice", "--v0=1,0", "--v1=0,1", "--window", window)
+        assert result.returncode == 1
+        assert result.stderr.startswith("error:")
+        assert len(result.stderr.splitlines()) == 1
+        assert "Traceback" not in result.stderr
+    # a sparse basis keeps a window at the cap cheap: 5 x 5 points
+    result = run_cli("lattice", "--v0=1000,0", "--v1=0,1000", "--window", "4096x4096")
+    assert result.returncode == 0
+    assert "points 25" in result.stdout
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        pytest.param(["encrypt", "img.ppm", "--seed", "18446744073709551616"], id="seed-2^64"),
+        pytest.param(["lattice", "--v0=1,0", "--v1=0,1", "--window", "3xa"], id="window-3xa"),
+        pytest.param(["lattice", "--v0=1,0,2", "--v1=0,1", "--window", "3x3"], id="v0-three"),
+    ],
+)
+def test_cli_bad_argument_is_a_usage_error(args, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(args)
+    assert excinfo.value.code == 2
+    assert "error: argument" in capsys.readouterr().err
 
 
 def test_cli_lattice_dump(capsys):
@@ -717,11 +762,21 @@ STREAM = LcgParams(7, 3, 1, 0)
     "make",
     [
         pytest.param(lambda: WindowSpec(0, 5), id="WindowSpec"),
+        pytest.param(lambda: WindowSpec(2.5, 3), id="WindowSpec-float"),
+        pytest.param(lambda: LatticeVectors((1.5, 0), (0, 1)), id="LatticeVectors-float"),
+        pytest.param(lambda: LatticeVectors(("x", 0), (0, 1)), id="LatticeVectors-str"),
+        pytest.param(lambda: LatticeVectors((1,), (0, 1)), id="LatticeVectors-short"),
+        pytest.param(lambda: LatticeVectors((1, 0), 1), id="LatticeVectors-int"),
         pytest.param(lambda: PipelineConfig(seed=-1), id="PipelineConfig"),
         pytest.param(lambda: PipelineConfig(seed=1.5), id="PipelineConfig-float"),
         pytest.param(lambda: PipelineConfig(seed="5"), id="PipelineConfig-str"),
-        pytest.param(lambda: Layer1Key(0, 1, [], [], np.arange(256, dtype=np.uint8)), id="Layer1Key"),
+        pytest.param(lambda: Layer1Key(np.zeros((0, 2), np.int64), np.zeros((1, 2), np.int64), np.arange(256, dtype=np.uint8)), id="Layer1Key"),
         pytest.param(lambda: generate_layer1_key(Xorshift1024(0), 3, -1), id="generate_layer1_key"),
+        pytest.param(lambda: generate_layer1_key(Xorshift1024(0), 2.5, 2), id="generate_layer1_key-float"),
+        pytest.param(lambda: Xorshift1024(0).randint(0, 2.5), id="randint-float"),
+        pytest.param(lambda: Xorshift1024(0).fill_u64(2.5), id="fill_u64-float"),
+        pytest.param(lambda: Tlcg.from_seed(0).randrange(0, 2.5), id="randrange-float"),
+        pytest.param(lambda: Tlcg.from_seed(0).next_units(2.5), id="next_units-float"),
         pytest.param(lambda: Xorshift1024(-1), id="Xorshift1024-seed"),
         pytest.param(lambda: Xorshift1024(1.5), id="Xorshift1024-float"),
         pytest.param(lambda: Xorshift1024.from_state([1] * 15), id="from_state-words"),
@@ -743,6 +798,9 @@ STREAM = LcgParams(7, 3, 1, 0)
         pytest.param(lambda: master_key(1, -1), id="master_key"),
         pytest.param(lambda: serialize_key_matrix(np.zeros((0, 2))), id="serialize_key_matrix-shape"),
         pytest.param(lambda: serialize_key_matrix(np.array([[-1.0, 0.0]])), id="serialize_key_matrix-entries"),
+        pytest.param(lambda: serialize_key_matrix(np.array([["1", "2"]])), id="serialize_key_matrix-str"),
+        pytest.param(lambda: nmf_multiplicative(np.array([["1", "2"]]), 0), id="nmf_multiplicative-str"),
+        pytest.param(lambda: nmf_multiplicative([[1, 2], [3]], 0), id="nmf_multiplicative-ragged"),
         pytest.param(lambda: RgbImage(PLANE), id="RgbImage-ndim"),
         pytest.param(lambda: RgbImage(PIXELS + 0.5), id="RgbImage-dtype"),
         pytest.param(lambda: RgbImage(PIXELS.astype(np.int64)), id="RgbImage-int64"),
