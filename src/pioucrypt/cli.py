@@ -8,7 +8,7 @@ import sys
 from pathlib import Path
 
 from . import _text
-from .errors import PiouCryptError
+from .errors import InvalidConfig, PiouCryptError
 from .lattice import (
     LatticeVectors,
     WindowSpec,
@@ -23,6 +23,7 @@ from .pipeline import (
     decrypted_image_path,
     encrypt_pipeline,
 )
+from .prng import as_seed
 
 SEED_ENV_VAR = "PIOUCRYPT_SEED"
 
@@ -39,9 +40,10 @@ def parse_seed(text: str) -> int:
         value = int(text, 0)
     except ValueError:
         raise argparse.ArgumentTypeError(f"{text!r} is not an integer seed") from None
-    if not 0 <= value < 1 << 64:
-        raise argparse.ArgumentTypeError("seed must fit in an unsigned 64-bit integer")
-    return value
+    try:
+        return as_seed(value)
+    except InvalidConfig as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _file_path(text: str) -> Path:

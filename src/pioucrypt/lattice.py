@@ -31,6 +31,10 @@ NMF_MAX_ITERATIONS = 500
 NMF_EPSILON = 1e-9
 NMF_TOLERANCE = 1e-9
 
+# Columns of S per block of a factorization step: 512 KiB of S for two-column
+# points, which each step's products read while the block is in cache.
+_NMF_BLOCK_COLUMNS = 16384
+
 
 @dataclass(frozen=True)
 class WindowSpec:
@@ -173,7 +177,9 @@ def nmf_multiplicative(data, seed: int, *, error_history: list | None = None) ->
     error_history: optional list collecting the error before iteration 0 and
     after each iteration.
     The data is cast straight into the loop's buffer, so integer points are
-    not copied to float64 first.
+    not copied to float64 first, and the function drops its own references
+    to the data once it is there: a caller that passes the data unnamed has
+    it freed before the start point is drawn.
     """
     V = _nonnegative(data, "data")
     if V.ndim != 2 or V.shape[0] == 0 or V.shape[1] == 0:
@@ -185,43 +191,68 @@ def nmf_multiplicative(data, seed: int, *, error_history: list | None = None) ->
     # r rows and those of V in the rest, so every m-wide operand is a few long
     # contiguous rows, and one product gives both W^T W and W^T V.
     S = np.empty((r + n, m))
-    Wt = S[:r]
-    Vt = S[r:]
-    Wt[...] = stream.next_units(m * r).reshape(m, r).T
-    Vt[...] = V.T
+    S[r:] = V.T
+    del data, V
+    S[:r] = stream.next_units(m * r).reshape(m, r).T
     H = stream.next_units(r * n).reshape(r, n)
+    Ht = H.T
 
-    num = np.empty((r, m))
-    den = np.empty((r, m))
-    residual = np.empty((n, m))
-    flat = residual.reshape(-1)
+    # Each pass runs over column blocks of S, with buffers the size of one
+    # block, viewed at each block's width so that every view is contiguous.
+    # The first block writes the Gram matrix W^T S and each later one adds
+    # its part, in block order; with one block the products are those of a
+    # pass over all of S at once.
+    width = min(m, _NMF_BLOCK_COLUMNS)
+    num_buffer, den_buffer, res_buffer = np.empty(r * width), np.empty(r * width), np.empty(n * width)
+    gram = np.empty((r, r + n))
+    part = np.empty((r, r + n))
+    blocks = []
+    for lo in range(0, m, width):
+        Sb = S[:, lo : lo + width]
+        cols = Sb.shape[1]
+        blocks.append((
+            Sb[:r], Sb[r:], Sb.T,
+            num_buffer[: r * cols].reshape(r, cols),
+            den_buffer[: r * cols].reshape(r, cols),
+            res_buffer[: n * cols].reshape(n, cols),
+            res_buffer[: n * cols],
+            gram if lo == 0 else part,
+        ))
 
-    def error() -> float:
-        np.matmul(H.T, Wt, out=residual)
-        np.subtract(Vt, residual, out=residual)
-        return math.sqrt(np.dot(flat, flat))
+    def sweep(HHt) -> float:
+        """One pass: update W unless HHt is None, then return the error and
+        leave W^T S, for the next H update, in gram."""
+        total = 0.0
+        for Wb, Vb, SbT, num, den, residual, flat, gram_out in blocks:
+            if HHt is not None:
+                np.matmul(HHt, Wb, out=den)
+                den += NMF_EPSILON
+                np.matmul(H, Vb, out=num)
+                np.divide(num, den, out=num)
+                Wb *= num
+            np.matmul(Ht, Wb, out=residual)
+            np.subtract(Vb, residual, out=residual)
+            total += np.dot(flat, flat)
+            np.matmul(Wb, SbT, out=gram_out)
+            if gram_out is part:
+                np.add(gram, part, out=gram)
+        return math.sqrt(total)
 
-    err = error()
+    err = sweep(None)
     if error_history is not None:
         error_history.append(err)
     for _ in range(NMF_MAX_ITERATIONS):
-        gram = Wt @ S.T
         denom_h = gram[:, :r] @ H
         denom_h += NMF_EPSILON
         H *= gram[:, r:] / denom_h
-        np.matmul(H @ H.T, Wt, out=den)
-        den += NMF_EPSILON
-        np.matmul(H, Vt, out=num)
-        np.divide(num, den, out=num)
-        Wt *= num
-        new_err = error()
+        new_err = sweep(H @ Ht)
         if error_history is not None:
             error_history.append(new_err)
         rel_change = 0.0 if err == 0.0 else abs(err - new_err) / err
         err = new_err
         if rel_change < NMF_TOLERANCE:
             break
-    return FactorPair(np.ascontiguousarray(Wt.T), H)
+    return FactorPair(np.ascontiguousarray(S[:r].T), H)
 
 
 def serialize_key_matrix(matrix) -> str:

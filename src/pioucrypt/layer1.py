@@ -62,6 +62,12 @@ class RgbImage:
         return np.array_equal(self.pixels, other.pixels)
 
 
+def _check_table(lut) -> None:
+    """Refuse a substitution table that is not a (256,) uint8 array."""
+    if not (isinstance(lut, np.ndarray) and lut.dtype == np.uint8 and lut.shape == (256,)):
+        raise InvalidConfig("substitution table must be a (256,) uint8 array")
+
+
 @dataclass(eq=False)
 class Layer1Key:
     """Full first-layer key: swap schedule plus substitution table.
@@ -83,10 +89,8 @@ class Layer1Key:
                 raise InvalidConfig(f"{name} swaps must have shape (n, 2) with n >= 1")
             if swaps.min() < 0 or swaps.max() >= len(swaps):
                 raise InvalidConfig(f"{name} swap index outside [0, {len(swaps)})")
-        lut = self.lut
-        if not (isinstance(lut, np.ndarray) and lut.dtype == np.uint8 and lut.shape == (256,)):
-            raise NonBijectiveTable("substitution table must be a (256,) uint8 array")
-        if not np.bincount(lut, minlength=256).all():
+        _check_table(self.lut)
+        if not np.bincount(self.lut, minlength=256).all():
             raise NonBijectiveTable("substitution table is not a permutation of 0..255")
 
     @property
@@ -165,8 +169,7 @@ def apply_swaps(pixels, row_swaps, col_swaps, lut) -> np.ndarray:
     arr = np.asarray(pixels)
     if arr.dtype != np.uint8 or arr.ndim not in (2, 3):
         raise InvalidConfig("plane must be a uint8 array, 2-D or 3-D with channels last")
-    if not (isinstance(lut, np.ndarray) and lut.dtype == np.uint8 and lut.shape == (256,)):
-        raise InvalidConfig("lut must be a (256,) uint8 array")
+    _check_table(lut)
     h, w = arr.shape[:2]
     rows = _fold(row_swaps, h, "row", "height")
     cols = _fold(col_swaps, w, "column", "width")

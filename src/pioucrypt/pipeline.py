@@ -25,7 +25,6 @@ from .errors import (
     MalformedHeader,
     ParseError,
     UnsupportedFormat,
-    as_int,
 )
 from .layer1 import (
     RgbImage,
@@ -42,7 +41,7 @@ from .lattice import (
     serialize_key_matrix,
 )
 from .oea import oea_decrypt, oea_encrypt, parse_oea, serialize_oea
-from .prng import Tlcg, Xorshift1024
+from .prng import Tlcg, Xorshift1024, as_seed
 
 # Salt mixed into the master seed for the factorization start point, so the
 # vector-derivation stream and the initializer stream differ.
@@ -151,9 +150,7 @@ class PipelineConfig:
     out_dir: Path | None = None
 
     def __post_init__(self):
-        self.seed = as_int(self.seed, "seed")
-        if not 0 <= self.seed < 1 << 64:
-            raise InvalidConfig("seed must be an unsigned 64-bit integer")
+        self.seed = as_seed(self.seed)
 
 
 @dataclass
@@ -236,8 +233,9 @@ def encrypt_pipeline(image_path, config: PipelineConfig) -> EncryptionBundle:
 
     window = WindowSpec(cipher_image.width, cipher_image.height)
     vectors = derive_lattice_vectors(Tlcg.from_seed(config.seed), window)
-    points = generate_lattice_points(vectors, window)
-    factors = nmf_multiplicative(points, config.seed ^ NMF_SEED_SALT)
+    # Nor does a name hold the points, so the factorization frees them once
+    # they are in its buffer.
+    factors = nmf_multiplicative(generate_lattice_points(vectors, window), config.seed ^ NMF_SEED_SALT)
     oea_key_text = serialize_key_matrix(factors.W)
     oea_key = oea_key_text.encode("ascii")
 

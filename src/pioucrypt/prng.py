@@ -31,6 +31,14 @@ SEED_EXPAND_MULTIPLIER = 6364136223846793005
 SEED_EXPAND_INCREMENT = 1442695040888963407
 
 
+def as_seed(value) -> int:
+    """value as a Python int seed in 0..2^64 - 1, the range of every master seed."""
+    seed = as_int(value, "seed")
+    if not 0 <= seed <= _MASK64:
+        raise InvalidConfig("seed must fit in an unsigned 64-bit integer")
+    return seed
+
+
 class Xorshift1024:
     """Xorshift1024*: 16 words of 64-bit state with a star output scrambler.
 
@@ -41,9 +49,7 @@ class Xorshift1024:
     __slots__ = ("s", "p")
 
     def __init__(self, seed: int):
-        x = as_int(seed, "seed")
-        if not 0 <= x <= _MASK64:
-            raise InvalidConfig("seed must fit in an unsigned 64-bit integer")
+        x = as_seed(seed)
         # the increment is odd, so no step maps 0 to 0 and the state is never all zero
         state = []
         for _ in range(16):
@@ -75,6 +81,8 @@ class Xorshift1024:
     def fill_u64(self, count: int) -> list[int]:
         """Draw `count` outputs in one call (hot path for layer-1 keys and the bias checks)."""
         count = as_int(count, "count")
+        if count < 0:
+            raise InvalidConfig("count must be >= 0")
         s = self.s
         p = self.p
         mask = _MASK64

@@ -17,6 +17,7 @@ from pioucrypt.errors import (
     PiouCryptError,
 )
 from pioucrypt.lattice import (
+    _NMF_BLOCK_COLUMNS,
     FactorPair,
     LatticeVectors,
     WindowSpec,
@@ -332,6 +333,60 @@ def temporaries_nmf(V, seed, steps=None):
     return W, H, history
 
 
+def buffered_nmf(V, seed, block=None):
+    """The factorization as written before its blocked sweep: each step
+    streams the whole of S through its products, into buffers allocated
+    once, and takes the Gram matrix at the start of the step.
+
+    block: sum the Gram matrix and the squared error over column blocks of
+    this many columns, in block order, as the sweep does past one block."""
+    m, n = V.shape
+    r = 2
+    stream = Tlcg.from_seed(seed)
+    S = np.empty((r + n, m))
+    Wt = S[:r]
+    Vt = S[r:]
+    Wt[...] = stream.next_units(m * r).reshape(m, r).T
+    Vt[...] = V.T
+    H = stream.next_units(r * n).reshape(r, n)
+    num = np.empty((r, m))
+    den = np.empty((r, m))
+    residual = np.empty((n, m))
+    flat = residual.reshape(-1)
+    bounds = range(0, m, block or m)
+
+    def error():
+        np.matmul(H.T, Wt, out=residual)
+        np.subtract(Vt, residual, out=residual)
+        if block is None:
+            return math.sqrt(np.dot(flat, flat))
+        parts = [residual[:, lo : lo + block].ravel() for lo in bounds]
+        return math.sqrt(sum(np.dot(part, part) for part in parts))
+
+    err = error()
+    history = [err]
+    for _ in range(500):
+        if block is None:
+            gram = Wt @ S.T
+        else:
+            gram = sum(Wt[:, lo : lo + block] @ S[:, lo : lo + block].T for lo in bounds)
+        denom_h = gram[:, :r] @ H
+        denom_h += 1e-9
+        H *= gram[:, r:] / denom_h
+        np.matmul(H @ H.T, Wt, out=den)
+        den += 1e-9
+        np.matmul(H, Vt, out=num)
+        np.divide(num, den, out=num)
+        Wt *= num
+        new_err = error()
+        history.append(new_err)
+        rel_change = 0.0 if err == 0.0 else abs(err - new_err) / err
+        err = new_err
+        if rel_change < 1e-9:
+            break
+    return np.ascontiguousarray(Wt.T), H, history
+
+
 def assert_factor_shape(factors, V):
     m, n = V.shape
     assert factors.W.shape == (m, 2) and factors.W.flags.c_contiguous
@@ -339,13 +394,22 @@ def assert_factor_shape(factors, V):
     assert np.all(factors.W >= 0) and np.all(factors.H >= 0)
 
 
-# The loop runs its products over the transposed factors, so its sums round
-# differently from the oracle's, by a relative 1e-10 or less after 500 steps;
-# the bound leaves room for that and stays far below the key text's 5
-# decimals. Where the error sits at its floor, that noise can move the step
+# The loop runs its products over the transposed factors, and past one block
+# it sums its Gram matrix block by block, so its sums round differently from
+# the oracle's, by a relative 1e-10 or less after 500 steps; the bound leaves
+# room for that and stays far below the key text's 5 decimals. Where the error sits at its floor, that noise can move the step
 # at which the relative change first falls under the tolerance, so the values
 # are compared with the oracle run for the loop's own number of steps.
 NMF_RTOL = 1e-8
+
+BLOCK = _NMF_BLOCK_COLUMNS
+
+
+def assert_same_bits(factors, history, expected):
+    W, H, expected_history = expected
+    assert factors.W.tobytes() == W.tobytes()
+    assert factors.H.tobytes() == H.tobytes()
+    assert history == expected_history
 
 
 def assert_nmf_follows_temporaries(V, seed):
@@ -367,7 +431,8 @@ def assert_nmf_key_matches_temporaries(V, seed):
     return history, expected
 
 
-@pytest.mark.parametrize("m", [1, 2, 10, 3000])
+# The last two sizes end on a one-column block and on a partial block.
+@pytest.mark.parametrize("m", [1, 2, 10, 3000, BLOCK + 1, 2 * BLOCK + 5])
 def test_nmf_matches_temporaries_loop_on_lattice_points(m):
     # the pipeline's shape: integer (x, y) coordinates, rank 2, 500 steps
     V = np.random.default_rng(m).integers(0, 2048, (m, 2)).astype(np.float64)
@@ -384,9 +449,36 @@ EARLY_STOP_SEEDS = {1: 30, 2: 3, 10: 0, 3000: 0}
 
 @pytest.mark.parametrize("m", [1, 2, 10, 3000])
 def test_nmf_matches_temporaries_loop_when_it_stops_early(m):
-    _, history = assert_nmf_follows_temporaries(np.ones((m, 2)), EARLY_STOP_SEEDS[m])
+    V, seed = np.ones((m, 2)), EARLY_STOP_SEEDS[m]
+    factors, history = assert_nmf_follows_temporaries(V, seed)
     assert len(history) < 501
     assert 0 < abs(history[-2] - history[-1]) / history[-2] < 1e-9
+    # the stop step follows last-bit noise, so it is also a check on the bits
+    assert_same_bits(factors, history, buffered_nmf(V, seed))
+
+
+# Within one block of the sweep its products are the buffered loop's, so the
+# factors and the error history keep their bits.
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("m", [1, 2, 10, 3000, BLOCK - 1, BLOCK])
+def test_nmf_sweep_keeps_the_buffered_loop_bits_within_one_block(m, n):
+    V = np.random.default_rng(10 * m + n).integers(0, 2048, (m, n))
+    history = []
+    factors = nmf_multiplicative(V, m + n, error_history=history)
+    assert_same_bits(factors, history, buffered_nmf(V, m + n))
+
+
+# Past one block the sweep adds the blocks' Gram matrices and squared errors
+# in block order, and that is all that moves its bits from the buffered
+# loop's, here on three blocks. (A one-column block is left out: numpy rounds
+# a product with a single column differently.)
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_nmf_sweep_sums_its_blocks_in_order(n):
+    m = 2 * BLOCK + 5
+    V = np.random.default_rng(n).integers(0, 2048, (m, n))
+    history = []
+    factors = nmf_multiplicative(V, n, error_history=history)
+    assert_same_bits(factors, history, buffered_nmf(V, n, block=BLOCK))
 
 
 def test_nmf_matches_temporaries_loop_on_zero_matrix():
@@ -395,10 +487,7 @@ def test_nmf_matches_temporaries_loop_on_zero_matrix():
     history = []
     factors = nmf_multiplicative(V, 4, error_history=history)
     assert_factor_shape(factors, V)
-    W, H, expected = temporaries_nmf(V, 4)
-    assert factors.W.tobytes() == W.tobytes()
-    assert factors.H.tobytes() == H.tobytes()
-    assert history == expected
+    assert_same_bits(factors, history, temporaries_nmf(V, 4))
 
 
 @settings(max_examples=40, deadline=None)

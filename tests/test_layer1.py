@@ -235,16 +235,20 @@ def identity_swaps(size):
 
 def test_layer1_key_rejects_bad_table():
     rows, cols = identity_swaps(2), identity_swaps(3)
+    with pytest.raises(NonBijectiveTable):
+        Layer1Key(rows, cols, np.zeros(256, np.uint8))
+    # not a (256,) uint8 array: the rule apply_swaps keeps, with its error class
     for lut in (
-        np.zeros(256, np.uint8),  # not a permutation
         np.arange(255, dtype=np.uint8),  # too short
         np.concatenate((IDENTITY_LUT, IDENTITY_LUT[:1])),  # too long
         IDENTITY_LUT.reshape(16, 16),  # shape
         np.arange(256, dtype=np.int64),  # dtype
         list(range(256)),  # list, not an array
     ):
-        with pytest.raises(NonBijectiveTable):
+        with pytest.raises(InvalidConfig):
             Layer1Key(rows, cols, lut)
+        with pytest.raises(InvalidConfig):
+            apply_swaps(np.zeros((2, 3), np.uint8), [], [], lut)
 
 
 def test_apply_swaps_lookup_identity_and_single_byte():

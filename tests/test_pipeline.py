@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pioucrypt import cli, pipeline
+from pioucrypt import cli, lattice, pipeline
 from pioucrypt.errors import (
     DimensionMismatch,
     InvalidConfig,
@@ -46,6 +46,7 @@ from pioucrypt.prng import (
     LcgParams,
     Tlcg,
     Xorshift1024,
+    as_seed,
     xor_bias_empirical,
     xor_bias_expected,
 )
@@ -701,6 +702,33 @@ def test_encrypt_frees_the_source_image_before_nmf(tmp_path, monkeypatch):
     assert hashlib.sha256(blob).hexdigest() == GOLDEN_BUNDLES[3][4]
 
 
+def test_encrypt_frees_the_lattice_points_before_the_start_point(tmp_path, monkeypatch):
+    points = []
+    draws = []
+
+    def generate_and_watch(vectors, window):
+        result = generate_lattice_points(vectors, window)
+        points.append(weakref.ref(result))
+        return result
+
+    class WatchedTlcg(Tlcg):
+        # the factorization's stream: its draws come after the points are in S
+        def next_units(self, count):
+            draws.append(count)
+            assert len(points) == 1
+            assert points[0]() is None, "the lattice points are still alive during NMF"
+            return super().next_units(count)
+
+    monkeypatch.setattr(pipeline, "generate_lattice_points", generate_and_watch)
+    monkeypatch.setattr(lattice, "Tlcg", WatchedTlcg)
+    src = tmp_path / "golden.ppm"
+    golden_input(src, "P6", 64, 48)
+    bundle = encrypt_pipeline(src, PipelineConfig(seed=0xC0FFEE, out_dir=tmp_path))
+    assert len(draws) == 2
+    blob = b"".join(path.read_bytes() for path in bundle.paths)
+    assert hashlib.sha256(blob).hexdigest() == GOLDEN_BUNDLES[3][4]
+
+
 def openblas_corename() -> str | None:
     """The kernel numpy's bundled OpenBLAS runs in this process, or None if it has no name."""
     libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
@@ -775,10 +803,12 @@ STREAM = LcgParams(7, 3, 1, 0)
         pytest.param(lambda: generate_layer1_key(Xorshift1024(0), 2.5, 2), id="generate_layer1_key-float"),
         pytest.param(lambda: Xorshift1024(0).randint(0, 2.5), id="randint-float"),
         pytest.param(lambda: Xorshift1024(0).fill_u64(2.5), id="fill_u64-float"),
+        pytest.param(lambda: Xorshift1024(0).fill_u64(-1), id="fill_u64-count"),
         pytest.param(lambda: Tlcg.from_seed(0).randrange(0, 2.5), id="randrange-float"),
         pytest.param(lambda: Tlcg.from_seed(0).next_units(2.5), id="next_units-float"),
         pytest.param(lambda: Xorshift1024(-1), id="Xorshift1024-seed"),
         pytest.param(lambda: Xorshift1024(1.5), id="Xorshift1024-float"),
+        pytest.param(lambda: as_seed(1 << 64), id="as_seed"),
         pytest.param(lambda: Xorshift1024.from_state([1] * 15), id="from_state-words"),
         pytest.param(lambda: Xorshift1024.from_state([1] * 16, 16), id="from_state-index"),
         pytest.param(lambda: Xorshift1024.from_state([1.5] * 16), id="from_state-float"),
