@@ -8,9 +8,11 @@ class PiouCryptError(Exception):
 
 
 class InvalidConfig(PiouCryptError, ValueError):
-    """A configuration value is out of range.
+    """A refused argument: a value of the wrong type, shape or range.
 
-    Also a ValueError, so callers that catch ValueError keep working.
+    Every argument check in the package raises this class; a fault found in
+    a file or a key keeps its own class below. Also a ValueError, so callers
+    that catch ValueError keep working.
     """
 
 
@@ -22,32 +24,8 @@ def as_int(value, what: str) -> int:
         raise InvalidConfig(f"{what} must be an integer, not {type(value).__name__}") from None
 
 
-class AllZeroState(PiouCryptError):
-    """The all-zero generator state is absorbing and therefore rejected."""
-
-
-class InvalidRange(PiouCryptError):
-    """An empty or inverted range was requested from a generator."""
-
-
-class IndexOutOfRange(PiouCryptError):
-    """A swap pair (i, j) names a row or column outside the plane."""
-
-
-class NonBijectiveTable(PiouCryptError):
-    """A substitution table is not a permutation of 0..255."""
-
-
 class DimensionMismatch(PiouCryptError):
     """Key dimensions do not match the image they are applied to."""
-
-
-class DegenerateVectors(PiouCryptError):
-    """No usable (non-collinear, non-zero) basis pair could be produced."""
-
-
-class EmptyMatrix(PiouCryptError):
-    """Factorization input has no rows or no columns."""
 
 
 class EmptyKey(PiouCryptError):

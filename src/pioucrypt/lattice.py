@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _text
-from .errors import DegenerateVectors, EmptyMatrix, InvalidConfig, as_int
+from .errors import InvalidConfig, as_int
 from .prng import Tlcg
 
 KEY_MATRIX_MAGIC = "PIOUW"
@@ -65,7 +65,7 @@ class LatticeVectors:
                 raise InvalidConfig(f"{name} must be an (x, y) pair") from None
             object.__setattr__(self, name, (as_int(x, f"{name} x"), as_int(y, f"{name} y")))
         if self.det == 0:
-            raise DegenerateVectors(f"basis {self.v0}, {self.v1} is collinear or zero")
+            raise InvalidConfig(f"basis {self.v0}, {self.v1} is collinear or zero")
 
     @property
     def det(self) -> int:
@@ -92,7 +92,7 @@ def derive_lattice_vectors(tlcg: Tlcg, window: WindowSpec) -> LatticeVectors:
         y1 = tlcg.randrange(-bound, bound + 1)
         if x0 * y1 - y0 * x1 != 0:
             return LatticeVectors((x0, y0), (x1, y1))
-    raise DegenerateVectors("64 consecutive degenerate draws; check TLCG parameters")
+    raise InvalidConfig("64 consecutive degenerate draws; check TLCG parameters")
 
 
 def _bezout(a: int, b: int) -> tuple[int, int, int]:
@@ -183,7 +183,7 @@ def nmf_multiplicative(data, seed: int, *, error_history: list | None = None) ->
     """
     V = _nonnegative(data, "data")
     if V.ndim != 2 or V.shape[0] == 0 or V.shape[1] == 0:
-        raise EmptyMatrix(f"cannot factorize a matrix of shape {V.shape}")
+        raise InvalidConfig(f"cannot factorize a matrix of shape {V.shape}")
     m, n = V.shape
     r = NMF_RANK
     stream = Tlcg.from_seed(seed)

@@ -16,14 +16,7 @@ from typing import NoReturn
 import numpy as np
 
 from . import _text
-from .errors import (
-    DimensionMismatch,
-    IndexOutOfRange,
-    InvalidConfig,
-    NonBijectiveTable,
-    ParseError,
-    as_int,
-)
+from .errors import DimensionMismatch, InvalidConfig, ParseError, as_int
 from .prng import Xorshift1024
 
 ROW = "R"
@@ -91,7 +84,7 @@ class Layer1Key:
                 raise InvalidConfig(f"{name} swap index outside [0, {len(swaps)})")
         _check_table(self.lut)
         if not np.bincount(self.lut, minlength=256).all():
-            raise NonBijectiveTable("substitution table is not a permutation of 0..255")
+            raise InvalidConfig("substitution table is not a permutation of 0..255")
 
     @property
     def width(self) -> int:
@@ -132,13 +125,13 @@ def generate_layer1_key(rng: Xorshift1024, width: int, height: int) -> Layer1Key
 def _fold(swaps, size: int, axis: str, extent: str) -> np.ndarray:
     """The permutation of an axis that a sequence of (i, j) exchanges makes, in order.
 
-    A pair with an index outside [0, size) raises IndexOutOfRange, naming the first.
+    A pair with an index outside [0, size) raises InvalidConfig, naming the first.
     """
     pairs = np.asarray(swaps, np.int64).reshape(len(swaps), 2)
     bad = ((pairs < 0) | (pairs >= size)).any(axis=1)
     if bad.any():
         i, j = pairs[bad.argmax()].tolist()
-        raise IndexOutOfRange(f"{axis} swap ({i}, {j}) outside {extent} {size}")
+        raise InvalidConfig(f"{axis} swap ({i}, {j}) outside {extent} {size}")
     # exchanges compose in order, so the fold stays a loop
     perm = list(range(size))
     for i, j in zip(pairs[:, 0].tolist(), pairs[:, 1].tolist()):
@@ -298,6 +291,6 @@ def parse_layer1_key(text: str) -> Layer1Key:
     if np.array_equal(plain, np.arange(256)) and subs.min() >= 0 and subs.max() <= 255:
         try:
             return Layer1Key(row_swaps, col_swaps, subs.astype(np.uint8))
-        except (InvalidConfig, NonBijectiveTable):
+        except InvalidConfig:
             pass
     _raise_first_bad_line(lines, layout)

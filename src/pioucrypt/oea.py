@@ -54,11 +54,13 @@ def _is_bits(text: str) -> bool:
     return not text.strip("01")
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class OeaCipher:
     """Framed cipher sections in output order: red1, sc, se, so, red2.
 
     red1 and sc are strings of '0'/'1'; se, so and red2 are 1-D int64 arrays.
+    Its structural invariants are checked once, when it is built: no field can
+    be reassigned, and an in-place edit of an array keeps its length and dtype.
     """
 
     red1: str
@@ -68,10 +70,6 @@ class OeaCipher:
     red2: np.ndarray
 
     def __post_init__(self):
-        self.validate()
-
-    def validate(self) -> None:
-        """Check the key-independent structural invariants."""
         for name in ("se", "so", "red2"):
             values = getattr(self, name)
             if not (isinstance(values, np.ndarray) and values.dtype == np.int64 and values.ndim == 1):
@@ -138,16 +136,11 @@ def _undo_prefix_sums(stream: np.ndarray, last: int, mk: int) -> np.ndarray:
 
 def oea_decrypt(cipher: OeaCipher, key: bytes) -> bytes:
     """Recover the exact plaintext; the key must re-derive the redundancy."""
-    cipher.validate()
     weight = key_weight(key)
     mk = master_key(weight, len(cipher.sc))
 
     expected_red1, expected_red2 = _redundancy(key, mk, weight % 10)
-    if (
-        len(cipher.red1) != weight % 10
-        or cipher.red1 != expected_red1
-        or not np.array_equal(cipher.red2, expected_red2)
-    ):
+    if cipher.red1 != expected_red1 or not np.array_equal(cipher.red2, expected_red2):
         raise KeyMismatch("redundancy sections do not match the supplied key")
 
     odd = np.frombuffer(cipher.sc.encode("ascii"), np.uint8) == ord("1")

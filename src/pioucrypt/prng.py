@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import AllZeroState, InvalidConfig, InvalidRange, as_int
+from .errors import InvalidConfig, as_int
 
 _MASK64 = (1 << 64) - 1
 
@@ -66,7 +66,7 @@ class Xorshift1024:
         if len(words) != 16 or not all(0 <= w <= _MASK64 for w in words):
             raise InvalidConfig("state must be 16 unsigned 64-bit words")
         if not any(words):
-            raise AllZeroState("the all-zero state is absorbing")
+            raise InvalidConfig("the all-zero state is absorbing")
         if not 0 <= index <= 15:
             raise InvalidConfig("state index must be in 0..15")
         gen = cls.__new__(cls)
@@ -107,13 +107,16 @@ class Xorshift1024:
         """
         lo, hi = as_int(lo, "lo"), as_int(hi, "hi")
         if lo > hi:
-            raise InvalidRange(f"empty range: lo={lo} > hi={hi}")
+            raise InvalidConfig(f"empty range: lo={lo} > hi={hi}")
         return lo + self.next_u64() % (hi - lo + 1)
 
 
 @dataclass(frozen=True)
 class LcgParams:
-    """One congruential stream configuration: x -> (a*x + c) mod m."""
+    """One congruential stream configuration: x -> (a*x + c) mod m, 0 < m <= 2^31.
+
+    The modulus bound keeps every product of the TLCG's bulk draws exact in int64.
+    """
 
     modulus: int
     multiplier: int
@@ -123,8 +126,8 @@ class LcgParams:
     def __post_init__(self):
         for name in ("modulus", "multiplier", "increment", "seed"):
             object.__setattr__(self, name, as_int(getattr(self, name), name))
-        if self.modulus <= 0:
-            raise InvalidConfig("modulus must be positive")
+        if not 0 < self.modulus <= 1 << 31:
+            raise InvalidConfig("modulus must satisfy 0 < m <= 2^31")
         if not 0 < self.multiplier < self.modulus:
             raise InvalidConfig("multiplier must satisfy 0 < a < m")
         if not 0 <= self.increment < self.modulus:
@@ -176,7 +179,7 @@ class Tlcg:
         """Value in [lo, hi); advances all three streams exactly once."""
         lo, hi = as_int(lo, "lo"), as_int(hi, "hi")
         if hi <= lo:
-            raise InvalidRange(f"empty range: [{lo}, {hi})")
+            raise InvalidConfig(f"empty range: [{lo}, {hi})")
         total = 0
         for k, st in enumerate(self.streams):
             v = (st.multiplier * self.values[k] + st.increment) % st.modulus
@@ -190,14 +193,12 @@ class Tlcg:
         Draw k is (randrange(0, 2^24) + 1) * 2^-24 for the k-th scalar draw,
         and the streams end where `count` scalar draws leave them. Each
         stream's values come from doubling its jump-ahead map
-        x -> A*x + C (mod m) over int64 arrays: with m <= 2^31 every product
-        stays below 2^62.
+        x -> A*x + C (mod m) over int64 arrays: LcgParams holds m <= 2^31, so
+        every product stays below 2^62.
         """
         count = as_int(count, "count")
         if count < 0:
             raise InvalidConfig("count must be >= 0")
-        if any(st.modulus > 1 << 31 for st in self.streams):
-            raise InvalidConfig("bulk draws need every stream modulus <= 2^31")
         if count == 0:
             return np.empty(0)
         total = np.zeros(count, dtype=np.int64)

@@ -9,13 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pioucrypt import _text
-from pioucrypt.errors import (
-    DegenerateVectors,
-    EmptyMatrix,
-    InvalidConfig,
-    InvalidRange,
-    PiouCryptError,
-)
+from pioucrypt.errors import InvalidConfig, PiouCryptError
 from pioucrypt.lattice import (
     _NMF_BLOCK_COLUMNS,
     FactorPair,
@@ -39,7 +33,7 @@ class ScriptedDraws:
 
     def randrange(self, lo, hi):
         if hi <= lo:
-            raise InvalidRange(f"empty range: [{lo}, {hi})")
+            raise InvalidConfig(f"empty range: [{lo}, {hi})")
         self.calls.append((lo, hi))
         return self.values.pop(0)
 
@@ -60,9 +54,9 @@ def brute_force_points(v0, v1, width, height):
 def test_window_and_vector_validation():
     with pytest.raises(ValueError):
         WindowSpec(0, 5)
-    with pytest.raises(DegenerateVectors):
+    with pytest.raises(InvalidConfig):
         LatticeVectors((1, 0), (2, 0))
-    with pytest.raises(DegenerateVectors):
+    with pytest.raises(InvalidConfig):
         LatticeVectors((0, 0), (0, 1))
     vectors = LatticeVectors((-40, -1), (18, -37))
     assert vectors.det == 1498
@@ -124,7 +118,7 @@ def test_derive_rejects_zero_vector():
 
 def test_derive_gives_up_after_64_attempts():
     stub = ScriptedDraws([1, 0, 2, 0] * 64)
-    with pytest.raises(DegenerateVectors):
+    with pytest.raises(InvalidConfig):
         derive_lattice_vectors(stub, WindowSpec(10, 10))
     assert len(stub.calls) == 256
 
@@ -224,7 +218,7 @@ def test_point_count_respects_area_bound():
 
 
 def test_nmf_rejects_empty_and_negative():
-    with pytest.raises(EmptyMatrix):
+    with pytest.raises(InvalidConfig):
         nmf_multiplicative(np.empty((0, 2)), 0)
     with pytest.raises(ValueError):
         nmf_multiplicative(np.array([[1.0, -2.0]]), 0)
@@ -247,7 +241,7 @@ def test_nmf_takes_integer_points_as_they_are():
     assert a.W.tobytes() == b.W.tobytes()
     assert a.H.tobytes() == b.H.tobytes()
     assert int_history == float_history
-    with pytest.raises(EmptyMatrix):
+    with pytest.raises(InvalidConfig):
         nmf_multiplicative(np.empty((0, 2), np.int64), 0)
     with pytest.raises(InvalidConfig):
         nmf_multiplicative(np.array([[1, -2]]), 0)

@@ -785,7 +785,8 @@ PIXELS = np.zeros((2, 2, 3), np.uint8)
 STREAM = LcgParams(7, 3, 1, 0)
 
 
-# Every configuration check in the package raises InvalidConfig.
+# Every argument check in the package raises InvalidConfig, whichever check
+# trips first.
 @pytest.mark.parametrize(
     "make",
     [
@@ -795,21 +796,27 @@ STREAM = LcgParams(7, 3, 1, 0)
         pytest.param(lambda: LatticeVectors(("x", 0), (0, 1)), id="LatticeVectors-str"),
         pytest.param(lambda: LatticeVectors((1,), (0, 1)), id="LatticeVectors-short"),
         pytest.param(lambda: LatticeVectors((1, 0), 1), id="LatticeVectors-int"),
+        pytest.param(lambda: LatticeVectors((1, 2), (2, 4)), id="LatticeVectors-collinear"),
+        pytest.param(lambda: derive_lattice_vectors(Tlcg([LcgParams(7, 1, 0, 3)] * 3), WindowSpec(10, 10)), id="derive_lattice_vectors-constant"),
         pytest.param(lambda: PipelineConfig(seed=-1), id="PipelineConfig"),
         pytest.param(lambda: PipelineConfig(seed=1.5), id="PipelineConfig-float"),
         pytest.param(lambda: PipelineConfig(seed="5"), id="PipelineConfig-str"),
         pytest.param(lambda: Layer1Key(np.zeros((0, 2), np.int64), np.zeros((1, 2), np.int64), np.arange(256, dtype=np.uint8)), id="Layer1Key"),
+        pytest.param(lambda: Layer1Key(np.zeros((1, 2), np.int64), np.zeros((1, 2), np.int64), np.zeros(256, np.uint8)), id="Layer1Key-table"),
         pytest.param(lambda: generate_layer1_key(Xorshift1024(0), 3, -1), id="generate_layer1_key"),
         pytest.param(lambda: generate_layer1_key(Xorshift1024(0), 2.5, 2), id="generate_layer1_key-float"),
         pytest.param(lambda: Xorshift1024(0).randint(0, 2.5), id="randint-float"),
+        pytest.param(lambda: Xorshift1024(0).randint(5, 2), id="randint-range"),
         pytest.param(lambda: Xorshift1024(0).fill_u64(2.5), id="fill_u64-float"),
         pytest.param(lambda: Xorshift1024(0).fill_u64(-1), id="fill_u64-count"),
         pytest.param(lambda: Tlcg.from_seed(0).randrange(0, 2.5), id="randrange-float"),
+        pytest.param(lambda: Tlcg.from_seed(0).randrange(5, 5), id="randrange-range"),
         pytest.param(lambda: Tlcg.from_seed(0).next_units(2.5), id="next_units-float"),
         pytest.param(lambda: Xorshift1024(-1), id="Xorshift1024-seed"),
         pytest.param(lambda: Xorshift1024(1.5), id="Xorshift1024-float"),
         pytest.param(lambda: as_seed(1 << 64), id="as_seed"),
         pytest.param(lambda: Xorshift1024.from_state([1] * 15), id="from_state-words"),
+        pytest.param(lambda: Xorshift1024.from_state([0] * 16), id="from_state-zero"),
         pytest.param(lambda: Xorshift1024.from_state([1] * 16, 16), id="from_state-index"),
         pytest.param(lambda: Xorshift1024.from_state([1.5] * 16), id="from_state-float"),
         pytest.param(lambda: LcgParams(0, 1, 0, 0), id="LcgParams-modulus"),
@@ -831,12 +838,14 @@ STREAM = LcgParams(7, 3, 1, 0)
         pytest.param(lambda: serialize_key_matrix(np.array([["1", "2"]])), id="serialize_key_matrix-str"),
         pytest.param(lambda: nmf_multiplicative(np.array([["1", "2"]]), 0), id="nmf_multiplicative-str"),
         pytest.param(lambda: nmf_multiplicative([[1, 2], [3]], 0), id="nmf_multiplicative-ragged"),
+        pytest.param(lambda: nmf_multiplicative(np.empty((0, 2)), 0), id="nmf_multiplicative-empty"),
         pytest.param(lambda: RgbImage(PLANE), id="RgbImage-ndim"),
         pytest.param(lambda: RgbImage(PIXELS + 0.5), id="RgbImage-dtype"),
         pytest.param(lambda: RgbImage(PIXELS.astype(np.int64)), id="RgbImage-int64"),
         pytest.param(lambda: RgbImage(PIXELS[:0]), id="RgbImage-empty"),
         pytest.param(lambda: RgbImage(PIXELS[..., :2]), id="RgbImage-shapes"),
         pytest.param(lambda: apply_swaps(PLANE[0], [], [], np.arange(256, dtype=np.uint8)), id="apply_swaps"),
+        pytest.param(lambda: apply_swaps(PLANE, [(0, 2)], [], np.arange(256, dtype=np.uint8)), id="apply_swaps-index"),
         pytest.param(lambda: apply_swaps(PLANE, [], [], list(range(256))), id="apply_swaps-lut"),
         pytest.param(lambda: apply_swaps(PLANE.astype(np.int64), [], [], np.arange(256, dtype=np.uint8)), id="apply_swaps-dtype"),
     ],

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pioucrypt.errors import AllZeroState, InvalidRange
+from pioucrypt.errors import InvalidConfig
 from pioucrypt.pipeline import NMF_SEED_SALT
 from pioucrypt.prng import (
     DEFAULT_TLCG_MODULUS,
@@ -71,7 +71,7 @@ def test_seed_bounds_rejected():
 
 
 def test_all_zero_state_rejected():
-    with pytest.raises(AllZeroState):
+    with pytest.raises(InvalidConfig):
         Xorshift1024.from_state([0] * 16)
 
 
@@ -138,7 +138,7 @@ def test_randint_modulo_mapping_frozen():
 
 def test_randint_empty_range():
     gen = Xorshift1024(1)
-    with pytest.raises(InvalidRange):
+    with pytest.raises(InvalidConfig):
         gen.randint(6, 5)
 
 
@@ -173,9 +173,9 @@ def test_tlcg_trivial_ranges():
 
 def test_tlcg_empty_range():
     tlcg = Tlcg.from_seed(5)
-    with pytest.raises(InvalidRange):
+    with pytest.raises(InvalidConfig):
         tlcg.randrange(5, 5)
-    with pytest.raises(InvalidRange):
+    with pytest.raises(InvalidConfig):
         tlcg.randrange(6, 2)
 
 
@@ -262,11 +262,10 @@ def test_next_units_count_bounds():
     assert tlcg.values == Tlcg.from_seed(9).values
     with pytest.raises(ValueError):
         tlcg.next_units(-1)
-    # int64 products stay exact only for moduli up to 2^31
-    wide = Tlcg([LcgParams(97, 13, 5, 1)] * 2 + [LcgParams(2**31 + 11, 3, 1, 0)])
-    with pytest.raises(ValueError):
-        wide.next_units(1)
-    assert wide.values == [1, 1, 0]
+    # int64 products stay exact only for moduli up to 2^31, which LcgParams holds
+    assert LcgParams(2**31, 3, 1, 0).modulus == 2**31
+    with pytest.raises(InvalidConfig, match=r"^modulus must satisfy 0 < m <= 2\^31$"):
+        LcgParams(2**31 + 11, 3, 1, 0)
 
 
 def test_xor_bias_expected_values():
