@@ -55,12 +55,6 @@ class RgbImage:
         return np.array_equal(self.pixels, other.pixels)
 
 
-def _check_table(lut) -> None:
-    """Refuse a substitution table that is not a (256,) uint8 array."""
-    if not (isinstance(lut, np.ndarray) and lut.dtype == np.uint8 and lut.shape == (256,)):
-        raise InvalidConfig("substitution table must be a (256,) uint8 array")
-
-
 @dataclass(eq=False)
 class Layer1Key:
     """Full first-layer key: swap schedule plus substitution table.
@@ -82,7 +76,8 @@ class Layer1Key:
                 raise InvalidConfig(f"{name} swaps must have shape (n, 2) with n >= 1")
             if swaps.min() < 0 or swaps.max() >= len(swaps):
                 raise InvalidConfig(f"{name} swap index outside [0, {len(swaps)})")
-        _check_table(self.lut)
+        if not (isinstance(self.lut, np.ndarray) and self.lut.dtype == np.uint8 and self.lut.shape == (256,)):
+            raise InvalidConfig("substitution table must be a (256,) uint8 array")
         if not np.bincount(self.lut, minlength=256).all():
             raise InvalidConfig("substitution table is not a permutation of 0..255")
 
@@ -93,6 +88,17 @@ class Layer1Key:
     @property
     def height(self) -> int:
         return len(self.row_swaps)
+
+    def inverse(self) -> Layer1Key:
+        """The key whose pass undoes this key's: both schedules reversed, the table inverted.
+
+        Row and column exchanges commute with each other and with the byte
+        lookup, so undoing each exchange in reverse order and mapping every
+        byte back restores the image.
+        """
+        lut = np.empty(256, np.uint8)
+        lut[self.lut] = np.arange(256, dtype=np.uint8)
+        return Layer1Key(self.row_swaps[::-1], self.col_swaps[::-1], lut)
 
 
 def generate_layer1_key(rng: Xorshift1024, width: int, height: int) -> Layer1Key:
@@ -122,19 +128,11 @@ def generate_layer1_key(rng: Xorshift1024, width: int, height: int) -> Layer1Key
     return Layer1Key(row_swaps, col_swaps, lut)
 
 
-def _fold(swaps, size: int, axis: str, extent: str) -> np.ndarray:
-    """The permutation of an axis that a sequence of (i, j) exchanges makes, in order.
-
-    A pair with an index outside [0, size) raises InvalidConfig, naming the first.
-    """
-    pairs = np.asarray(swaps, np.int64).reshape(len(swaps), 2)
-    bad = ((pairs < 0) | (pairs >= size)).any(axis=1)
-    if bad.any():
-        i, j = pairs[bad.argmax()].tolist()
-        raise InvalidConfig(f"{axis} swap ({i}, {j}) outside {extent} {size}")
+def _fold(swaps: np.ndarray) -> np.ndarray:
+    """The permutation of an axis that a key's (i, j) exchanges make, in order."""
     # exchanges compose in order, so the fold stays a loop
-    perm = list(range(size))
-    for i, j in zip(pairs[:, 0].tolist(), pairs[:, 1].tolist()):
+    perm = list(range(len(swaps)))
+    for i, j in zip(swaps[:, 0].tolist(), swaps[:, 1].tolist()):
         perm[i], perm[j] = perm[j], perm[i]
     return np.array(perm, np.intp)
 
@@ -148,34 +146,29 @@ BLOCK_BYTES = 64 * 2048 * 3
 _TAKE_PAIRS = 32768
 
 
-def apply_swaps(pixels, row_swaps, col_swaps, lut) -> np.ndarray:
-    """Exchange rows, then columns, of a uint8 (h, w) or (h, w, c) array; map its bytes through lut.
+def apply_swaps(image: RgbImage, key: Layer1Key) -> RgbImage:
+    """Exchange the image's rows, then its columns, under the key; map its bytes through the key's table.
 
-    Each schedule is a sequence of (i, j) index pairs, applied in order. Each
-    one is folded into a permutation of its axis. The output is then written
-    in blocks of rows: each block is one row gather and one column gather,
-    mapped through a 65,536-entry table of byte pairs built from the (256,)
-    uint8 `lut`. Row and column exchanges commute with each other and with the
-    byte lookup, so applying both schedules reversed and the inverse table to
-    the result restores the input.
+    Each schedule is folded into a permutation of its axis. The output is
+    then written in blocks of rows: each block is one row gather and one
+    column gather, mapped through a 65,536-entry table of byte pairs built
+    from the key's table. `apply_swaps(image, key.inverse())` undoes the
+    pass. A key whose width and height are not the image's raises
+    DimensionMismatch.
     """
-    arr = np.asarray(pixels)
-    if arr.dtype != np.uint8 or arr.ndim not in (2, 3):
-        raise InvalidConfig("plane must be a uint8 array, 2-D or 3-D with channels last")
-    _check_table(lut)
-    h, w = arr.shape[:2]
-    rows = _fold(row_swaps, h, "row", "height")
-    cols = _fold(col_swaps, w, "column", "width")
-    channels = arr.shape[2] if arr.ndim == 3 else 1
-    row_bytes = w * channels
+    if key.width != image.width or key.height != image.height:
+        raise DimensionMismatch(f"key is {key.width}x{key.height}, image is {image.width}x{image.height}")
+    arr, lut = image.pixels, key.lut
+    rows, cols = _fold(key.row_swaps), _fold(key.col_swaps)
+    h, row_bytes = len(rows), 3 * len(cols)
     # the source byte, within its row, of each output byte of a row
-    index = (cols[:, None] * channels + np.arange(channels)).ravel()
+    index = (cols[:, None] * 3 + np.arange(3)).ravel()
     # the table of byte pairs, built in native byte order through uint8 views
     paired = lut[np.arange(65536, dtype=np.uint16).view(np.uint8)].view(np.uint16)
     out = np.empty(arr.shape, np.uint8)
     out_rows = out.reshape(h, row_bytes)
     # an even row count keeps every block on an even byte offset of out
-    step = max(2, BLOCK_BYTES // max(row_bytes, 1) & ~1)
+    step = max(2, BLOCK_BYTES // row_bytes & ~1)
     for start in range(0, h, step):
         block = rows[start : start + step]
         gathered = arr.take(block, axis=0).reshape(len(block), row_bytes).take(index, axis=1).ravel()
@@ -189,26 +182,18 @@ def apply_swaps(pixels, row_swaps, col_swaps, lut) -> np.ndarray:
             np.take(paired, pairs[lo:hi], out=dest_pairs[lo:hi], mode="clip")
         if even < dest.size:
             dest[-1] = lut[gathered[-1]]
-    return out
+    return RgbImage(out)
 
 
 def encrypt_layer1(image: RgbImage, rng: Xorshift1024) -> tuple[RgbImage, Layer1Key]:
     """Scramble the image; returns the cipher image and the key that inverts it."""
     key = generate_layer1_key(rng, image.width, image.height)
-    swapped = apply_swaps(image.pixels, key.row_swaps, key.col_swaps, key.lut)
-    return RgbImage(swapped), key
+    return apply_swaps(image, key), key
 
 
 def decrypt_layer1(cipher: RgbImage, key: Layer1Key) -> RgbImage:
     """Exact inverse of encrypt_layer1 for the matching key."""
-    if key.width != cipher.width or key.height != cipher.height:
-        raise DimensionMismatch(
-            f"key is {key.width}x{key.height}, cipher is {cipher.width}x{cipher.height}"
-        )
-    inverse = np.empty(256, np.uint8)
-    inverse[key.lut] = np.arange(256, dtype=np.uint8)
-    swapped = apply_swaps(cipher.pixels, key.row_swaps[::-1], key.col_swaps[::-1], inverse)
-    return RgbImage(swapped)
+    return apply_swaps(cipher, key.inverse())
 
 
 def _body_layout(width: int, height: int) -> tuple[tuple[str, int], ...]:

@@ -163,10 +163,8 @@ class Tlcg:
 
     @classmethod
     def from_seed(cls, seed: int) -> "Tlcg":
-        """Derive the three default streams' seeds from a single master seed."""
-        seed = as_int(seed, "seed")
-        if seed < 0:
-            raise InvalidConfig("seed must be non-negative")
+        """Derive the three default streams' seeds from a single master seed in 0..2^64 - 1."""
+        seed = as_seed(seed)
         m = DEFAULT_TLCG_MODULUS
         return cls(
             LcgParams(m, a, c, (seed + off) % m)
@@ -202,8 +200,8 @@ class Tlcg:
         if count == 0:
             return np.empty(0)
         total = np.zeros(count, dtype=np.int64)
+        xs = np.empty(count, dtype=np.int64)
         for k, st in enumerate(self.streams):
-            xs = np.empty(count, dtype=np.int64)
             xs[0] = (st.multiplier * self.values[k] + st.increment) % st.modulus
             # (a, c) maps x_i to x_{i+done}
             a, c, done = st.multiplier, st.increment, 1
@@ -216,6 +214,8 @@ class Tlcg:
                 done += step
             self.values[k] = int(xs[-1])
             total += xs
+        # freed before the float result, so the peak is two count-long arrays
+        del xs
         total %= 1 << 24
         total += 1
         return total * 2.0**-24

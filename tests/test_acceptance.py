@@ -82,8 +82,9 @@ def test_c2_lattice_count_reproduction():
                     brute.add((x, y))
         assert count == len(brute), f"enumeration {count} != brute force {len(brute)}"
 
-        # externally pinned reference count for this basis/window; exact
-        # enumeration of the defined point set yields 675
+        # externally pinned reference for this basis/window. 668 is not a
+        # count but the area estimate w*h/|det| = 10^6 / 1498 = 667.56,
+        # rounded; exact enumeration of the defined point set yields 675
         assert 666 <= count <= 670, (
             f"point count {count} (verified against brute force) is outside the "
             f"pinned 668 +/- 2 band"

@@ -77,95 +77,117 @@ def test_from_gray_replicates_planes(tmp_path):
         assert np.array_equal(image.pixels[..., c], gray)
 
 
+def identity_swaps(size):
+    return np.repeat(np.arange(size, dtype=np.int64), 2).reshape(size, 2)
+
+
+def key_of(rows, cols, lut=IDENTITY_LUT):
+    """A key from lists of row and column pairs."""
+    return Layer1Key(np.array(rows, np.int64).reshape(-1, 2), np.array(cols, np.int64).reshape(-1, 2), lut)
+
+
+def random_key(rng, width, height):
+    """A key with uniformly random pairs and table, drawn from a numpy generator."""
+    rows = rng.integers(0, height, (height, 2))
+    cols = rng.integers(0, width, (width, 2))
+    return Layer1Key(rows, cols, rng.permutation(256).astype(np.uint8))
+
+
 def test_apply_swaps_row_example():
-    plane = np.array([[1, 2], [3, 4]], dtype=np.uint8)
-    swapped = apply_swaps(plane, [(0, 1)], [], IDENTITY_LUT)
-    assert swapped.tolist() == [[3, 4], [1, 2]]
+    image = RgbImage(np.arange(12, dtype=np.uint8).reshape(2, 2, 3))
+    swapped = apply_swaps(image, key_of([(0, 1), (1, 1)], [(0, 0), (1, 1)]))
+    assert np.array_equal(swapped.pixels, image.pixels[[1, 0]])
 
 
 def test_apply_swaps_column():
-    plane = np.array([[1, 2], [3, 4]], dtype=np.uint8)
-    swapped = apply_swaps(plane, [], [(0, 1)], IDENTITY_LUT)
-    assert swapped.tolist() == [[2, 1], [4, 3]]
+    image = RgbImage(np.arange(12, dtype=np.uint8).reshape(2, 2, 3))
+    swapped = apply_swaps(image, key_of([(0, 0), (1, 1)], [(0, 1), (0, 0)]))
+    assert np.array_equal(swapped.pixels, image.pixels[:, [1, 0]])
 
 
 def test_apply_swaps_self_swap_is_noop():
-    plane = np.arange(12, dtype=np.uint8).reshape(3, 4)
-    assert np.array_equal(apply_swaps(plane, [(2, 2)], [], IDENTITY_LUT), plane)
+    image = RgbImage(np.arange(36, dtype=np.uint8).reshape(3, 4, 3))
+    assert apply_swaps(image, key_of([(2, 2)] * 3, [(1, 1)] * 4)) == image
 
 
 def test_apply_swaps_reversed_restores():
     rng = np.random.default_rng(0)
-    plane = rng.integers(0, 256, (9, 7), dtype=np.uint8)
-    rows = rng.integers(0, 9, (20, 2))
-    cols = rng.integers(0, 7, (20, 2))
-    forward = apply_swaps(plane, rows, cols, IDENTITY_LUT)
-    restored = apply_swaps(forward, rows[::-1], cols[::-1], IDENTITY_LUT)
-    assert np.array_equal(restored, plane)
+    for width, height in ((1, 1), (1, 5), (7, 1), (7, 9), (130, 3)):
+        for _ in range(5):
+            image = random_image(rng, width, height)
+            key = random_key(rng, width, height)
+            assert apply_swaps(apply_swaps(image, key), key.inverse()) == image
 
 
-def test_apply_swaps_out_of_range():
-    plane = np.zeros((2, 2), np.uint8)
-    with pytest.raises(InvalidConfig, match=r"^row swap \(0, 2\) outside height 2$"):
-        apply_swaps(plane, [(1, 0), (0, 2), (3, 0)], [], IDENTITY_LUT)
-    with pytest.raises(InvalidConfig, match=r"^column swap \(5, 0\) outside width 2$"):
-        apply_swaps(plane, [(1, 1)], [(5, 0), (-1, 0)], IDENTITY_LUT)
-    with pytest.raises(InvalidConfig, match=r"^row swap \(1, -1\) outside height 2$"):
-        apply_swaps(plane, [(1, -1)], [], IDENTITY_LUT)
+def test_layer1_key_inverse_inverts_twice_to_the_key():
+    rng = np.random.default_rng(7)
+    for width, height in ((1, 1), (3, 2), (16, 9)):
+        key = random_key(rng, width, height)
+        inverse = key.inverse()
+        assert inverse.lut[key.lut].tolist() == list(range(256))
+        again = inverse.inverse()
+        assert np.array_equal(again.row_swaps, key.row_swaps)
+        assert np.array_equal(again.col_swaps, key.col_swaps)
+        assert np.array_equal(again.lut, key.lut)
 
 
-def loop_apply_swaps(plane, schedule):
+def loop_apply_swaps(pixels, schedule):
     """Reference: each (axis, i, j) entry as its own exchange, in list order."""
-    arr = np.array(plane, dtype=np.uint8, copy=True)
-    if arr.ndim == 3:
-        return np.stack([loop_apply_swaps(arr[:, :, c], schedule) for c in range(arr.shape[2])], axis=-1)
-    h, w = arr.shape
+    arr = np.array(pixels, dtype=np.uint8, copy=True)
     for axis, i, j in schedule:
+        if i == j:
+            continue
         if axis == ROW:
-            if not (0 <= i < h and 0 <= j < h):
-                raise InvalidConfig(f"row swap ({i}, {j}) outside height {h}")
-            if i != j:
-                arr[[i, j]] = arr[[j, i]]
+            arr[[i, j]] = arr[[j, i]]
         else:
-            if not (0 <= i < w and 0 <= j < w):
-                raise InvalidConfig(f"column swap ({i}, {j}) outside width {w}")
-            if i != j:
-                arr[:, [i, j]] = arr[:, [j, i]]
+            arr[:, [i, j]] = arr[:, [j, i]]
     return arr
 
 
-def pairs_of(schedule, axis):
-    """The (i, j) pairs of one axis from an interleaved schedule, in order."""
-    return [(i, j) for tag, i, j in schedule if tag == axis]
+@st.composite
+def full_pairs(draw, size):
+    """One pair per index of an axis: identity pairs, some replaced by random exchanges.
+
+    Most pairs stay (k, k), so the loop oracle stays cheap on wide rows.
+    """
+    pairs = [(k, k) for k in range(size)]
+    index = st.integers(0, size - 1)
+    for _ in range(draw(st.integers(0, min(size, 20)))):
+        pairs[draw(index)] = (draw(index), draw(index))
+    return pairs
 
 
 @st.composite
-def arrays_and_schedules(draw):
+def keyed_schedules(draw, height, width, lut):
+    """A key of full-length schedules and the same exchanges interleaved across axes.
+
+    The oracle runs rows and columns interleaved; apply_swaps gets them split
+    by axis, which gives the same result because the two kinds commute.
+    """
+    rows, cols = draw(full_pairs(height)), draw(full_pairs(width))
+    order = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).permutation([ROW] * height + [COLUMN] * width)
+    by_axis = {ROW: iter(rows), COLUMN: iter(cols)}
+    schedule = [(str(tag), *next(by_axis[tag])) for tag in order]
+    return key_of(rows, cols, lut), schedule
+
+
+@st.composite
+def images_and_schedules(draw):
     h = draw(st.integers(1, 12))
     w = draw(st.integers(1, 12))
-    shape = (h, w, 3) if draw(st.booleans()) else (h, w)
     seed = draw(st.integers(0, 2**32 - 1))
-    arr = np.random.default_rng(seed).integers(0, 256, shape, dtype=np.uint8)
-    entry = st.one_of(
-        st.tuples(st.just(ROW), st.integers(0, h - 1), st.integers(0, h - 1)),
-        st.tuples(st.just(COLUMN), st.integers(0, w - 1), st.integers(0, w - 1)),
-    )
-    return arr, draw(st.lists(entry, max_size=3 * (h + w)))
+    image = random_image(np.random.default_rng(seed), w, h)
+    return (image,) + draw(keyed_schedules(h, w, IDENTITY_LUT))
 
 
 @settings(deadline=None)
-@given(arrays_and_schedules())
+@given(images_and_schedules())
 def test_apply_swaps_matches_loop_oracle(case):
-    # The oracle runs rows and columns interleaved; apply_swaps gets them split
-    # by axis, which gives the same result because the two kinds commute.
-    arr, schedule = case
-    rows, cols = pairs_of(schedule, ROW), pairs_of(schedule, COLUMN)
-    folded = apply_swaps(arr, rows, cols, IDENTITY_LUT)
-    assert np.array_equal(folded, loop_apply_swaps(arr, schedule))
-    as_arrays = apply_swaps(arr, np.array(rows, np.int64), np.array(cols, np.int64), IDENTITY_LUT)
-    assert np.array_equal(folded, as_arrays)
-    assert np.array_equal(apply_swaps(folded, rows[::-1], cols[::-1], IDENTITY_LUT), arr)
-    assert np.array_equal(loop_apply_swaps(folded, schedule[::-1]), arr)
+    image, key, schedule = case
+    folded = apply_swaps(image, key)
+    assert np.array_equal(folded.pixels, loop_apply_swaps(image.pixels, schedule))
+    assert apply_swaps(folded, key.inverse()) == image
+    assert np.array_equal(loop_apply_swaps(folded.pixels, schedule[::-1]), image.pixels)
 
 
 # Heights on both sides of the edges of 64-row blocks.
@@ -176,62 +198,51 @@ block_heights = st.one_of(
 
 @st.composite
 def fused_cases(draw):
-    """An array, a schedule, a table and a layout for the fused pass.
+    """An image, a key, its exchanges as one schedule and a layout for the fused pass.
 
-    Narrow arrays are one block. Wide ones have rows of BLOCK_BYTES / 64 or
+    Narrow images are one block. Wide ones have rows of BLOCK_BYTES / 64 or
     BLOCK_BYTES / 2 bytes, or one pixel less, so they run in blocks of 64 or 2
     rows; one pixel less makes the row length odd, and so the byte count of a
     last block with an odd number of rows.
     """
-    channels = draw(st.sampled_from([None, 1, 3]))
     block_rows = draw(st.sampled_from([None, 64, 2]))
     if block_rows is None:
         w, h = draw(st.integers(1, 12)), draw(block_heights)
     else:
-        w = BLOCK_BYTES // (block_rows * (channels or 1)) - draw(st.integers(0, 1))
+        w = BLOCK_BYTES // (block_rows * 3) - draw(st.integers(0, 1))
         h = draw(block_heights if block_rows == 64 else st.integers(1, 7))
-    shape = (h, w) if channels is None else (h, w, channels)
+    shape = (h, w, 3)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     layout = draw(st.sampled_from(["fresh", "read-only", "non-contiguous"]))
     if layout == "non-contiguous":
-        arr = rng.integers(0, 256, (h, 2 * w) + shape[2:], dtype=np.uint8)[:, ::2]
+        arr = rng.integers(0, 256, (h, 2 * w, 3), dtype=np.uint8)[:, ::2]
     else:
         arr = rng.integers(0, 256, shape, dtype=np.uint8)
     if layout == "read-only":
         # the layout of a P6 payload read from bytes
         arr = np.frombuffer(arr.tobytes(), np.uint8).reshape(shape)
-    entry = st.one_of(
-        st.tuples(st.just(ROW), st.integers(0, h - 1), st.integers(0, h - 1)),
-        st.tuples(st.just(COLUMN), st.integers(0, w - 1), st.integers(0, w - 1)),
-    )
     lut = rng.permutation(256).astype(np.uint8)
-    return arr, draw(st.lists(entry, max_size=40)), lut
+    return (RgbImage(arr),) + draw(keyed_schedules(h, w, lut))
 
 
 @settings(deadline=None)
 @given(fused_cases())
 def test_fused_pass_matches_swaps_then_byte_lookup(case):
-    arr, schedule, lut = case
-    before = arr.copy()
-    rows, cols = pairs_of(schedule, ROW), pairs_of(schedule, COLUMN)
-    out = apply_swaps(arr, rows, cols, lut)
-    assert np.array_equal(out, lut[loop_apply_swaps(arr, schedule)])
-    assert np.array_equal(arr, before)
-    assert out.dtype == np.uint8 and out.shape == arr.shape
+    image, key, schedule = case
+    before = image.pixels.copy()
+    out = apply_swaps(image, key).pixels
+    assert np.array_equal(out, key.lut[loop_apply_swaps(image.pixels, schedule)])
+    assert np.array_equal(image.pixels, before)
+    assert out.dtype == np.uint8 and out.shape == image.pixels.shape
     assert out.flags.c_contiguous and out.flags.writeable and out.base is None
-    inverse = np.argsort(lut).astype(np.uint8)
-    assert np.array_equal(apply_swaps(out, rows[::-1], cols[::-1], inverse), arr)
-
-
-def identity_swaps(size):
-    return np.repeat(np.arange(size, dtype=np.int64), 2).reshape(size, 2)
+    assert apply_swaps(RgbImage(out), key.inverse()) == image
 
 
 def test_layer1_key_rejects_bad_table():
     rows, cols = identity_swaps(2), identity_swaps(3)
     with pytest.raises(InvalidConfig):
         Layer1Key(rows, cols, np.zeros(256, np.uint8))
-    # not a (256,) uint8 array: a rule apply_swaps keeps too
+    # not a (256,) uint8 array
     for lut in (
         np.arange(255, dtype=np.uint8),  # too short
         np.concatenate((IDENTITY_LUT, IDENTITY_LUT[:1])),  # too long
@@ -241,40 +252,24 @@ def test_layer1_key_rejects_bad_table():
     ):
         with pytest.raises(InvalidConfig):
             Layer1Key(rows, cols, lut)
-        with pytest.raises(InvalidConfig):
-            apply_swaps(np.zeros((2, 3), np.uint8), [], [], lut)
 
 
 def test_apply_swaps_lookup_identity_and_single_byte():
-    pixels = np.array([[[255, 0, 7]]], np.uint8)
-    assert np.array_equal(apply_swaps(pixels, [], [], IDENTITY_LUT), pixels)
+    image = RgbImage(np.array([[[255, 0, 7]]], np.uint8))
+    assert apply_swaps(image, key_of([(0, 0)], [(0, 0)])) == image
     table = IDENTITY_LUT.copy()
     table[255], table[10] = 10, 255
-    mapped = apply_swaps(pixels, [], [], table)
-    assert mapped[0, 0].tolist() == [10, 0, 7]
+    mapped = apply_swaps(image, key_of([(0, 0)], [(0, 0)], table))
+    assert mapped.pixels[0, 0].tolist() == [10, 0, 7]
 
 
 def test_apply_swaps_inverse_table_round_trip():
     rng = np.random.default_rng(1)
-    pixels = random_image(rng, 8, 6).pixels
-    table = rng.permutation(256).astype(np.uint8)
-    inverse = np.argsort(table).astype(np.uint8)
-    mapped = apply_swaps(pixels, [], [], table)
-    assert np.array_equal(mapped, table[pixels])
-    assert np.array_equal(apply_swaps(mapped, [], [], inverse), pixels)
-
-
-@pytest.mark.parametrize(
-    "lut",
-    [
-        np.arange(256, dtype=np.int64),  # dtype
-        IDENTITY_LUT[:255],  # too short
-        IDENTITY_LUT.reshape(16, 16),  # shape
-    ],
-)
-def test_apply_swaps_rejects_bad_lut(lut):
-    with pytest.raises(InvalidConfig):
-        apply_swaps(np.zeros((2, 2), np.uint8), [], [], lut)
+    image = random_image(rng, 8, 6)
+    key = Layer1Key(identity_swaps(6), identity_swaps(8), rng.permutation(256).astype(np.uint8))
+    mapped = apply_swaps(image, key)
+    assert np.array_equal(mapped.pixels, key.lut[image.pixels])
+    assert apply_swaps(mapped, key.inverse()) == image
 
 
 def test_generate_key_forced_1x1():
@@ -402,11 +397,15 @@ def test_histogram_bins_are_permuted():
 
 
 def test_decrypt_dimension_mismatch():
+    # a key of another size is refused in both directions
     image = random_image(np.random.default_rng(3), 4, 4)
     _, key = encrypt_layer1(image, Xorshift1024(2))
-    other = random_image(np.random.default_rng(3), 5, 4)
-    with pytest.raises(DimensionMismatch):
-        decrypt_layer1(other, key)
+    for width, height in ((5, 4), (4, 5), (4, 3)):
+        other = random_image(np.random.default_rng(3), width, height)
+        with pytest.raises(DimensionMismatch, match=f"^key is 4x4, image is {width}x{height}$"):
+            apply_swaps(other, key)
+        with pytest.raises(DimensionMismatch):
+            decrypt_layer1(other, key)
 
 
 def test_identity_key_decrypts_to_same_image():

@@ -31,7 +31,7 @@ from pioucrypt.lattice import (
     nmf_multiplicative,
     serialize_key_matrix,
 )
-from pioucrypt.layer1 import Layer1Key, RgbImage, apply_swaps, encrypt_layer1, generate_layer1_key
+from pioucrypt.layer1 import Layer1Key, RgbImage, encrypt_layer1, generate_layer1_key
 from pioucrypt.oea import master_key, oea_encrypt, serialize_oea
 from pioucrypt.pipeline import (
     PipelineConfig,
@@ -827,6 +827,7 @@ STREAM = LcgParams(7, 3, 1, 0)
         pytest.param(lambda: Tlcg([STREAM, STREAM]), id="Tlcg-streams"),
         pytest.param(lambda: Tlcg.from_seed(-1), id="Tlcg.from_seed"),
         pytest.param(lambda: Tlcg.from_seed("5"), id="Tlcg.from_seed-str"),
+        pytest.param(lambda: Tlcg.from_seed(1 << 64), id="Tlcg.from_seed-u64"),
         pytest.param(lambda: Tlcg.from_seed(0).next_units(-1), id="next_units-count"),
         pytest.param(lambda: Tlcg([LcgParams(2**32, 3, 0, 0), STREAM, STREAM]).next_units(1), id="next_units-modulus"),
         pytest.param(lambda: xor_bias_expected(1.5, 0.5), id="xor_bias_expected"),
@@ -844,10 +845,6 @@ STREAM = LcgParams(7, 3, 1, 0)
         pytest.param(lambda: RgbImage(PIXELS.astype(np.int64)), id="RgbImage-int64"),
         pytest.param(lambda: RgbImage(PIXELS[:0]), id="RgbImage-empty"),
         pytest.param(lambda: RgbImage(PIXELS[..., :2]), id="RgbImage-shapes"),
-        pytest.param(lambda: apply_swaps(PLANE[0], [], [], np.arange(256, dtype=np.uint8)), id="apply_swaps"),
-        pytest.param(lambda: apply_swaps(PLANE, [(0, 2)], [], np.arange(256, dtype=np.uint8)), id="apply_swaps-index"),
-        pytest.param(lambda: apply_swaps(PLANE, [], [], list(range(256))), id="apply_swaps-lut"),
-        pytest.param(lambda: apply_swaps(PLANE.astype(np.int64), [], [], np.arange(256, dtype=np.uint8)), id="apply_swaps-dtype"),
     ],
 )
 def test_config_errors_are_piou_and_value_errors(make):

@@ -1,6 +1,7 @@
 """Unit tests for the deterministic generators and the XOR bias law."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -254,6 +255,19 @@ def test_next_units_continue_custom_streams():
     for count in (1, 2, 3, 700, 1):
         assert bulk.next_units(count).tolist() == scalar_units(scalar, count)
         assert bulk.values == scalar.values
+
+
+def test_next_units_peak_is_two_count_long_arrays():
+    # the sum and one stream buffer are alive together, then the sum and the
+    # float result: the stream buffer is freed before the result is made
+    tlcg = Tlcg.from_seed(3)
+    tracemalloc.start()
+    try:
+        units = tlcg.next_units(2**20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.1 * units.nbytes
 
 
 def test_next_units_count_bounds():
