@@ -9,13 +9,14 @@ from contextlib import contextmanager
 
 import numpy as np
 
+from oracles import TLCG_PARAMETER_SETS, lcg_step, random_image, reference_expand, reference_step
 from pioucrypt.lattice import (
     LatticeVectors,
     WindowSpec,
     generate_lattice_points,
     nmf_multiplicative,
 )
-from pioucrypt.layer1 import RgbImage, encrypt_layer1
+from pioucrypt.layer1 import encrypt_layer1
 from pioucrypt.oea import key_weight, oea_decrypt, oea_encrypt
 from pioucrypt.pipeline import (
     PipelineConfig,
@@ -35,11 +36,6 @@ def criterion(name):
         print(f"[acceptance] {name}: FAIL")
         raise
     print(f"[acceptance] {name}: PASS")
-
-
-def random_image(rng, width, height):
-    planes = rng.integers(0, 256, (3, height, width), dtype=np.uint8)
-    return RgbImage(np.stack(planes, axis=-1))
 
 
 def test_c1_end_to_end_losslessness(tmp_path):
@@ -167,38 +163,20 @@ def test_c5_oea_round_trip():
 
 def test_c6_prng_oracle_equivalence():
     with criterion("C6 PRNG oracle equivalence"):
-        M64 = 2**64
         gen = Xorshift1024(42)
 
-        # independent transcription of the generator: seed expansion ...
-        words = []
-        x = 42
-        for _ in range(16):
-            x = (6364136223846793005 * x + 1442695040888963407) % M64
-            words.append(x)
-        index = 0
-        # ... and the step procedure
+        # independent transcription of the generator: seed expansion and step
+        words, index = reference_expand(42), 0
         for k in range(1000):
-            s0 = words[index]
-            index = (index + 1) % 16
-            s1 = words[index]
-            s1 = (s1 ^ (s1 << 31)) % M64
-            s1 = s1 ^ s0 ^ (s1 >> 11) ^ (s0 >> 30)
-            words[index] = s1
-            expected = (s1 * 0x106689D45497FDB5) % M64
+            expected, words, index = reference_step(words, index)
             assert gen.next_u64() == expected, f"divergence at output {k}"
 
         # TLCG against direct recurrence arithmetic for three parameter sets
-        parameter_sets = [
-            [(2**31 - 1, 16807, 12345, 42), (2**31 - 1, 48271, 67891, 7), (97, 13, 5, 1)],
-            [(2**16 + 1, 75, 74, 1), (2**31 - 1, 69621, 0, 9), (101, 7, 3, 55)],
-            [(10**9 + 7, 123456, 654321, 111), (9973, 8, 1, 0), (2**31 - 1, 16807, 1, 3)],
-        ]
-        for raw in parameter_sets:
+        for raw in TLCG_PARAMETER_SETS:
             tlcg = Tlcg([LcgParams(*p) for p in raw])
             values = [p[3] for p in raw]
             for _ in range(500):
-                values = [(a * v + c) % m for (m, a, c, _), v in zip(raw, values)]
+                values = [lcg_step(v, a, c, m) for (m, a, c, _), v in zip(raw, values)]
                 assert tlcg.randrange(0, 1000) == sum(values) % 1000
 
 

@@ -1,13 +1,20 @@
 """Unit tests for lattice enumeration and the multiplicative factorization."""
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import (
+    brute_force_points,
+    buffered_nmf,
+    membership_points,
+    per_entry_key_text,
+    temporaries_nmf,
+    traced_peak,
+)
 from pioucrypt import _text
 from pioucrypt.errors import InvalidConfig, PiouCryptError
 from pioucrypt.lattice import (
@@ -38,41 +45,9 @@ class ScriptedDraws:
         return self.values.pop(0)
 
 
-def brute_force_points(v0, v1, width, height):
-    # independent enumeration: coarse index radius from a norm bound, then
-    # a full grid sweep
-    det = v0[0] * v1[1] - v0[1] * v1[0]
-    r1 = (abs(v1[1]) * width + abs(v1[0]) * height) // abs(det) + 2
-    r2 = (abs(v0[1]) * width + abs(v0[0]) * height) // abs(det) + 2
-    n1, n2 = np.meshgrid(np.arange(-r1, r1 + 1), np.arange(-r2, r2 + 1), indexing="ij")
-    xs = n1 * v0[0] + n2 * v1[0]
-    ys = n1 * v0[1] + n2 * v1[1]
-    mask = (xs >= 0) & (xs < width) & (ys >= 0) & (ys < height)
-    return sorted(zip(xs[mask].tolist(), ys[mask].tolist()), key=lambda p: (p[1], p[0]))
-
-
 def test_window_and_vector_validation():
-    with pytest.raises(ValueError):
-        WindowSpec(0, 5)
-    with pytest.raises(InvalidConfig):
-        LatticeVectors((1, 0), (2, 0))
-    with pytest.raises(InvalidConfig):
-        LatticeVectors((0, 0), (0, 1))
-    vectors = LatticeVectors((-40, -1), (18, -37))
-    assert vectors.det == 1498
-
-
-def membership_points(v0, v1, width, height):
-    # independent enumeration in Python ints: (x, y) is a lattice point exactly
-    # when its basis coordinates (v1.y x - v1.x y) / det and
-    # (v0.x y - v0.y x) / det are both integers
-    det = v0[0] * v1[1] - v0[1] * v1[0]
-    return [
-        [x, y]
-        for y in range(height)
-        for x in range(width)
-        if (v1[1] * x - v1[0] * y) % det == 0 and (v0[0] * y - v0[1] * x) % det == 0
-    ]
+    # the refused windows and bases are rows of the InvalidConfig table in test_pipeline.py
+    assert LatticeVectors((-40, -1), (18, -37)).det == 1498
 
 
 @pytest.mark.parametrize(
@@ -189,12 +164,8 @@ def test_random_instances_match_brute_force():
 
 def test_unit_lattice_peak_memory_is_one_and_a_half_results():
     # each column is filled through one temporary of m values at a time
-    tracemalloc.start()
-    try:
-        points = generate_lattice_points(LatticeVectors((1, 0), (0, 1)), WindowSpec(1024, 1024))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    unit = LatticeVectors((1, 0), (0, 1))
+    points, peak = traced_peak(generate_lattice_points, unit, WindowSpec(1024, 1024))
     assert points.shape == (1024 * 1024, 2)
     assert peak <= 1.6 * points.nbytes
 
@@ -291,94 +262,6 @@ def test_nmf_deterministic():
     a = nmf_multiplicative(V, 21)
     b = nmf_multiplicative(V, 21)
     assert np.array_equal(a.W, b.W) and np.array_equal(a.H, b.H)
-
-
-def temporaries_nmf(V, seed, steps=None):
-    """The factorization as written before its buffers: one fresh array per
-    product, the start point drawn one unit at a time, and its settings
-    (rank 2, 500 steps, epsilon and tolerance 1e-9) written out.
-
-    steps: run exactly this many iterations, with no early stop."""
-    m, n = V.shape
-    r = 2
-    stream = Tlcg.from_seed(seed)
-
-    def unit():
-        return (stream.randrange(0, 1 << 24) + 1) * 2.0**-24
-
-    W = np.array([[unit() for _ in range(r)] for _ in range(m)])
-    H = np.array([[unit() for _ in range(n)] for _ in range(r)])
-    eps = 1e-9
-    err = float(np.linalg.norm(V - W @ H))
-    history = [err]
-    for _ in range(500 if steps is None else steps):
-        denom_h = W.T @ W @ H
-        denom_h += eps
-        H *= (W.T @ V) / denom_h
-        denom_w = W @ (H @ H.T)
-        denom_w += eps
-        W *= (V @ H.T) / denom_w
-        new_err = float(np.linalg.norm(V - W @ H))
-        history.append(new_err)
-        rel_change = 0.0 if err == 0.0 else abs(err - new_err) / err
-        err = new_err
-        if rel_change < 1e-9 and steps is None:
-            break
-    return W, H, history
-
-
-def buffered_nmf(V, seed, block=None):
-    """The factorization as written before its blocked sweep: each step
-    streams the whole of S through its products, into buffers allocated
-    once, and takes the Gram matrix at the start of the step.
-
-    block: sum the Gram matrix and the squared error over column blocks of
-    this many columns, in block order, as the sweep does past one block."""
-    m, n = V.shape
-    r = 2
-    stream = Tlcg.from_seed(seed)
-    S = np.empty((r + n, m))
-    Wt = S[:r]
-    Vt = S[r:]
-    Wt[...] = stream.next_units(m * r).reshape(m, r).T
-    Vt[...] = V.T
-    H = stream.next_units(r * n).reshape(r, n)
-    num = np.empty((r, m))
-    den = np.empty((r, m))
-    residual = np.empty((n, m))
-    flat = residual.reshape(-1)
-    bounds = range(0, m, block or m)
-
-    def error():
-        np.matmul(H.T, Wt, out=residual)
-        np.subtract(Vt, residual, out=residual)
-        if block is None:
-            return math.sqrt(np.dot(flat, flat))
-        parts = [residual[:, lo : lo + block].ravel() for lo in bounds]
-        return math.sqrt(sum(np.dot(part, part) for part in parts))
-
-    err = error()
-    history = [err]
-    for _ in range(500):
-        if block is None:
-            gram = Wt @ S.T
-        else:
-            gram = sum(Wt[:, lo : lo + block] @ S[:, lo : lo + block].T for lo in bounds)
-        denom_h = gram[:, :r] @ H
-        denom_h += 1e-9
-        H *= gram[:, r:] / denom_h
-        np.matmul(H @ H.T, Wt, out=den)
-        den += 1e-9
-        np.matmul(H, Vt, out=num)
-        np.divide(num, den, out=num)
-        Wt *= num
-        new_err = error()
-        history.append(new_err)
-        rel_change = 0.0 if err == 0.0 else abs(err - new_err) / err
-        err = new_err
-        if rel_change < 1e-9:
-            break
-    return np.ascontiguousarray(Wt.T), H, history
 
 
 def assert_factor_shape(factors, V):
@@ -508,14 +391,6 @@ def test_reconstruction_probe_row_product():
 def test_serialize_key_matrix_shapes_and_exact_text():
     assert serialize_key_matrix(np.zeros((668, 2))).splitlines()[0] == "PIOUW 668 2"
     assert serialize_key_matrix(np.array([[0.0, 0.0]])) == "PIOUW 1 2\n0.00000 0.00000\n"
-
-
-def per_entry_key_text(W):
-    # the key text as formatted before blocks: one f-string per entry
-    lines = [f"PIOUW {W.shape[0]} {W.shape[1]}"]
-    for row in W:
-        lines.append(" ".join(f"{(v if v != 0 else 0.0):.5f}" for v in row))
-    return "\n".join(lines) + "\n"
 
 
 # 0.0, -0.0, and odd multiples of 2^-6, which lie exactly halfway between

@@ -1,13 +1,17 @@
 """Unit tests for the pixel-scrambling layer and its key format."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pioucrypt import _text
+from oracles import (
+    line_serialize_layer1_key,
+    loop_apply_swaps,
+    loop_parse_layer1_key,
+    random_image,
+    traced_peak,
+)
 from pioucrypt.errors import DimensionMismatch, InvalidConfig, ParseError
 from pioucrypt.layer1 import (
     BLOCK_BYTES,
@@ -25,11 +29,6 @@ from pioucrypt.layer1 import (
 )
 from pioucrypt.pipeline import read_image
 from pioucrypt.prng import Xorshift1024
-
-
-def random_image(rng, width, height):
-    planes = rng.integers(0, 256, (3, height, width), dtype=np.uint8)
-    return RgbImage(np.stack(planes, axis=-1))
 
 
 class CountingRng:
@@ -52,15 +51,7 @@ IDENTITY_LUT = np.arange(256, dtype=np.uint8)
 
 
 def test_rgb_image_validation():
-    for bad in (
-        np.zeros((2, 3), np.uint8),
-        np.zeros((2, 3, 3)),
-        np.zeros((2, 3, 3), np.int64),
-        np.zeros((0, 3, 3), np.uint8),
-        np.zeros((2, 3, 2), np.uint8),
-    ):
-        with pytest.raises(InvalidConfig):
-            RgbImage(bad)
+    # the refused arrays are rows of the InvalidConfig table in test_pipeline.py
     pixels = np.zeros((2, 3, 3), np.uint8)
     image = RgbImage(pixels)
     assert image.pixels is pixels
@@ -129,19 +120,6 @@ def test_layer1_key_inverse_inverts_twice_to_the_key():
         assert np.array_equal(again.row_swaps, key.row_swaps)
         assert np.array_equal(again.col_swaps, key.col_swaps)
         assert np.array_equal(again.lut, key.lut)
-
-
-def loop_apply_swaps(pixels, schedule):
-    """Reference: each (axis, i, j) entry as its own exchange, in list order."""
-    arr = np.array(pixels, dtype=np.uint8, copy=True)
-    for axis, i, j in schedule:
-        if i == j:
-            continue
-        if axis == ROW:
-            arr[[i, j]] = arr[[j, i]]
-        else:
-            arr[:, [i, j]] = arr[:, [j, i]]
-    return arr
 
 
 @st.composite
@@ -350,16 +328,6 @@ def test_round_trip_64x64_many_trials():
         assert decrypt_layer1(cipher, key) == image
 
 
-def traced_peak(fn, *args):
-    """fn(*args) and the peak bytes it allocated, as tracemalloc counts them."""
-    tracemalloc.start()
-    try:
-        result = fn(*args)
-        return result, tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_layer1_peak_memory_is_about_one_image():
     # Room for the output, a few block-sized buffers and the paired table,
     # but not for a second image-sized array.
@@ -460,21 +428,12 @@ def test_serialization_round_trip():
         assert np.array_equal(parsed.lut, key.lut)
 
 
-
-def line_serialize_layer1_key(key):
-    """The PIOU1 text written one f-string per line: an oracle for the writer."""
-    lines = [f"PIOU1 {key.width} {key.height}"]
-    lines += [f"{ROW} {i} {j}" for i, j in key.row_swaps.tolist()]
-    lines += [f"{COLUMN} {i} {j}" for i, j in key.col_swaps.tolist()]
-    lines += [f"{LOOKUP} {value} {key.lut[value]}" for value in range(255, -1, -1)]
-    return "".join(line + "\n" for line in lines)
-
-
 @settings(deadline=None)
 @given(st.integers(1, 64), st.integers(1, 64), st.integers(0, 2**64 - 1))
 def test_serialize_matches_line_oracle(width, height, seed):
     key = generate_layer1_key(Xorshift1024(seed), width, height)
     assert serialize_layer1_key(key) == line_serialize_layer1_key(key)
+
 
 def test_parse_errors_carry_line_numbers():
     key = generate_layer1_key(Xorshift1024(8), 2, 2)
@@ -513,58 +472,6 @@ def test_parse_rejects_duplicate_substitute():
     with pytest.raises(ParseError) as excinfo:
         parse_layer1_key("\n".join(lines) + "\n")
     assert excinfo.value.line == 5
-
-
-
-
-def loop_parse_layer1_key(text):
-    """Reference: the key text parsed one line at a time, as plain lists.
-
-    Returns (width, height, row pairs, column pairs, table), where table[v] is
-    the substitute of plain value v.
-    """
-    lines = _text.split_lines(text, "key file")
-    header = lines[0].split(" ")
-    if len(header) != 3 or header[0] != "PIOU1":
-        raise ParseError("header must be 'PIOU1 <width> <height>'", 1)
-    width, height = _text.canon_ints(header[1:], "dimensions", 1)
-    if width < 1 or height < 1:
-        raise ParseError("dimensions must be >= 1", 1)
-    expected = 1 + height + width + 256
-    if len(lines) != expected:
-        raise ParseError(f"expected {expected} lines, found {len(lines)}", len(lines) + 1)
-    swaps = {}
-    start = 1
-    for tag, count in ((ROW, height), (COLUMN, width)):
-        pairs = []
-        for offset in range(count):
-            line_no = start + offset + 1
-            tokens = lines[start + offset].split(" ")
-            if len(tokens) != 3 or tokens[0] != tag:
-                raise ParseError(f"expected '{tag} <i> <j>'", line_no)
-            i, j = _text.canon_ints(tokens[1:], "swap index", line_no)
-            if not (0 <= i < count and 0 <= j < count):
-                raise ParseError(f"swap index out of range [0, {count})", line_no)
-            pairs.append([i, j])
-        swaps[tag] = pairs
-        start += count
-    table = [0] * 256
-    seen = set()
-    for offset in range(256):
-        line_no = start + offset + 1
-        tokens = lines[start + offset].split(" ")
-        if len(tokens) != 3 or tokens[0] != "L":
-            raise ParseError("expected 'L <value> <substitute>'", line_no)
-        value, sub = _text.canon_ints(tokens[1:], "lookup entry", line_no)
-        if value != 255 - offset:
-            raise ParseError(f"plain value must be {255 - offset}", line_no)
-        if not 0 <= sub <= 255:
-            raise ParseError("substitute outside [0, 255]", line_no)
-        if sub in seen:
-            raise ParseError(f"substitute {sub} assigned twice", line_no)
-        seen.add(sub)
-        table[value] = sub
-    return width, height, swaps[ROW], swaps[COLUMN], table
 
 
 def parse_outcome(parse, text):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pioucrypt import _text
+from oracles import loop_oea_decrypt, loop_oea_encrypt, loop_parse_int_line, loop_redundancy
 from pioucrypt.errors import (
     EmptyKey,
     KeyMismatch,
@@ -259,88 +259,6 @@ def test_parse_errors_name_sections():
     with pytest.raises(ParseError) as excinfo:
         parse_oea(bad_bits)
     assert "sc" in str(excinfo.value)
-
-
-# The per-token loops that the array code replaced, kept as oracles.
-
-
-def loop_redundancy(key, mk, length):
-    bits = "".join("1" if key[i % len(key)] % 2 == 0 else "0" for i in range(length))
-    values = [key[i % len(key)] + mk for i in range(length)]
-    return bits, values
-
-
-def loop_oea_encrypt(plaintext, key):
-    weight = key_weight(key)
-    mk = master_key(weight, len(plaintext))
-    se, so, sc_bits = [], [], []
-    for byte in plaintext:
-        if byte % 2 == 1:
-            so.append(byte)
-            sc_bits.append("1")
-        else:
-            se.append(byte)
-            sc_bits.append("0")
-    if se:
-        se[0] -= mk
-        for i in range(1, len(se)):
-            se[i] += se[i - 1]
-        se[-1] -= mk
-    if so:
-        so[0] -= mk
-        for i in range(1, len(so)):
-            so[i] += so[i - 1]
-        so[-1] += mk
-    red1, red2 = loop_redundancy(key, mk, weight % 10)
-    return red1, "".join(sc_bits), se, so, red2
-
-
-def loop_oea_decrypt(cipher, key):
-    weight = key_weight(key)
-    mk = master_key(weight, len(cipher.sc))
-    expected_red1, expected_red2 = loop_redundancy(key, mk, weight % 10)
-    if (
-        len(cipher.red1) != weight % 10
-        or cipher.red1 != expected_red1
-        or cipher.red2.tolist() != expected_red2
-    ):
-        raise KeyMismatch("redundancy sections do not match the supplied key")
-    se = cipher.se.tolist()
-    if se:
-        se[-1] += mk
-        for i in range(len(se) - 1, 0, -1):
-            se[i] -= se[i - 1]
-        se[0] += mk
-    so = cipher.so.tolist()
-    if so:
-        so[-1] -= mk
-        for i in range(len(so) - 1, 0, -1):
-            so[i] -= so[i - 1]
-        so[0] += mk
-    out = bytearray()
-    even_iter, odd_iter = iter(se), iter(so)
-    for bit in cipher.sc:
-        value = next(odd_iter) if bit == "1" else next(even_iter)
-        if not 0 <= value <= 255:
-            raise NonByteValue(f"recovered value {value} outside [0, 255]")
-        out.append(value)
-    return bytes(out)
-
-
-def loop_parse_int_line(line, count, section, line_no):
-    """The token loop, plus the rule that a value outside int64 is refused."""
-    tokens = line.split(" ") if line else []
-    if len(tokens) != count:
-        raise ParseError(
-            f"{section} section: expected {count} values, found {len(tokens)}", line_no
-        )
-    values = _text.canon_ints(tokens, f"{section} section", line_no)
-    for token, value in zip(tokens, values):
-        if not -(2**63) <= value < 2**63:
-            raise ParseError(
-                f"{section} section: {token!r} is outside the 64-bit integer range", line_no
-            )
-    return values
 
 
 def sections(cipher):

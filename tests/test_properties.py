@@ -11,20 +11,14 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import write_random_ppm
 from pioucrypt import PipelineConfig, decrypt_pipeline, encrypt_pipeline
-from pioucrypt.layer1 import RgbImage, decrypt_layer1, parse_layer1_key
+from pioucrypt.layer1 import decrypt_layer1, parse_layer1_key
 from pioucrypt.oea import oea_encrypt, parse_oea
-from pioucrypt.pipeline import read_image, write_image
+from pioucrypt.pipeline import read_image
 
 # (width, height, seed) of the bundles the pipeline-level properties use.
 BUNDLES = [(1, 1, 0), (1, 9, 1), (9, 1, 2), (5, 3, 3), (16, 16, 4), (79, 2, 5), (23, 31, 6)]
-
-
-def write_random_ppm(path, rng, width, height):
-    planes = rng.integers(0, 256, (3, height, width), dtype=np.uint8)
-    image = RgbImage(np.stack(planes, axis=-1))
-    write_image(image, path)
-    return image
 
 
 def recover_without_key(cipher_image_path, oea_cipher_path):

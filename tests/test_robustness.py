@@ -15,8 +15,9 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import PPM_WHITESPACE, loop_read_pixels
 from pioucrypt import cli
-from pioucrypt.errors import MalformedHeader, PiouCryptError, UnsupportedFormat
+from pioucrypt.errors import PiouCryptError
 from pioucrypt.layer1 import RgbImage, generate_layer1_key, parse_layer1_key, serialize_layer1_key
 from pioucrypt.oea import oea_encrypt, parse_oea, serialize_oea
 from pioucrypt.pipeline import PipelineConfig, decrypt_pipeline, encrypt_pipeline, read_image, write_image
@@ -214,59 +215,6 @@ def test_pipeline_round_trip_any_shape(shape, seed, pixel_seed):
         plain = decrypt_pipeline(*bundle.paths, out_path=Path(tmp) / "dec.ppm")
         assert np.array_equal(plain.pixels, pixels)
         assert (Path(tmp) / "dec.ppm").read_bytes() == src.read_bytes()
-
-
-PPM_WHITESPACE = b" \t\n\r\x0b\x0c"
-
-
-def loop_header_token(data, pos):
-    """The next PPM header token and the position after it, read byte by byte."""
-    while pos < len(data):
-        byte = data[pos : pos + 1]
-        if byte == b"#":
-            while pos < len(data) and data[pos : pos + 1] not in (b"\n", b"\r"):
-                pos += 1
-        elif byte in PPM_WHITESPACE:
-            pos += 1
-        else:
-            break
-    start = pos
-    while pos < len(data) and data[pos : pos + 1] not in PPM_WHITESPACE:
-        pos += 1
-    if start == pos:
-        raise MalformedHeader("unexpected end of header")
-    return data[start:pos], pos
-
-
-def loop_read_pixels(data):
-    """The (h, w, 3) pixels read_image gives for the file bytes data: an oracle."""
-    magic = data[:2]
-    if magic not in (b"P6", b"P5"):
-        raise UnsupportedFormat(f"unsupported magic {magic!r}; need binary P6 or P5")
-    pos = 2
-    values = []
-    for what in ("width", "height", "maxval"):
-        token, pos = loop_header_token(data, pos)
-        try:
-            value = int(token)
-        except ValueError:
-            raise MalformedHeader(f"{what}: {token!r} is not an integer") from None
-        if value < 1:
-            raise MalformedHeader(f"{what} must be >= 1")
-        values.append(value)
-    width, height, maxval = values
-    if maxval != 255:
-        raise UnsupportedFormat(f"maxval {maxval} unsupported; need 255")
-    if pos >= len(data) or data[pos : pos + 1] not in PPM_WHITESPACE:
-        raise MalformedHeader("missing whitespace after maxval")
-    channels = 3 if magic == b"P6" else 1
-    payload = data[pos + 1 : pos + 1 + width * height * channels]
-    if len(payload) < width * height * channels:
-        raise MalformedHeader(
-            f"truncated pixel data: expected {width * height * channels} bytes, found {len(payload)}"
-        )
-    pixels = np.frombuffer(payload, np.uint8).reshape(height, width, channels)
-    return np.repeat(pixels, 3 // channels, axis=2)
 
 
 def read_outcome(read, arg):
