@@ -4,15 +4,21 @@ Each oracle is a slow, plain transcription of one stage that the library's
 array code must agree with: the generators, the layer-1 swaps and key text,
 the lattice enumeration and factorization, the OEA cipher and its int
 lines, and the PPM reader. The test files import them from here.
+
+reference_encrypt and reference_decrypt chain the oracles into the whole
+pipeline, with its draw order, seed salt, lattice window and text encodings
+written out here rather than imported.
 """
 
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 
 from pioucrypt import _text
 from pioucrypt.errors import KeyMismatch, MalformedHeader, NonByteValue, ParseError, UnsupportedFormat
+from pioucrypt.lattice import nmf_multiplicative
 from pioucrypt.layer1 import RgbImage
 from pioucrypt.oea import key_weight, master_key
 from pioucrypt.pipeline import write_image
@@ -51,6 +57,14 @@ def reference_step(words, index):
     return (s1 * 0x106689D45497FDB5) % M64, words, index
 
 
+def reference_draws(seed):
+    """The Xorshift1024* outputs of a seed, one at a time, from the two oracles above."""
+    words, index = reference_expand(seed), 0
+    while True:
+        out, words, index = reference_step(words, index)
+        yield out
+
+
 # Three TLCGs, each as one (modulus, multiplier, increment, seed) per stream,
 # with 31-bit and small moduli mixed.
 TLCG_PARAMETER_SETS = [
@@ -58,6 +72,21 @@ TLCG_PARAMETER_SETS = [
     [(2**16 + 1, 75, 74, 1), (2**31 - 1, 69621, 0, 9), (101, 7, 3, 55)],
     [(10**9 + 7, 123456, 654321, 111), (9973, 8, 1, 0), (2**31 - 1, 16807, 1, 3)],
 ]
+
+
+def reference_tlcg(seed):
+    """randrange of the TLCG a master seed gives, with its three streams written out."""
+    modulus = 2**31 - 1
+    # (multiplier, increment, seed offset) per stream
+    streams = [(16807, 12345, 0x9E3779B9), (48271, 67891, 0x85EBCA6B), (69621, 1013904223, 0xC2B2AE35)]
+    values = [(seed + offset) % modulus for _, _, offset in streams]
+
+    def randrange(lo, hi):
+        for k, (multiplier, increment, _) in enumerate(streams):
+            values[k] = lcg_step(values[k], multiplier, increment, modulus)
+        return sum(values) % (hi - lo) + lo
+
+    return randrange
 
 
 def scalar_units(tlcg, count):
@@ -70,6 +99,32 @@ def scalar_units(tlcg, count):
 
 # The PIOU1 line tags, written out here rather than imported.
 ROW, COLUMN, LOOKUP = "R", "C", "L"
+
+
+def reference_layer1_key(draws, width, height):
+    """The layer-1 key drawn from an iterator of 64-bit outputs, as plain lists.
+
+    Draw order: the row pairs (i then j), the column pairs, then the table
+    from plain value 255 down to 0, each substitute redrawn while it is
+    taken. Returns (row pairs, column pairs, table), where table[v] is the
+    substitute of plain value v.
+    """
+    rows = [[next(draws) % height, next(draws) % height] for _ in range(height)]
+    cols = [[next(draws) % width, next(draws) % width] for _ in range(width)]
+    table = [0] * 256
+    used = set()
+    for value in range(255, -1, -1):
+        z = next(draws) % 256
+        while z in used:
+            z = next(draws) % 256
+        used.add(z)
+        table[value] = z
+    return rows, cols, table
+
+
+def swap_schedule(rows, cols):
+    """A key's row and column pairs as one (axis, i, j) schedule for loop_apply_swaps."""
+    return [(ROW, i, j) for i, j in rows] + [(COLUMN, i, j) for i, j in cols]
 
 
 def loop_apply_swaps(pixels, schedule):
@@ -432,3 +487,65 @@ def traced_peak(fn, *args):
         return result, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+# ---------------------------------------------------------------------------
+# The pipeline, chained from the oracles above
+
+# The salt of the factorization's seed, written out rather than imported.
+NMF_SEED_SALT = 0x9E3779B97F4A7C15
+
+
+def ppm_bytes(pixels):
+    """A (h, w, 3) uint8 array as a P6 file."""
+    return b"P6\n%d %d\n255\n" % (pixels.shape[1], pixels.shape[0]) + pixels.tobytes()
+
+
+def reference_encrypt(data, seed):
+    """The bundle of the image file bytes data: cipher image, PIOU2 text and PIOUW key, as bytes.
+
+    Each stage is an oracle except the factorization, whose W is the
+    library's: temporaries_nmf can stop at another step where the error sits
+    at its floor.
+    """
+    pixels = loop_read_pixels(data)
+    height, width = pixels.shape[:2]
+    rows, cols, table = reference_layer1_key(reference_draws(seed), width, height)
+    cipher = np.array(table, np.uint8)[loop_apply_swaps(pixels, swap_schedule(rows, cols))]
+    key = SimpleNamespace(
+        width=width, height=height, row_swaps=np.array(rows), col_swaps=np.array(cols), lut=table
+    )
+    plaintext = line_serialize_layer1_key(key).encode("ascii")
+
+    # the lattice in the cipher image's window: a basis drawn as v0.x, v0.y,
+    # v1.x, v1.y in [-B, B], B = max(4, ceil(max(w, h) / 25)), until it is
+    # not collinear
+    randrange = reference_tlcg(seed)
+    bound = max(4, -(-max(width, height) // 25))
+    while True:
+        x0, y0, x1, y1 = (randrange(-bound, bound + 1) for _ in range(4))
+        if x0 * y1 - y0 * x1 != 0:
+            break
+    points = np.array(membership_points((x0, y0), (x1, y1), width, height), np.int64)
+    oea_key = per_entry_key_text(nmf_multiplicative(points, seed ^ NMF_SEED_SALT).W).encode("ascii")
+
+    red1, sc, se, so, red2 = loop_oea_encrypt(plaintext, oea_key)
+    lines = [f"PIOU2 {len(red1)} {len(sc)} {len(se)} {len(so)} {len(red2)}", red1, sc]
+    lines += [" ".join(str(value) for value in section) for section in (se, so, red2)]
+    return ppm_bytes(cipher), "".join(line + "\n" for line in lines).encode("ascii"), oea_key
+
+
+def reference_decrypt(cipher_image, cipher_text, key):
+    """The P6 file of the image that a bundle's three files, given as bytes, hold."""
+    pixels = loop_read_pixels(cipher_image)
+    header, red1, sc, *lines, _ = cipher_text.decode("ascii").split("\n")
+    counts = [int(token) for token in header.split(" ")[3:]]
+    se, so, red2 = (
+        np.array(loop_parse_int_line(line, count, name, line_no), np.int64)
+        for name, line, count, line_no in zip(("se", "so", "red2"), lines, counts, (4, 5, 6))
+    )
+    plaintext = loop_oea_decrypt(SimpleNamespace(red1=red1, sc=sc, se=se, so=so, red2=red2), key)
+    _, _, rows, cols, table = loop_parse_layer1_key(plaintext.decode("ascii"))
+    inverse = np.empty(256, np.uint8)
+    inverse[table] = np.arange(256)
+    return ppm_bytes(loop_apply_swaps(inverse[pixels], swap_schedule(rows, cols)[::-1]))

@@ -10,6 +10,7 @@ from oracles import (
     loop_apply_swaps,
     loop_parse_layer1_key,
     random_image,
+    reference_layer1_key,
     traced_peak,
 )
 from pioucrypt.errors import DimensionMismatch, InvalidConfig, ParseError
@@ -268,22 +269,10 @@ def test_generate_key_lengths_contract():
 def test_generate_key_replays_documented_draw_sequence():
     seed = 1234
     key = generate_layer1_key(Xorshift1024(seed), 2, 2)
-
-    replay = Xorshift1024(seed)
-    rows = [[replay.randint(0, 1), replay.randint(0, 1)] for _ in range(2)]
-    cols = [[replay.randint(0, 1), replay.randint(0, 1)] for _ in range(2)]
-    table = {}
-    used = set()
-    for value in range(255, -1, -1):
-        z = replay.randint(0, 255)
-        while z in used:
-            z = replay.randint(0, 255)
-        used.add(z)
-        table[value] = z
-
+    rows, cols, table = reference_layer1_key(iter(Xorshift1024(seed).next_u64, None), 2, 2)
     assert key.row_swaps.tolist() == rows
     assert key.col_swaps.tolist() == cols
-    assert key.lut.tolist() == [table[v] for v in range(256)]
+    assert key.lut.tolist() == table
 
 
 def test_generate_key_draw_count():
