@@ -61,10 +61,13 @@ def _header_int(data: bytes, pos: int, what: str) -> tuple[int, int]:
     token = match[1]
     if not token:
         raise MalformedHeader("unexpected end of header")
-    try:
-        value = int(token)
-    except ValueError:
-        raise MalformedHeader(f"{what}: {token!r} is not an integer") from None
+    # ASCII digits only: int() would also take a sign and underscores
+    value = None
+    if token.isdigit():
+        with contextlib.suppress(ValueError):  # more digits than int() converts
+            value = int(token)
+    if value is None:
+        raise MalformedHeader(f"{what}: {token!r} is not an unsigned decimal integer")
     if value < 1:
         raise MalformedHeader(f"{what} must be >= 1")
     return value, match.end()

@@ -442,10 +442,13 @@ def loop_read_pixels(data):
     values = []
     for what in ("width", "height", "maxval"):
         token, pos = loop_header_token(data, pos)
+        digits = all(b"0" <= token[k : k + 1] <= b"9" for k in range(len(token)))
         try:
-            value = int(token)
+            value = int(token) if digits else None
         except ValueError:
-            raise MalformedHeader(f"{what}: {token!r} is not an integer") from None
+            value = None
+        if value is None:
+            raise MalformedHeader(f"{what}: {token!r} is not an unsigned decimal integer")
         if value < 1:
             raise MalformedHeader(f"{what} must be >= 1")
         values.append(value)

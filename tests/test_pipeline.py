@@ -111,6 +111,18 @@ def test_malformed_headers(tmp_path):
         read_image(tmp_path / "maxval.ppm")
 
 
+# int() reads the first three numbers as 10, 2 and 255, and refuses the last
+# with a ValueError; a PPM header number is ASCII digits only
+@pytest.mark.parametrize(
+    "header",
+    [b"P6 1_0 1 255\n", b"P6 +2 1 255\n", b"P6 1 1 2_55\n", b"P6 %s 1 255\n" % (b"9" * 5000)],
+    ids=["width-underscore", "height-sign", "maxval-underscore", "width-past-int-digits"],
+)
+def test_header_numbers_are_ascii_digits(tmp_path, header):
+    (tmp_path / "h.ppm").write_bytes(header + bytes(30))
+    with pytest.raises(MalformedHeader, match="is not an unsigned decimal integer"):
+        read_image(tmp_path / "h.ppm")
+
 
 def test_read_image_holds_the_file_once(tmp_path):
     # the pixels are a view into the file's bytes, not a second copy of them
