@@ -35,6 +35,11 @@ NMF_TOLERANCE = 1e-9
 # points, which each step's products read while the block is in cache.
 _NMF_BLOCK_COLUMNS = 16384
 
+# Values per np.dot of a block's squared residual. Past 10,000 values
+# OpenBLAS splits a dot over its threads and adds their partial sums, so its
+# last bits would depend on the thread count.
+_DOT_VALUES = 10000
+
 
 @dataclass(frozen=True)
 class WindowSpec:
@@ -201,7 +206,8 @@ def nmf_multiplicative(data, seed: int, *, error_history: list | None = None) ->
     # block, viewed at each block's width so that every view is contiguous.
     # The first block writes the Gram matrix W^T S and each later one adds
     # its part, in block order; with one block the products are those of a
-    # pass over all of S at once.
+    # pass over all of S at once. The squared error is summed in block
+    # order too, each block's in pieces of at most _DOT_VALUES values.
     width = min(m, _NMF_BLOCK_COLUMNS)
     num_buffer, den_buffer, res_buffer = np.empty(r * width), np.empty(r * width), np.empty(n * width)
     gram = np.empty((r, r + n))
@@ -210,12 +216,13 @@ def nmf_multiplicative(data, seed: int, *, error_history: list | None = None) ->
     for lo in range(0, m, width):
         Sb = S[:, lo : lo + width]
         cols = Sb.shape[1]
+        flat = res_buffer[: n * cols]
         blocks.append((
             Sb[:r], Sb[r:], Sb.T,
             num_buffer[: r * cols].reshape(r, cols),
             den_buffer[: r * cols].reshape(r, cols),
-            res_buffer[: n * cols].reshape(n, cols),
-            res_buffer[: n * cols],
+            flat.reshape(n, cols),
+            [flat[at : at + _DOT_VALUES] for at in range(0, flat.size, _DOT_VALUES)],
             gram if lo == 0 else part,
         ))
 
@@ -223,7 +230,7 @@ def nmf_multiplicative(data, seed: int, *, error_history: list | None = None) ->
         """One pass: update W unless HHt is None, then return the error and
         leave W^T S, for the next H update, in gram."""
         total = 0.0
-        for Wb, Vb, SbT, num, den, residual, flat, gram_out in blocks:
+        for Wb, Vb, SbT, num, den, residual, pieces, gram_out in blocks:
             if HHt is not None:
                 np.matmul(HHt, Wb, out=den)
                 den += NMF_EPSILON
@@ -232,7 +239,8 @@ def nmf_multiplicative(data, seed: int, *, error_history: list | None = None) ->
                 Wb *= num
             np.matmul(Ht, Wb, out=residual)
             np.subtract(Vb, residual, out=residual)
-            total += np.dot(flat, flat)
+            for piece in pieces:
+                total += np.dot(piece, piece)
             np.matmul(Wb, SbT, out=gram_out)
             if gram_out is part:
                 np.add(gram, part, out=gram)

@@ -9,6 +9,7 @@ text is the plaintext consumed by the second layer.
 
 from __future__ import annotations
 
+import bisect
 import re
 from dataclasses import dataclass
 from typing import NoReturn
@@ -137,7 +138,27 @@ def _fold(swaps: np.ndarray) -> np.ndarray:
     return np.array(perm, np.intp)
 
 
-# Output bytes gathered and mapped per block: 64 rows of a 2048-pixel RGB
+def _cycles(perm: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """The cycles of a permutation, fixed points included, one after another.
+
+    Each cycle is walked from its smallest entry r as r, perm[r],
+    perm[perm[r]], ... Returns the entries in that order and the position in
+    it at which each cycle starts, followed by the entry count.
+    """
+    after = perm.tolist()  # an entry is set to -1 once its cycle is walked
+    order, starts = [], []
+    for r in range(len(after)):
+        if after[r] < 0:
+            continue
+        starts.append(len(order))
+        while after[r] >= 0:
+            order.append(r)
+            after[r], r = -1, after[r]
+    starts.append(len(order))
+    return np.array(order, np.intp), starts
+
+
+# Rows gathered, mapped and put back per block: 64 rows of a 2048-pixel RGB
 # image. A block stays in cache between its gathers and its lookup.
 BLOCK_BYTES = 64 * 2048 * 3
 
@@ -146,43 +167,72 @@ BLOCK_BYTES = 64 * 2048 * 3
 _TAKE_PAIRS = 32768
 
 
-def apply_swaps(image: RgbImage, key: Layer1Key) -> RgbImage:
+def apply_swaps(image: RgbImage, key: Layer1Key, *, in_place: bool = False) -> RgbImage:
     """Exchange the image's rows, then its columns, under the key; map its bytes through the key's table.
 
-    Each schedule is folded into a permutation of its axis. The output is
-    then written in blocks of rows: each block is one row gather and one
-    column gather, mapped through a 65,536-entry table of byte pairs built
-    from the key's table. `apply_swaps(image, key.inverse())` undoes the
-    pass. A key whose width and height are not the image's raises
-    DimensionMismatch.
+    Each schedule is folded into a permutation of its axis. Output row r is
+    input row rows[r], so the rows are visited along the cycles of that
+    permutation, in blocks: each block is one row gather into a buffer, one
+    column gather, a lookup through a 65,536-entry table of byte pairs built
+    from the key's table, and one write of its rows back into the image. A
+    block gathers its rows before it writes any, so the only row read after
+    it was written is the first row of a cycle that runs past a block's end;
+    that one row is kept aside until its cycle ends.
+
+    The pass runs on a copy of the image, or with in_place on the image's
+    own pixels, which must then be a writable C-contiguous array; the image
+    is returned. `apply_swaps(image, key.inverse())` undoes the pass. A key
+    whose width and height are not the image's raises DimensionMismatch.
     """
     if key.width != image.width or key.height != image.height:
         raise DimensionMismatch(f"key is {key.width}x{key.height}, image is {image.width}x{image.height}")
-    arr, lut = image.pixels, key.lut
+    if not in_place:
+        image = RgbImage(np.array(image.pixels, order="C"))
+    elif not (image.pixels.flags.c_contiguous and image.pixels.flags.writeable):
+        raise InvalidConfig("pixels changed in place must be a writable C-contiguous array")
+    lut = key.lut
     rows, cols = _fold(key.row_swaps), _fold(key.col_swaps)
+    order, starts = _cycles(rows)
     h, row_bytes = len(rows), 3 * len(cols)
+    image_rows = image.pixels.reshape(h, row_bytes)
     # the source byte, within its row, of each output byte of a row
     index = (cols[:, None] * 3 + np.arange(3)).ravel()
     # the table of byte pairs, built in native byte order through uint8 views
     paired = lut[np.arange(65536, dtype=np.uint16).view(np.uint8)].view(np.uint16)
-    out = np.empty(arr.shape, np.uint8)
-    out_rows = out.reshape(h, row_bytes)
-    # an even row count keeps every block on an even byte offset of out
-    step = max(2, BLOCK_BYTES // row_bytes & ~1)
-    for start in range(0, h, step):
-        block = rows[start : start + step]
-        gathered = arr.take(block, axis=0).reshape(len(block), row_bytes).take(index, axis=1).ravel()
-        dest = out_rows[start : start + step].ravel()
-        even = dest.size & ~1
-        pairs = gathered[:even].view(np.uint16)
-        dest_pairs = dest[:even].view(np.uint16)
-        for lo in range(0, len(pairs), _TAKE_PAIRS):
-            hi = lo + _TAKE_PAIRS
-            # every index is in range, and "clip" spares take a buffered copy of out
-            np.take(paired, pairs[lo:hi], out=dest_pairs[lo:hi], mode="clip")
-        if even < dest.size:
-            dest[-1] = lut[gathered[-1]]
-    return RgbImage(out)
+    step = min(h, max(1, BLOCK_BYTES // row_bytes))
+    block_buffer, gather_buffer = np.empty(step * row_bytes, np.uint8), np.empty(step * row_bytes, np.uint8)
+    kept = None  # the first row of the cycle open at the last block's end, as it was read
+
+    def cycle_at(position):
+        """The first and the end position of the cycle that holds position."""
+        c = bisect.bisect_right(starts, position) - 1
+        return starts[c], starts[c + 1]
+
+    for lo in range(0, h, step):
+        hi = min(lo + step, h)
+        dest, size = order[lo:hi], (hi - lo) * row_bytes
+        block = block_buffer[:size].reshape(hi - lo, row_bytes)
+        gathered = gather_buffer[:size].reshape(hi - lo, row_bytes)
+        # every index is in range, and "clip" spares take a buffered copy of out
+        np.take(image_rows, rows[dest], axis=0, out=block, mode="clip")
+        first, end = cycle_at(lo)
+        if first < lo and end <= hi:
+            # an earlier block wrote this cycle's first row, the source of its last
+            block[end - 1 - lo] = kept
+        if hi < h:
+            first, _ = cycle_at(hi)
+            if lo <= first < hi:
+                kept = image_rows[order[first]].copy()
+        np.take(block, index, axis=1, out=gathered, mode="clip")
+        source, target = gathered.reshape(-1), block.reshape(-1)
+        even = size & ~1
+        pairs, mapped = source[:even].view(np.uint16), target[:even].view(np.uint16)
+        for at in range(0, len(pairs), _TAKE_PAIRS):
+            np.take(paired, pairs[at : at + _TAKE_PAIRS], out=mapped[at : at + _TAKE_PAIRS], mode="clip")
+        if even < size:
+            target[-1] = lut[source[-1]]
+        image_rows[dest] = block
+    return image
 
 
 def encrypt_layer1(image: RgbImage, rng: Xorshift1024) -> tuple[RgbImage, Layer1Key]:

@@ -17,6 +17,7 @@ import os
 import re
 from dataclasses import dataclass
 from pathlib import Path
+from stat import S_ISREG
 
 import numpy as np
 
@@ -28,8 +29,8 @@ from .errors import (
 )
 from .layer1 import (
     RgbImage,
-    decrypt_layer1,
-    encrypt_layer1,
+    apply_swaps,
+    generate_layer1_key,
     parse_layer1_key,
     serialize_layer1_key,
 )
@@ -56,8 +57,16 @@ OEA_KEY_SUFFIX = ".key.oeaw"
 _HEADER_TOKEN = re.compile(rb"(?:\s|#[^\n\r]*)*+(\S*)")
 
 
-def _header_int(data: bytes, pos: int, what: str) -> tuple[int, int]:
+# Bytes read per attempt at the header; each further attempt reads as many
+# bytes as are already held.
+_HEADER_CHUNK = 4096
+
+
+def _header_int(data: bytes, pos: int, what: str, complete: bool) -> tuple[int, int] | None:
+    """The header number at pos and the position after it, or None if data may end inside it."""
     match = _HEADER_TOKEN.match(data, pos)
+    if match.end() == len(data) and not complete:
+        return None
     token = match[1]
     if not token:
         raise MalformedHeader("unexpected end of header")
@@ -73,33 +82,68 @@ def _header_int(data: bytes, pos: int, what: str) -> tuple[int, int]:
     return value, match.end()
 
 
-def read_image(path) -> RgbImage:
-    """Read a binary PPM (P6) or PGM (P5) file with maxval 255.
+def _parse_header(data: bytes, complete: bool) -> tuple[int, int, int, int] | None:
+    """(width, height, channels, payload offset) of the header that data starts with.
 
-    A P6 image wraps the file's bytes without copying, so its pixels are
-    read-only.
+    complete says whether data is the whole file. If it is not, and the
+    header may run past its end, the result is None: every check is then
+    made again on more of the file, so each one sees the bytes it would see
+    in the whole file.
     """
-    data = Path(path).read_bytes()
     magic = data[:2]
+    if len(magic) < 2 and not complete:
+        return None
     if magic not in (b"P6", b"P5"):
         raise UnsupportedFormat(f"unsupported magic {magic!r}; need binary P6 or P5")
-    width, pos = _header_int(data, 2, "width")
-    height, pos = _header_int(data, pos, "height")
-    maxval, pos = _header_int(data, pos, "maxval")
+    pos, values = 2, []
+    for what in ("width", "height", "maxval"):
+        number = _header_int(data, pos, what, complete)
+        if number is None:
+            return None
+        value, pos = number
+        values.append(value)
+    width, height, maxval = values
     if maxval != 255:
         raise UnsupportedFormat(f"maxval {maxval} unsupported; need 255")
     if not data[pos : pos + 1].isspace():
         raise MalformedHeader("missing whitespace after maxval")
-    pos += 1
-    channels = 3 if magic == b"P6" else 1
-    expected = width * height * channels
-    payload = memoryview(data)[pos : pos + expected]
-    if len(payload) < expected:
-        raise MalformedHeader(
-            f"truncated pixel data: expected {expected} bytes, found {len(payload)}"
-        )
-    pixels = np.frombuffer(payload, dtype=np.uint8).reshape(height, width, channels)
-    if magic == b"P5":
+    return width, height, 3 if magic == b"P6" else 1, pos + 1
+
+
+def read_image(path) -> RgbImage:
+    """Read a binary PPM (P6) or PGM (P5) file with maxval 255.
+
+    The header is read first, then the payload straight into a new array
+    that the image owns, so the pixels are copied once, from the file, and
+    are writable. A payload shorter than the header says is refused before
+    that array is made.
+    """
+    with open(path, "rb", buffering=0) as fh:
+        head, header = b"", None
+        while header is None:
+            more = fh.read(max(_HEADER_CHUNK, len(head)))
+            head += more
+            header = _parse_header(head, complete=not more)
+        width, height, channels, pos = header
+        expected = width * height * channels
+        # found: the payload bytes the file holds, then the bytes read
+        status = os.fstat(fh.fileno())
+        if S_ISREG(status.st_mode):
+            found = status.st_size - pos
+        else:  # a pipe has no size, so it is read to its end first
+            head += fh.readall()
+            found = len(head) - pos
+        start = head[pos : pos + expected]
+        if found >= expected:
+            pixels = np.empty(expected, np.uint8)
+            pixels[: len(start)] = np.frombuffer(start, np.uint8)
+            found = len(start)
+            while found < expected and (count := fh.readinto(memoryview(pixels)[found:])):
+                found += count
+    if found < expected:
+        raise MalformedHeader(f"truncated pixel data: expected {expected} bytes, found {found}")
+    pixels = pixels.reshape(height, width, channels)
+    if channels == 1:
         pixels = pixels.repeat(3, axis=2)
     return RgbImage(pixels)
 
@@ -226,12 +270,19 @@ def _write_all_or_nothing(payloads: list[tuple[Path, tuple]]) -> None:
 def encrypt_pipeline(image_path, config: PipelineConfig) -> EncryptionBundle:
     """Run both layers over an image file and write the bundle to disk.
 
-    Nothing is written until every artifact is computed, so a failure in any
-    stage leaves no partial bundle behind.
+    The output directory is checked before the image is read. Nothing is
+    written until every artifact is computed, so a failure in any stage
+    leaves no partial bundle behind.
     """
     image_path = Path(image_path)
-    # No name holds the source image, so it is freed once layer 1 has run.
-    cipher_image, layer1_key = encrypt_layer1(read_image(image_path), Xorshift1024(config.seed))
+    out_dir = Path(config.out_dir if config.out_dir is not None else image_path.parent)
+    if not out_dir.is_dir():
+        raise NotADirectoryError(f"output directory {out_dir} does not exist")
+    # Layer 1 runs in the array the image was read into, so that array is
+    # the cipher image and the one image the call holds.
+    cipher_image = read_image(image_path)
+    layer1_key = generate_layer1_key(Xorshift1024(config.seed), cipher_image.width, cipher_image.height)
+    apply_swaps(cipher_image, layer1_key, in_place=True)
     plaintext = serialize_layer1_key(layer1_key).encode("ascii")
 
     window = WindowSpec(cipher_image.width, cipher_image.height)
@@ -245,10 +296,6 @@ def encrypt_pipeline(image_path, config: PipelineConfig) -> EncryptionBundle:
     cipher = oea_encrypt(plaintext, oea_key)
     oea_cipher_text = serialize_oea(cipher)
 
-    out_dir = config.out_dir if config.out_dir is not None else image_path.parent
-    out_dir = Path(out_dir)
-    if not out_dir.is_dir():
-        raise NotADirectoryError(f"output directory {out_dir} does not exist")
     paths = _bundle_paths(image_path, out_dir)
     _write_all_or_nothing(
         [
@@ -285,7 +332,7 @@ def decrypt_pipeline(cipher_image_path, oea_cipher_path, oea_key_path, out_path=
     except UnicodeDecodeError as exc:
         raise ParseError(f"recovered key text is not ASCII: {exc}") from None
     layer1_key = parse_layer1_key(key_text)
-    plain = decrypt_layer1(cipher_image, layer1_key)
+    plain = apply_swaps(cipher_image, layer1_key.inverse(), in_place=True)
     if out_path is None:
         out_path = decrypted_image_path(cipher_image_path)
     write_image(plain, out_path)

@@ -7,20 +7,29 @@ lines, and the PPM reader. The test files import them from here.
 
 reference_encrypt and reference_decrypt chain the oracles into the whole
 pipeline, with its draw order, seed salt, lattice window and text encodings
-written out here rather than imported.
+written out here rather than imported. So are the rules the oracles share
+with the library: the text line split, the canonical integer, and the OEA
+key weight and master key.
 """
 
 import math
+import sys
 import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 
-from pioucrypt import _text
-from pioucrypt.errors import KeyMismatch, MalformedHeader, NonByteValue, ParseError, UnsupportedFormat
+from pioucrypt.errors import (
+    EmptyKey,
+    KeyMismatch,
+    MalformedHeader,
+    NonByteValue,
+    OverflowGuard,
+    ParseError,
+    UnsupportedFormat,
+)
 from pioucrypt.lattice import nmf_multiplicative
 from pioucrypt.layer1 import RgbImage
-from pioucrypt.oea import key_weight, master_key
 from pioucrypt.pipeline import write_image
 from pioucrypt.prng import Tlcg
 
@@ -95,6 +104,40 @@ def scalar_units(tlcg, count):
 
 
 # ---------------------------------------------------------------------------
+# Text rules
+
+
+def split_lines(text, what):
+    """The lines of a text that is not empty and in which every line ends with LF."""
+    lines = text.split("\n")
+    if lines.pop() != "":
+        raise ParseError(f"{what} must end with a newline", len(lines) + 1)
+    if not lines:
+        raise ParseError(f"empty {what}", 1)
+    return lines
+
+
+def canonical_ints(tokens, what, line):
+    """The integers of tokens written as str() writes them.
+
+    Such a token is ASCII digits with no leading zero, after a minus sign
+    unless it is 0, and has no more digits than int() converts.
+    """
+    values = []
+    for token in tokens:
+        digits = token.removeprefix("-")
+        if not (
+            digits
+            and all("0" <= char <= "9" for char in digits)
+            and (digits[0] != "0" or token == "0")
+            and len(digits) <= sys.get_int_max_str_digits()
+        ):
+            raise ParseError(f"{what}: {token!r} is not a canonical integer", line)
+        values.append(int(token))
+    return values
+
+
+# ---------------------------------------------------------------------------
 # Layer 1
 
 # The PIOU1 line tags, written out here rather than imported.
@@ -155,11 +198,11 @@ def loop_parse_layer1_key(text):
     Returns (width, height, row pairs, column pairs, table), where table[v] is
     the substitute of plain value v.
     """
-    lines = _text.split_lines(text, "key file")
+    lines = split_lines(text, "key file")
     header = lines[0].split(" ")
     if len(header) != 3 or header[0] != "PIOU1":
         raise ParseError("header must be 'PIOU1 <width> <height>'", 1)
-    width, height = _text.canon_ints(header[1:], "dimensions", 1)
+    width, height = canonical_ints(header[1:], "dimensions", 1)
     if width < 1 or height < 1:
         raise ParseError("dimensions must be >= 1", 1)
     expected = 1 + height + width + 256
@@ -174,7 +217,7 @@ def loop_parse_layer1_key(text):
             tokens = lines[start + offset].split(" ")
             if len(tokens) != 3 or tokens[0] != tag:
                 raise ParseError(f"expected '{tag} <i> <j>'", line_no)
-            i, j = _text.canon_ints(tokens[1:], "swap index", line_no)
+            i, j = canonical_ints(tokens[1:], "swap index", line_no)
             if not (0 <= i < count and 0 <= j < count):
                 raise ParseError(f"swap index out of range [0, {count})", line_no)
             pairs.append([i, j])
@@ -187,7 +230,7 @@ def loop_parse_layer1_key(text):
         tokens = lines[start + offset].split(" ")
         if len(tokens) != 3 or tokens[0] != "L":
             raise ParseError("expected 'L <value> <substitute>'", line_no)
-        value, sub = _text.canon_ints(tokens[1:], "lookup entry", line_no)
+        value, sub = canonical_ints(tokens[1:], "lookup entry", line_no)
         if value != 255 - offset:
             raise ParseError(f"plain value must be {255 - offset}", line_no)
         if not 0 <= sub <= 255:
@@ -269,7 +312,9 @@ def buffered_nmf(V, seed, block=None):
     once, and takes the Gram matrix at the start of the step.
 
     block: sum the Gram matrix and the squared error over column blocks of
-    this many columns, in block order, as the sweep does past one block."""
+    this many columns, in block order, as the sweep does past one block.
+    The squared error of each block, or of all of S, is summed in pieces of
+    at most 10,000 values, as the sweep sums it."""
     m, n = V.shape
     r = 2
     stream = Tlcg.from_seed(seed)
@@ -282,16 +327,16 @@ def buffered_nmf(V, seed, block=None):
     num = np.empty((r, m))
     den = np.empty((r, m))
     residual = np.empty((n, m))
-    flat = residual.reshape(-1)
     bounds = range(0, m, block or m)
 
     def error():
+        # each part is summed in pieces of at most 10,000 values: OpenBLAS
+        # splits a longer dot over its threads
         np.matmul(H.T, Wt, out=residual)
         np.subtract(Vt, residual, out=residual)
-        if block is None:
-            return math.sqrt(np.dot(flat, flat))
-        parts = [residual[:, lo : lo + block].ravel() for lo in bounds]
-        return math.sqrt(sum(np.dot(part, part) for part in parts))
+        parts = [residual[:, lo : lo + (block or m)].ravel() for lo in bounds]
+        pieces = [part[at : at + 10000] for part in parts for at in range(0, part.size, 10000)]
+        return math.sqrt(sum(np.dot(piece, piece) for piece in pieces))
 
     err = error()
     history = [err]
@@ -327,6 +372,22 @@ def per_entry_key_text(W):
 
 # ---------------------------------------------------------------------------
 # OEA: the per-token loops that the array code replaced
+
+
+def key_weight(key):
+    """The sum of the key's byte values; an empty key is refused."""
+    if not key:
+        raise EmptyKey("secret key must be non-empty")
+    return sum(key)
+
+
+def master_key(weight, length):
+    """The key weight times the plaintext length, refused from 2^62 on."""
+    value = weight * length
+    if value >= 2**62:
+        raise OverflowGuard(f"weight x length = {value} exceeds the 2^62 guard")
+    return value
+
 
 
 def loop_redundancy(key, mk, length):
@@ -399,7 +460,7 @@ def loop_parse_int_line(line, count, section, line_no):
         raise ParseError(
             f"{section} section: expected {count} values, found {len(tokens)}", line_no
         )
-    values = _text.canon_ints(tokens, f"{section} section", line_no)
+    values = canonical_ints(tokens, f"{section} section", line_no)
     for token, value in zip(tokens, values):
         if not -(2**63) <= value < 2**63:
             raise ParseError(

@@ -1,6 +1,10 @@
 """Unit tests for lattice enumeration and the multiplicative factorization."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +19,7 @@ from oracles import (
     temporaries_nmf,
     traced_peak,
 )
+import pioucrypt
 from pioucrypt import _text
 from pioucrypt.errors import InvalidConfig, PiouCryptError
 from pioucrypt.lattice import (
@@ -356,6 +361,37 @@ def test_nmf_sweep_sums_its_blocks_in_order(n):
     history = []
     factors = nmf_multiplicative(V, n, error_history=history)
     assert_same_bits(factors, history, buffered_nmf(V, n, block=BLOCK))
+
+
+# Prints the sha256 of the error history of the golden 256x256 seed-24 input:
+# m = 22,016 points, so its blocks' squared residuals are 32,768 and 11,264
+# values.
+_ERROR_HISTORY_DIGEST = """
+import hashlib
+import numpy as np
+from pioucrypt.lattice import WindowSpec, derive_lattice_vectors, generate_lattice_points, nmf_multiplicative
+from pioucrypt.pipeline import NMF_SEED_SALT
+from pioucrypt.prng import Tlcg
+window = WindowSpec(256, 256)
+points = generate_lattice_points(derive_lattice_vectors(Tlcg.from_seed(24), window), window)
+assert len(points) == 22016
+history = []
+nmf_multiplicative(points, 24 ^ NMF_SEED_SALT, error_history=history)
+print(hashlib.sha256(np.array(history).tobytes()).hexdigest())
+"""
+
+
+def test_nmf_error_history_does_not_depend_on_the_blas_thread_count():
+    # OpenBLAS splits a dot of more than 10,000 values over its threads
+    digests = set()
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": str(Path(pioucrypt.__file__).parents[1])}
+        result = subprocess.run(
+            [sys.executable, "-c", _ERROR_HISTORY_DIGEST], capture_output=True, text=True, env=env, timeout=300
+        )
+        assert result.returncode == 0, result.stderr
+        digests.add(result.stdout)
+    assert len(digests) == 1
 
 
 def test_nmf_matches_temporaries_loop_on_zero_matrix():

@@ -11,6 +11,7 @@ from oracles import (
     loop_parse_layer1_key,
     random_image,
     reference_layer1_key,
+    swap_schedule,
     traced_peak,
 )
 from pioucrypt.errors import DimensionMismatch, InvalidConfig, ParseError
@@ -215,6 +216,70 @@ def test_fused_pass_matches_swaps_then_byte_lookup(case):
     assert out.dtype == np.uint8 and out.shape == image.pixels.shape
     assert out.flags.c_contiguous and out.flags.writeable and out.base is None
     assert apply_swaps(RgbImage(out), key.inverse()) == image
+
+
+# Rows of 3 * 43,689 bytes run in blocks of 3 rows with an odd byte count, so
+# a cycle of rows can run past a block's end, or through several blocks.
+WIDE = BLOCK_BYTES // 9 - 1
+
+
+def two_cycles(size):
+    """Row pairs that exchange rows 2k and 2k + 1, then pairs that exchange nothing."""
+    return [(2 * k, 2 * k + 1) for k in range(size // 2)] + [(0, 0)] * (size - size // 2)
+
+
+def one_cycle(size):
+    """Row pairs whose exchanges, in order, move every row along one size-long cycle."""
+    return [(0, k) for k in range(size)]
+
+
+def identity(size):
+    return [(k, k) for k in range(size)]
+
+
+@pytest.mark.parametrize(
+    "height,width,rows",
+    [
+        (7, WIDE, identity),
+        (8, WIDE, two_cycles),
+        (7, WIDE, one_cycle),
+        (1, 50, one_cycle),
+        (50, 1, one_cycle),
+        (51, 1, two_cycles),
+        (5, 3, two_cycles),
+    ],
+    ids=["identity", "two-cycles", "one-cycle", "1xN", "Nx1", "Nx1-two-cycles", "odd-bytes"],
+)
+def test_in_place_pass_matches_the_loop_oracle(height, width, rows):
+    rng = np.random.default_rng(height * width)
+    pixels = rng.integers(0, 256, (height, width, 3), dtype=np.uint8)
+    rows = rows(height)
+    # a few column exchanges keep the oracle's column loop short on wide rows
+    cols = identity(width)
+    for k in rng.integers(0, width, 5):
+        cols[k] = tuple(rng.integers(0, width, 2).tolist())
+    key = key_of(rows, cols, rng.permutation(256).astype(np.uint8))
+    image = RgbImage(pixels.copy())
+    assert apply_swaps(image, key, in_place=True) is image
+    assert np.array_equal(image.pixels, key.lut[loop_apply_swaps(pixels, swap_schedule(rows, cols))])
+    assert apply_swaps(image, key.inverse(), in_place=True) is image
+    assert np.array_equal(image.pixels, pixels)
+
+
+@pytest.mark.parametrize("layout", ["read-only", "non-contiguous"])
+def test_in_place_pass_refuses_pixels_it_cannot_write(layout):
+    rng = np.random.default_rng(5)
+    arr = rng.integers(0, 256, (4, 10, 3), dtype=np.uint8)[:, ::2]
+    before = arr.copy()
+    if layout == "read-only":
+        arr = np.frombuffer(before.tobytes(), np.uint8).reshape(before.shape)
+    image = RgbImage(arr)
+    key = random_key(rng, 5, 4)
+    with pytest.raises(InvalidConfig, match="writable C-contiguous"):
+        apply_swaps(image, key, in_place=True)
+    schedule = swap_schedule(key.row_swaps.tolist(), key.col_swaps.tolist())
+    assert np.array_equal(apply_swaps(image, key).pixels, key.lut[loop_apply_swaps(arr, schedule)])
+    assert np.array_equal(image.pixels, before)
 
 
 def test_layer1_key_rejects_bad_table():

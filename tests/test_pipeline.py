@@ -6,6 +6,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import threading
 import weakref
 from pathlib import Path
 
@@ -125,12 +126,42 @@ def test_header_numbers_are_ascii_digits(tmp_path, header):
 
 
 def test_read_image_holds_the_file_once(tmp_path):
-    # the pixels are a view into the file's bytes, not a second copy of them
+    # the payload is read straight into the array the image owns, and the
+    # file's bytes are not held beside it
     path = tmp_path / "r.ppm"
     write_random_ppm(path, np.random.default_rng(13), 512, 512)
     image, peak = traced_peak(read_image, path)
     assert image.pixels.nbytes == 512 * 512 * 3
     assert peak <= 1.05 * path.stat().st_size
+    assert image.pixels.flags.writeable and image.pixels.flags.c_contiguous
+
+
+@pytest.mark.parametrize("payload", [12, 11], ids=["whole", "truncated"])
+def test_read_image_from_a_pipe(tmp_path, payload):
+    # a pipe has no size to check the header against, so it is read to its end
+    data = b"P6\n# a comment\n2 2\n255\n" + bytes(range(payload))
+    fifo = tmp_path / "pipe.ppm"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_bytes, args=(data,))
+    writer.start()
+    try:
+        if payload == 12:
+            assert read_image(fifo).pixels.ravel().tolist() == list(range(12))
+        else:
+            with pytest.raises(MalformedHeader, match="expected 12 bytes, found 11"):
+                read_image(fifo)
+    finally:
+        writer.join()
+
+
+def test_read_image_header_past_the_first_read(tmp_path):
+    # the header is read in growing pieces, and a comment or a number cut at
+    # the end of one is read again whole: here the first 4,096 bytes end
+    # inside the comment and the first 8,192 inside the width
+    comment = b"#" + b"x" * 7999 + b"\n"
+    path = tmp_path / "long.ppm"
+    path.write_bytes(b"P6\n" + comment + b"0" * 300 + b"2 1 255\n" + bytes(range(6)))
+    assert read_image(path).pixels.ravel().tolist() == list(range(6))
 
 
 def test_histogram_uniform_block():
@@ -378,11 +409,18 @@ def test_nameless_output_path_is_refused_before_any_write(tmp_path, monkeypatch,
     assert snapshot(tmp_path) == before
 
 
-def test_encrypt_missing_out_dir(tmp_path):
+def test_encrypt_missing_out_dir(tmp_path, monkeypatch):
     rng = np.random.default_rng(37)
     src = tmp_path / "img.ppm"
     write_random_ppm(src, rng, 5, 5)
     missing = tmp_path / "nope"
+
+    def stage(*args, **kwargs):
+        raise AssertionError("a stage ran before the output directory was checked")
+
+    # the directory is checked before the image is read or any layer runs
+    for name in ("read_image", "generate_layer1_key", "apply_swaps", "nmf_multiplicative"):
+        monkeypatch.setattr(pipeline, name, stage)
     with pytest.raises(NotADirectoryError):
         encrypt_pipeline(src, PipelineConfig(seed=9, out_dir=missing))
     assert not missing.exists()
@@ -635,26 +673,39 @@ def test_numpy_seed_gives_the_int_seed_bundle(tmp_path, seed):
     blob = b"".join(path.read_bytes() for path in bundle.paths)
     assert hashlib.sha256(blob).hexdigest() == digest
 
-def test_encrypt_frees_the_source_image_before_nmf(tmp_path, monkeypatch):
-    sources = []
+def test_layer1_runs_in_the_array_the_image_was_read_into(tmp_path, monkeypatch):
+    read = []
 
-    def read_and_watch(path):
+    def read_and_keep(path):
         image = read_image(path)
-        sources.append(weakref.ref(image.pixels))
+        read.append(image.pixels)
         return image
 
-    def nmf_with_source_freed(*args, **kwargs):
-        assert len(sources) == 1
-        assert sources[0]() is None, "the source image is still alive during NMF"
-        return nmf_multiplicative(*args, **kwargs)
-
-    monkeypatch.setattr(pipeline, "read_image", read_and_watch)
-    monkeypatch.setattr(pipeline, "nmf_multiplicative", nmf_with_source_freed)
+    monkeypatch.setattr(pipeline, "read_image", read_and_keep)
     src = tmp_path / "golden.ppm"
     golden_input(src, "P6", 64, 48)
     bundle = encrypt_pipeline(src, PipelineConfig(seed=0xC0FFEE, out_dir=tmp_path))
+    assert bundle.cipher_image.pixels is read[0]
     blob = b"".join(path.read_bytes() for path in bundle.paths)
     assert hashlib.sha256(blob).hexdigest() == GOLDEN_BUNDLES[3][4]
+    plain = decrypt_pipeline(*bundle.paths, out_path=tmp_path / "plain.ppm")
+    assert plain.pixels is read[1]
+    assert (tmp_path / "plain.ppm").read_bytes() == src.read_bytes()
+
+
+def test_pipeline_peak_memory_is_about_one_image(tmp_path):
+    # Layer 1 runs in the array the image is read into, so neither direction
+    # holds a second image; at m = 2,165 the lattice, the NMF and both key
+    # texts are small beside the 12.6 MB of pixels.
+    src = tmp_path / "photo.ppm"
+    nbytes = write_random_ppm(src, np.random.default_rng(15), 2048, 2048).pixels.nbytes
+    bundle, encrypt_peak = traced_peak(encrypt_pipeline, src, PipelineConfig(seed=1, out_dir=tmp_path))
+    paths = bundle.paths
+    del bundle
+    _, decrypt_peak = traced_peak(decrypt_pipeline, *paths, tmp_path / "plain.ppm")
+    assert (tmp_path / "plain.ppm").read_bytes() == src.read_bytes()
+    assert encrypt_peak <= 1.3 * nbytes
+    assert decrypt_peak <= 1.3 * nbytes
 
 
 def test_encrypt_frees_the_lattice_points_before_the_start_point(tmp_path, monkeypatch):
