@@ -233,14 +233,10 @@ def one_cycle(size):
     return [(0, k) for k in range(size)]
 
 
-def identity(size):
-    return [(k, k) for k in range(size)]
-
-
 @pytest.mark.parametrize(
     "height,width,rows",
     [
-        (7, WIDE, identity),
+        (7, WIDE, identity_swaps),
         (8, WIDE, two_cycles),
         (7, WIDE, one_cycle),
         (1, 50, one_cycle),
@@ -255,9 +251,9 @@ def test_in_place_pass_matches_the_loop_oracle(height, width, rows):
     pixels = rng.integers(0, 256, (height, width, 3), dtype=np.uint8)
     rows = rows(height)
     # a few column exchanges keep the oracle's column loop short on wide rows
-    cols = identity(width)
+    cols = identity_swaps(width)
     for k in rng.integers(0, width, 5):
-        cols[k] = tuple(rng.integers(0, width, 2).tolist())
+        cols[k] = rng.integers(0, width, 2)
     key = key_of(rows, cols, rng.permutation(256).astype(np.uint8))
     image = RgbImage(pixels.copy())
     assert apply_swaps(image, key, in_place=True) is image
