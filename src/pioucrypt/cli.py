@@ -153,9 +153,14 @@ def _cmd_lattice(args) -> int:
         sys.stdout.writelines(_text.format_rows("%d %d\n", points))
     if points.shape[0] and args.factors:
         errors = []
-        factors = nmf_multiplicative(points, args.seed, error_history=errors)
+        # Handed over from a list that gives them up, the points have no
+        # name left, so the factorization frees them once they are in its
+        # buffer.
+        held = [points]
+        del points
+        W = nmf_multiplicative(held.pop(), args.seed, error_history=errors).W
         print(f"reconstruction error {errors[-1]:.5f}")
-        sys.stdout.write(serialize_key_matrix(factors.W))
+        sys.stdout.write(serialize_key_matrix(W))
     return 0
 
 

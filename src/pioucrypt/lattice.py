@@ -178,13 +178,17 @@ def nmf_multiplicative(data, seed: int, *, error_history: list | None = None) ->
     reconstruction error drops below NMF_TOLERANCE.
 
     The start point's entries are drawn uniformly in (0, 1] from a TLCG
-    stream seeded by seed (W row-major, then H row-major).
+    stream seeded by seed (W row-major, then H row-major). W is drawn one
+    block of rows at a time straight into the loop's buffer; each draw
+    continues the stream, so the values are those of one draw of all of W.
     error_history: optional list collecting the error before iteration 0 and
     after each iteration.
     The data is cast straight into the loop's buffer, so integer points are
     not copied to float64 first, and the function drops its own references
     to the data once it is there: a caller that passes the data unnamed has
-    it freed before the start point is drawn.
+    it freed before the start point is drawn. The block buffers are freed
+    before W is copied out, so past the data the call holds the m x (r + n)
+    buffer and at most that copy of W beside it.
     """
     V = _nonnegative(data, "data")
     if V.ndim != 2 or V.shape[0] == 0 or V.shape[1] == 0:
@@ -198,9 +202,6 @@ def nmf_multiplicative(data, seed: int, *, error_history: list | None = None) ->
     S = np.empty((r + n, m))
     S[r:] = V.T
     del data, V
-    S[:r] = stream.next_units(m * r).reshape(m, r).T
-    H = stream.next_units(r * n).reshape(r, n)
-    Ht = H.T
 
     # Each pass runs over column blocks of S, with buffers the size of one
     # block, viewed at each block's width so that every view is contiguous.
@@ -208,6 +209,8 @@ def nmf_multiplicative(data, seed: int, *, error_history: list | None = None) ->
     # its part, in block order; with one block the products are those of a
     # pass over all of S at once. The squared error is summed in block
     # order too, each block's in pieces of at most _DOT_VALUES values.
+    # W's start point is drawn block by block as the blocks are laid out,
+    # so the draw holds a block's values at a time, not all of W's.
     width = min(m, _NMF_BLOCK_COLUMNS)
     num_buffer, den_buffer, res_buffer = np.empty(r * width), np.empty(r * width), np.empty(n * width)
     gram = np.empty((r, r + n))
@@ -216,6 +219,7 @@ def nmf_multiplicative(data, seed: int, *, error_history: list | None = None) ->
     for lo in range(0, m, width):
         Sb = S[:, lo : lo + width]
         cols = Sb.shape[1]
+        Sb[:r] = stream.next_units(cols * r).reshape(cols, r).T
         flat = res_buffer[: n * cols]
         blocks.append((
             Sb[:r], Sb[r:], Sb.T,
@@ -225,6 +229,8 @@ def nmf_multiplicative(data, seed: int, *, error_history: list | None = None) ->
             [flat[at : at + _DOT_VALUES] for at in range(0, flat.size, _DOT_VALUES)],
             gram if lo == 0 else part,
         ))
+    H = stream.next_units(r * n).reshape(r, n)
+    Ht = H.T
 
     def sweep(HHt) -> float:
         """One pass: update W unless HHt is None, then return the error and
@@ -260,6 +266,7 @@ def nmf_multiplicative(data, seed: int, *, error_history: list | None = None) ->
         err = new_err
         if rel_change < NMF_TOLERANCE:
             break
+    del blocks, flat, num_buffer, den_buffer, res_buffer
     return FactorPair(np.ascontiguousarray(S[:r].T), H)
 
 

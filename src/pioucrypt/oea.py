@@ -155,17 +155,28 @@ def oea_decrypt(cipher: OeaCipher, key: bytes) -> bytes:
     return plain.astype(np.uint8).tobytes()
 
 
+def _int_section(values: np.ndarray) -> list[str]:
+    """The line of an int64 section: its values split by spaces, then LF.
+
+    The values are formatted a block at a time, each block with one
+    %-format, which is faster than a str() per value and holds one block's
+    Python ints at a time.
+    """
+    if not values.size:
+        return ["\n"]
+    return [*_text.format_rows("%d ", values[:-1, None]), f"{values[-1]}\n"]
+
+
 def serialize_oea(cipher: OeaCipher) -> str:
     """Render the cipher as six LF-terminated lines."""
     header = (
         f"{OEA_MAGIC} {len(cipher.red1)} {len(cipher.sc)}"
-        f" {len(cipher.se)} {len(cipher.so)} {len(cipher.red2)}"
+        f" {len(cipher.se)} {len(cipher.so)} {len(cipher.red2)}\n"
     )
-    lines = [header, cipher.red1, cipher.sc]
-    for values in (cipher.se, cipher.so, cipher.red2):
-        # one %-format of the whole section: faster than a str() per value
-        lines.append(" ".join(["%d"] * len(values)) % tuple(values.tolist()))
-    return "\n".join(lines) + "\n"
+    return "".join([
+        header, cipher.red1, "\n", cipher.sc, "\n",
+        *_int_section(cipher.se), *_int_section(cipher.so), *_int_section(cipher.red2),
+    ])
 
 
 _SECTION_NAMES = ("header", "red1", "sc", "se", "so", "red2")

@@ -18,6 +18,7 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 from stat import S_ISREG
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -60,6 +61,9 @@ _HEADER_TOKEN = re.compile(rb"(?:\s|#[^\n\r]*)*+(\S*)")
 # Bytes read per attempt at the header; each further attempt reads as many
 # bytes as are already held.
 _HEADER_CHUNK = 4096
+
+# Characters of a text encoded per write.
+_WRITE_CHUNK = 1 << 16
 
 
 def _header_int(data: bytes, pos: int, what: str, complete: bool) -> tuple[int, int] | None:
@@ -158,6 +162,15 @@ def _encode_ppm(image: RgbImage) -> tuple[bytes, np.ndarray]:
     return header, np.ascontiguousarray(image.pixels)
 
 
+def _encode_ascii(text: str) -> Iterator[bytes]:
+    """An ASCII text as bytes, one piece of _WRITE_CHUNK characters at a time.
+
+    Written piece by piece, the text is never held twice.
+    """
+    for start in range(0, len(text), _WRITE_CHUNK):
+        yield text[start : start + _WRITE_CHUNK].encode("ascii")
+
+
 def write_image(image: RgbImage, path) -> None:
     """Write a binary PPM (P6, maxval 255); pixel payload is bit-exact.
 
@@ -223,12 +236,13 @@ def _sibling_temp(target: Path) -> Path:
     return target.with_name(f".{target.name}.{os.urandom(8).hex()}.tmp")
 
 
-def _write_all_or_nothing(payloads: list[tuple[Path, tuple]]) -> None:
+def _write_all_or_nothing(payloads: list[tuple[Path, Iterable]]) -> None:
     """Write every (target, parts) pair, or leave every target as it was.
 
-    The parts of a target are bytes-like objects written in order. They first
-    go to a uniquely named file beside the target, so two runs on the same
-    stem cannot collide. A target that already exists is moved aside before
+    The parts of a target are an iterable of bytes-like objects, written in
+    order, so a text can be encoded a piece at a time as it is written. They
+    first go to a uniquely named file beside the target, so two runs on the
+    same stem cannot collide. A target that already exists is moved aside before
     its new file replaces it, and moved back if any later step fails; the
     set-aside copies are deleted once every target is in place.
     """
@@ -288,19 +302,20 @@ def encrypt_pipeline(image_path, config: PipelineConfig) -> EncryptionBundle:
     window = WindowSpec(cipher_image.width, cipher_image.height)
     vectors = derive_lattice_vectors(Tlcg.from_seed(config.seed), window)
     # Nor does a name hold the points, so the factorization frees them once
-    # they are in its buffer.
-    factors = nmf_multiplicative(generate_lattice_points(vectors, window), config.seed ^ NMF_SEED_SALT)
-    oea_key_text = serialize_key_matrix(factors.W)
+    # they are in its buffer, or the factors, so W is freed once its text
+    # exists, before that text is encoded.
+    oea_key_text = serialize_key_matrix(
+        nmf_multiplicative(generate_lattice_points(vectors, window), config.seed ^ NMF_SEED_SALT).W
+    )
     oea_key = oea_key_text.encode("ascii")
 
-    cipher = oea_encrypt(plaintext, oea_key)
-    oea_cipher_text = serialize_oea(cipher)
+    oea_cipher_text = serialize_oea(oea_encrypt(plaintext, oea_key))
 
     paths = _bundle_paths(image_path, out_dir)
     _write_all_or_nothing(
         [
             (paths[0], _encode_ppm(cipher_image)),
-            (paths[1], (oea_cipher_text.encode("ascii"),)),
+            (paths[1], _encode_ascii(oea_cipher_text)),
             (paths[2], (oea_key,)),
         ]
     )
@@ -326,6 +341,7 @@ def decrypt_pipeline(cipher_image_path, oea_cipher_path, oea_key_path, out_path=
     except UnicodeDecodeError as exc:
         raise ParseError(f"ciphertext is not ASCII: {exc}") from None
     cipher = parse_oea(cipher_text)
+    del cipher_text
     plaintext = oea_decrypt(cipher, key_bytes)
     try:
         key_text = plaintext.decode("ascii")

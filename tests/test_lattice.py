@@ -475,3 +475,18 @@ def test_serialize_key_matrix_validation():
 def test_factor_pair_is_named():
     pair = FactorPair(np.ones((2, 2)), np.ones((2, 2)))
     assert pair.W is pair[0] and pair.H is pair[1]
+
+
+@pytest.mark.parametrize("m", [1, 16_383, 16_384, 16_385, 32_773])
+def test_start_point_drawn_a_block_at_a_time_is_one_draw(m):
+    # the factorization draws W one block of points at a time; each call
+    # continues the stream, so the values and the streams' end are those of
+    # one next_units(2m)
+    whole, blocked = Tlcg.from_seed(m), Tlcg.from_seed(m)
+    expected = whole.next_units(2 * m)
+    parts = [
+        blocked.next_units(2 * (min(lo + _NMF_BLOCK_COLUMNS, m) - lo))
+        for lo in range(0, m, _NMF_BLOCK_COLUMNS)
+    ]
+    assert np.array_equal(np.concatenate(parts), expected)
+    assert blocked.values == whole.values

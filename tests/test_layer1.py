@@ -403,17 +403,6 @@ def test_dimensions_preserved():
     assert (cipher.width, cipher.height) == (13, 5)
 
 
-def test_histogram_bins_are_permuted():
-    rng = np.random.default_rng(6)
-    for trial in range(10):
-        image = random_image(rng, 24, 15)
-        cipher, _ = encrypt_layer1(image, Xorshift1024(trial))
-        for c in range(3):
-            plain_counts = np.bincount(image.pixels[..., c].ravel(), minlength=256)
-            cipher_counts = np.bincount(cipher.pixels[..., c].ravel(), minlength=256)
-            assert sorted(plain_counts) == sorted(cipher_counts)
-
-
 def test_decrypt_dimension_mismatch():
     # a key of another size is refused in both directions
     image = random_image(np.random.default_rng(3), 4, 4)

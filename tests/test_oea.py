@@ -17,6 +17,7 @@ from pioucrypt.errors import (
     OverflowGuard,
     ParseError,
 )
+from pioucrypt import _text
 from pioucrypt.oea import (
     OeaCipher,
     _parse_int_line,
@@ -201,6 +202,17 @@ def test_serialize_hand_traced_vector():
     cipher = oea_encrypt(b"Hi", b"A")
     text = serialize_oea(cipher)
     assert text == "PIOU2 5 2 1 1 5\n00000\n01\n-188\n105\n195 195 195 195 195\n"
+
+
+def test_serialize_sections_over_several_format_blocks():
+    # 3 blocks of FORMAT_BLOCK_ROWS values and one more, in each section
+    count = 3 * _text.FORMAT_BLOCK_ROWS + 1
+    rng = np.random.default_rng(8)
+    values = [rng.integers(-(2**62), 2**62, count) for _ in range(3)]
+    cipher = OeaCipher("0" * count, "0" * count + "1" * count, *values)
+    lines = serialize_oea(cipher).split("\n")
+    assert lines[3:] == [" ".join(map(str, section.tolist())) for section in values] + [""]
+    assert parse_oea(serialize_oea(cipher)).se.tolist() == values[0].tolist()
 
 
 def test_serialize_empty_plaintext_header():

@@ -620,10 +620,14 @@ GOLDEN_BUNDLES = [
     # paths of the NMF loop, which the inputs above stay below
     ("P6", 256, 256, 24,
      "9297bf412feccf940dfcfc3fdb1c9c0d78ea57639a2e64802cfb6b72e8b56b59"),
-    # rows of 3,003 bytes: layer 1 maps it in blocks of 64, 64 and 1 rows, and
-    # the last block ends on an odd byte
+    # rows of 3,003 bytes: layer 1 maps all 129 rows as one block, which ends
+    # on an odd byte
     ("P6", 1001, 129, 3,
      "83709dc5e1f34145b60a349d7430941debc2c12ded24f7a1bdb345f1c6ba4570"),
+    # rows of 2,049 bytes: layer 1 maps it in blocks of 191, 191 and 18 rows,
+    # and a 191-row block ends on an odd byte
+    ("P6", 683, 400, 4,
+     "70c3d63f70c8cfff5e1090ae6037714983ecc9d45a32146404dd5de724026a91"),
 ]
 
 
@@ -706,6 +710,43 @@ def test_pipeline_peak_memory_is_about_one_image(tmp_path):
     assert (tmp_path / "plain.ppm").read_bytes() == src.read_bytes()
     assert encrypt_peak <= 1.3 * nbytes
     assert decrypt_peak <= 1.3 * nbytes
+
+
+def test_encrypt_peak_at_a_unit_determinant_is_about_one_and_a_half_nmf_buffers(tmp_path):
+    # |det| = 1, so m = 262,144 points and the NMF buffer S holds 32 bytes a
+    # point. Past the image, no stage holds more than S and W, W and its
+    # text, or the key text and its bytes: each about 1.5 S.
+    seed, side = 69, 512
+    vectors = derive_lattice_vectors(Tlcg.from_seed(seed), WindowSpec(side, side))
+    assert abs(vectors.det) == 1
+    m = side * side
+    src = tmp_path / "unit.ppm"
+    nbytes = write_random_ppm(src, np.random.default_rng(69), side, side).pixels.nbytes
+    bundle, peak = traced_peak(encrypt_pipeline, src, PipelineConfig(seed=seed, out_dir=tmp_path))
+    assert bundle.oea_key_text.startswith(f"PIOUW {m} 2\n")
+    assert peak - nbytes <= 1.55 * 32 * m
+
+
+def test_cli_lattice_frees_the_points_before_the_start_point(monkeypatch, capsys):
+    points = []
+    draws = []
+
+    def generate_and_watch(vectors, window):
+        result = generate_lattice_points(vectors, window)
+        points.append(weakref.ref(result))
+        return result
+
+    class WatchedTlcg(Tlcg):
+        def next_units(self, count):
+            draws.append(count)
+            assert points[0]() is None, "the lattice points are still alive during NMF"
+            return super().next_units(count)
+
+    monkeypatch.setattr(cli, "generate_lattice_points", generate_and_watch)
+    monkeypatch.setattr(lattice, "Tlcg", WatchedTlcg)
+    assert cli.main(["lattice", "--v0", "2,0", "--v1", "0,2", "--window", "10x10", "--factors"]) == 0
+    assert len(points) == 1 and len(draws) == 2
+    assert "points 25\n" in capsys.readouterr().out
 
 
 def test_encrypt_frees_the_lattice_points_before_the_start_point(tmp_path, monkeypatch):

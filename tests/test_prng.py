@@ -227,11 +227,6 @@ def test_xor_bias_empirical_degenerate_exact():
     assert xor_bias_empirical(0.0, 0.0, 1000, rng) == 0.0
 
 
-def test_xor_bias_empirical_sample_count_validation():
-    with pytest.raises(ValueError):
-        xor_bias_empirical(0.5, 0.5, 0, Xorshift1024(1))
-
-
 def test_xor_bias_empirical_three_sigma_property():
     rng = Xorshift1024(404)
     cases = [(0.2, 0.7, 200_000), (0.45, 0.45, 200_000), (0.9, 0.1, 100_000)]

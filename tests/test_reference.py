@@ -5,6 +5,7 @@ lattice window and text encodings, so a drift in any of them between the
 library's stages shows here on shapes the golden pins do not cover.
 """
 
+import hashlib
 import tempfile
 from pathlib import Path
 
@@ -14,6 +15,14 @@ from hypothesis import strategies as st
 
 from oracles import loop_read_pixels, ppm_bytes, reference_decrypt, reference_encrypt
 from pioucrypt.pipeline import PipelineConfig, decrypt_pipeline, encrypt_pipeline
+
+
+def encrypt_both(tmp, data, seed):
+    """The bundle files of the library and of the reference for one image file."""
+    src = tmp / "img.ppm"
+    src.write_bytes(data)
+    bundle = encrypt_pipeline(src, PipelineConfig(seed=seed))
+    return bundle.paths, [path.read_bytes() for path in bundle.paths], reference_encrypt(data, seed)
 
 
 @st.composite
@@ -31,19 +40,24 @@ def image_files(draw):
 def test_bundle_matches_the_reference_pipeline(data, seed):
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        src = tmp / "img.ppm"
-        src.write_bytes(data)
-        bundle = encrypt_pipeline(src, PipelineConfig(seed=seed))
-        library = [path.read_bytes() for path in bundle.paths]
-        reference = reference_encrypt(data, seed)
+        paths, library, reference = encrypt_both(tmp, data, seed)
         assert library == list(reference)
 
         # each side decrypts the other's bundle, and both give back the image
         (tmp / "ref").mkdir()
-        reference_paths = [tmp / "ref" / path.name for path in bundle.paths]
+        reference_paths = [tmp / "ref" / path.name for path in paths]
         for path, blob in zip(reference_paths, reference):
             path.write_bytes(blob)
         decrypt_pipeline(*reference_paths, out_path=tmp / "dec.ppm")
         image = ppm_bytes(loop_read_pixels(data))
         assert (tmp / "dec.ppm").read_bytes() == image
         assert reference_decrypt(*library) == image
+
+
+def test_bundle_matches_the_reference_over_several_layer1_row_blocks(tmp_path):
+    # The 683x400 golden pin: rows of 2,049 bytes, which layer 1 maps in
+    # blocks of 191, 191 and 18 rows; the images drawn above fit in one.
+    data = b"P6\n683 400\n255\n" + hashlib.shake_256(b"P6 683x400").digest(683 * 400 * 3)
+    _, library, reference = encrypt_both(tmp_path, data, 4)
+    assert library == list(reference)
+    assert reference_decrypt(*library) == ppm_bytes(loop_read_pixels(data))
