@@ -301,9 +301,9 @@ def encrypt_pipeline(image_path, config: PipelineConfig) -> EncryptionBundle:
 
     window = WindowSpec(cipher_image.width, cipher_image.height)
     vectors = derive_lattice_vectors(Tlcg.from_seed(config.seed), window)
-    # Nor does a name hold the points, so the factorization frees them once
-    # they are in its buffer, or the factors, so W is freed once its text
-    # exists, before that text is encoded.
+    # Neither the points nor the factors have a name: the factorization
+    # frees the points once they are in its buffer, and W is freed once its
+    # text exists, before that text is encoded.
     oea_key_text = serialize_key_matrix(
         nmf_multiplicative(generate_lattice_points(vectors, window), config.seed ^ NMF_SEED_SALT).W
     )

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import loop_oea_decrypt, loop_oea_encrypt, loop_parse_int_line, loop_redundancy
+from pioucrypt import _text
 from pioucrypt.errors import (
     EmptyKey,
     KeyMismatch,
@@ -17,7 +18,6 @@ from pioucrypt.errors import (
     OverflowGuard,
     ParseError,
 )
-from pioucrypt import _text
 from pioucrypt.oea import (
     OeaCipher,
     _parse_int_line,
