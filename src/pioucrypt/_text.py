@@ -1,8 +1,8 @@
 """Reading and writing of the line-oriented text artifacts.
 
 The grammar here is shared by the texts that are parsed (PIOU1, PIOU2); the
-blocked row writer by the texts written from arrays (PIOUW, the CLI's point
-dump).
+blocked row writer by every text written from arrays (PIOU1, PIOU2, PIOUW,
+the CLI's point dump).
 """
 
 from __future__ import annotations

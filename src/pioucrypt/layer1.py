@@ -167,7 +167,7 @@ BLOCK_BYTES = 64 * 2048 * 3
 _TAKE_PAIRS = 32768
 
 
-def apply_swaps(image: RgbImage, key: Layer1Key, *, in_place: bool = False) -> RgbImage:
+def apply_swaps(image: RgbImage, key: Layer1Key) -> RgbImage:
     """Exchange the image's rows, then its columns, under the key; map its bytes through the key's table.
 
     Each schedule is folded into a permutation of its axis. Output row r is
@@ -179,16 +179,14 @@ def apply_swaps(image: RgbImage, key: Layer1Key, *, in_place: bool = False) -> R
     it was written is the first row of a cycle that runs past a block's end;
     that one row is kept aside until its cycle ends.
 
-    The pass runs on a copy of the image, or with in_place on the image's
-    own pixels, which must then be a writable C-contiguous array; the image
-    is returned. `apply_swaps(image, key.inverse())` undoes the pass. A key
-    whose width and height are not the image's raises DimensionMismatch.
+    The pass changes the image's own pixels, which must be a writable
+    C-contiguous array, and returns the image. `apply_swaps(image,
+    key.inverse())` undoes the pass. A key whose width and height are not
+    the image's raises DimensionMismatch.
     """
     if key.width != image.width or key.height != image.height:
         raise DimensionMismatch(f"key is {key.width}x{key.height}, image is {image.width}x{image.height}")
-    if not in_place:
-        image = RgbImage(np.array(image.pixels, order="C"))
-    elif not (image.pixels.flags.c_contiguous and image.pixels.flags.writeable):
+    if not (image.pixels.flags.c_contiguous and image.pixels.flags.writeable):
         raise InvalidConfig("pixels changed in place must be a writable C-contiguous array")
     lut = key.lut
     rows, cols = _fold(key.row_swaps), _fold(key.col_swaps)
@@ -235,17 +233,6 @@ def apply_swaps(image: RgbImage, key: Layer1Key, *, in_place: bool = False) -> R
     return image
 
 
-def encrypt_layer1(image: RgbImage, rng: Xorshift1024) -> tuple[RgbImage, Layer1Key]:
-    """Scramble the image; returns the cipher image and the key that inverts it."""
-    key = generate_layer1_key(rng, image.width, image.height)
-    return apply_swaps(image, key), key
-
-
-def decrypt_layer1(cipher: RgbImage, key: Layer1Key) -> RgbImage:
-    """Exact inverse of encrypt_layer1 for the matching key."""
-    return apply_swaps(cipher, key.inverse())
-
-
 def _body_layout(width: int, height: int) -> tuple[tuple[str, int], ...]:
     """The blocks of a PIOU1 body in order, as (line tag, line count)."""
     return ((ROW, height), (COLUMN, width), (LOOKUP, 256))
@@ -257,10 +244,10 @@ _DELETE_TAGS = str.maketrans("", "", ROW + COLUMN + LOOKUP)
 def serialize_layer1_key(key: Layer1Key) -> str:
     """Render the key in its line-oriented text form (LF endings)."""
     table = np.column_stack((np.arange(255, -1, -1), key.lut[::-1]))
-    layout = _body_layout(key.width, key.height)
-    text_format = f"{LAYER1_MAGIC} %d %d\n" + "".join(f"{tag} %d %d\n" * n for tag, n in layout)
-    values = np.concatenate(([[key.width, key.height]], key.row_swaps, key.col_swaps, table))
-    return text_format % tuple(values.ravel().tolist())
+    parts = [f"{LAYER1_MAGIC} {key.width} {key.height}\n"]
+    for (tag, _), rows in zip(_body_layout(key.width, key.height), (key.row_swaps, key.col_swaps, table)):
+        parts.extend(_text.format_rows(f"{tag} %d %d\n", rows))
+    return "".join(parts)
 
 
 def _raise_first_bad_line(lines: list[str], layout: tuple[tuple[str, int], ...]) -> NoReturn:

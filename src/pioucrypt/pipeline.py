@@ -215,11 +215,12 @@ class PipelineConfig:
 
 @dataclass
 class EncryptionBundle:
-    """The sender's three mutually consistent artifacts."""
+    """Where the sender's three mutually consistent artifacts were written.
 
-    cipher_image: RgbImage
-    oea_cipher_text: str
-    oea_key_text: str
+    paths is the cipher image, the PIOU2 text and the PIOUW key, in the
+    order decrypt_pipeline takes them.
+    """
+
     paths: tuple[Path, Path, Path]
 
 
@@ -296,30 +297,29 @@ def encrypt_pipeline(image_path, config: PipelineConfig) -> EncryptionBundle:
     # the cipher image and the one image the call holds.
     cipher_image = read_image(image_path)
     layer1_key = generate_layer1_key(Xorshift1024(config.seed), cipher_image.width, cipher_image.height)
-    apply_swaps(cipher_image, layer1_key, in_place=True)
+    apply_swaps(cipher_image, layer1_key)
     plaintext = serialize_layer1_key(layer1_key).encode("ascii")
 
     window = WindowSpec(cipher_image.width, cipher_image.height)
     vectors = derive_lattice_vectors(Tlcg.from_seed(config.seed), window)
-    # Neither the points nor the factors have a name: the factorization
-    # frees the points once they are in its buffer, and W is freed once its
-    # text exists, before that text is encoded.
-    oea_key_text = serialize_key_matrix(
+    # Neither the points, the factors nor the key text have a name: the
+    # factorization frees the points once they are in its buffer, W is freed
+    # once its text exists, and the text once it is encoded.
+    oea_key = serialize_key_matrix(
         nmf_multiplicative(generate_lattice_points(vectors, window), config.seed ^ NMF_SEED_SALT).W
-    )
-    oea_key = oea_key_text.encode("ascii")
+    ).encode("ascii")
 
-    oea_cipher_text = serialize_oea(oea_encrypt(plaintext, oea_key))
+    cipher_text = serialize_oea(oea_encrypt(plaintext, oea_key))
 
     paths = _bundle_paths(image_path, out_dir)
     _write_all_or_nothing(
         [
             (paths[0], _encode_ppm(cipher_image)),
-            (paths[1], _encode_ascii(oea_cipher_text)),
+            (paths[1], _encode_ascii(cipher_text)),
             (paths[2], (oea_key,)),
         ]
     )
-    return EncryptionBundle(cipher_image, oea_cipher_text, oea_key_text, paths)
+    return EncryptionBundle(paths)
 
 
 def decrypted_image_path(cipher_image_path) -> Path:
@@ -348,7 +348,7 @@ def decrypt_pipeline(cipher_image_path, oea_cipher_path, oea_key_path, out_path=
     except UnicodeDecodeError as exc:
         raise ParseError(f"recovered key text is not ASCII: {exc}") from None
     layer1_key = parse_layer1_key(key_text)
-    plain = apply_swaps(cipher_image, layer1_key.inverse(), in_place=True)
+    plain = apply_swaps(cipher_image, layer1_key.inverse())
     if out_path is None:
         out_path = decrypted_image_path(cipher_image_path)
     write_image(plain, out_path)

@@ -23,8 +23,6 @@ from pioucrypt.layer1 import (
     LOOKUP,
     RgbImage,
     apply_swaps,
-    decrypt_layer1,
-    encrypt_layer1,
     generate_layer1_key,
     parse_layer1_key,
     serialize_layer1_key,
@@ -86,30 +84,36 @@ def random_key(rng, width, height):
     return Layer1Key(rows, cols, rng.permutation(256).astype(np.uint8))
 
 
+def restores(image, key):
+    """Whether the pass under key, then under key.inverse(), gives back the image's pixels."""
+    plain = image.pixels.copy()
+    apply_swaps(apply_swaps(image, key), key.inverse())
+    return np.array_equal(image.pixels, plain)
+
+
 def test_apply_swaps_row_example():
-    image = RgbImage(np.arange(12, dtype=np.uint8).reshape(2, 2, 3))
-    swapped = apply_swaps(image, key_of([(0, 1), (1, 1)], [(0, 0), (1, 1)]))
-    assert np.array_equal(swapped.pixels, image.pixels[[1, 0]])
+    pixels = np.arange(12, dtype=np.uint8).reshape(2, 2, 3)
+    swapped = apply_swaps(RgbImage(pixels.copy()), key_of([(0, 1), (1, 1)], [(0, 0), (1, 1)]))
+    assert np.array_equal(swapped.pixels, pixels[[1, 0]])
 
 
 def test_apply_swaps_column():
-    image = RgbImage(np.arange(12, dtype=np.uint8).reshape(2, 2, 3))
-    swapped = apply_swaps(image, key_of([(0, 0), (1, 1)], [(0, 1), (0, 0)]))
-    assert np.array_equal(swapped.pixels, image.pixels[:, [1, 0]])
+    pixels = np.arange(12, dtype=np.uint8).reshape(2, 2, 3)
+    swapped = apply_swaps(RgbImage(pixels.copy()), key_of([(0, 0), (1, 1)], [(0, 1), (0, 0)]))
+    assert np.array_equal(swapped.pixels, pixels[:, [1, 0]])
 
 
 def test_apply_swaps_self_swap_is_noop():
-    image = RgbImage(np.arange(36, dtype=np.uint8).reshape(3, 4, 3))
-    assert apply_swaps(image, key_of([(2, 2)] * 3, [(1, 1)] * 4)) == image
+    pixels = np.arange(36, dtype=np.uint8).reshape(3, 4, 3)
+    swapped = apply_swaps(RgbImage(pixels.copy()), key_of([(2, 2)] * 3, [(1, 1)] * 4))
+    assert np.array_equal(swapped.pixels, pixels)
 
 
 def test_apply_swaps_reversed_restores():
     rng = np.random.default_rng(0)
     for width, height in ((1, 1), (1, 5), (7, 1), (7, 9), (130, 3)):
         for _ in range(5):
-            image = random_image(rng, width, height)
-            key = random_key(rng, width, height)
-            assert apply_swaps(apply_swaps(image, key), key.inverse()) == image
+            assert restores(random_image(rng, width, height), random_key(rng, width, height))
 
 
 def test_layer1_key_inverse_inverts_twice_to_the_key():
@@ -164,10 +168,11 @@ def images_and_schedules(draw):
 @given(images_and_schedules())
 def test_apply_swaps_matches_loop_oracle(case):
     image, key, schedule = case
-    folded = apply_swaps(image, key)
-    assert np.array_equal(folded.pixels, loop_apply_swaps(image.pixels, schedule))
-    assert apply_swaps(folded, key.inverse()) == image
-    assert np.array_equal(loop_apply_swaps(folded.pixels, schedule[::-1]), image.pixels)
+    plain = image.pixels.copy()
+    cipher = apply_swaps(image, key).pixels.copy()
+    assert np.array_equal(cipher, loop_apply_swaps(plain, schedule))
+    assert np.array_equal(apply_swaps(image, key.inverse()).pixels, plain)
+    assert np.array_equal(loop_apply_swaps(cipher, schedule[::-1]), plain)
 
 
 # Heights on both sides of the edges of 64-row blocks.
@@ -178,12 +183,13 @@ block_heights = st.one_of(
 
 @st.composite
 def fused_cases(draw):
-    """An image, a key, its exchanges as one schedule and a layout for the fused pass.
+    """An image, a key, its exchanges as one schedule, and whether the pass refuses the pixels.
 
     Narrow images are one block. Wide ones have rows of BLOCK_BYTES / 64 or
     BLOCK_BYTES / 2 bytes, or one pixel less, so they run in blocks of 64 or 2
     rows; one pixel less makes the row length odd, and so the byte count of a
-    last block with an odd number of rows.
+    last block with an odd number of rows. A read-only or non-contiguous
+    array is refused.
     """
     block_rows = draw(st.sampled_from([None, 64, 2]))
     if block_rows is None:
@@ -195,27 +201,15 @@ def fused_cases(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     layout = draw(st.sampled_from(["fresh", "read-only", "non-contiguous"]))
     if layout == "non-contiguous":
-        arr = rng.integers(0, 256, (h, 2 * w, 3), dtype=np.uint8)[:, ::2]
+        # every other byte: a one-pixel row of whole pixels would be contiguous
+        arr = rng.integers(0, 256, (h, w, 6), dtype=np.uint8)[..., ::2]
     else:
         arr = rng.integers(0, 256, shape, dtype=np.uint8)
     if layout == "read-only":
         # the layout of a P6 payload read from bytes
         arr = np.frombuffer(arr.tobytes(), np.uint8).reshape(shape)
     lut = rng.permutation(256).astype(np.uint8)
-    return (RgbImage(arr),) + draw(keyed_schedules(h, w, lut))
-
-
-@settings(deadline=None)
-@given(fused_cases())
-def test_fused_pass_matches_swaps_then_byte_lookup(case):
-    image, key, schedule = case
-    before = image.pixels.copy()
-    out = apply_swaps(image, key).pixels
-    assert np.array_equal(out, key.lut[loop_apply_swaps(image.pixels, schedule)])
-    assert np.array_equal(image.pixels, before)
-    assert out.dtype == np.uint8 and out.shape == image.pixels.shape
-    assert out.flags.c_contiguous and out.flags.writeable and out.base is None
-    assert apply_swaps(RgbImage(out), key.inverse()) == image
+    return (RgbImage(arr), *draw(keyed_schedules(h, w, lut)), layout != "fresh")
 
 
 # Rows of 3 * 43,689 bytes run in blocks of 3 rows with an odd byte count, so
@@ -233,20 +227,8 @@ def one_cycle(size):
     return [(0, k) for k in range(size)]
 
 
-@pytest.mark.parametrize(
-    "height,width,rows",
-    [
-        (7, WIDE, identity_swaps),
-        (8, WIDE, two_cycles),
-        (7, WIDE, one_cycle),
-        (1, 50, one_cycle),
-        (50, 1, one_cycle),
-        (51, 1, two_cycles),
-        (5, 3, two_cycles),
-    ],
-    ids=["identity", "two-cycles", "one-cycle", "1xN", "Nx1", "Nx1-two-cycles", "odd-bytes"],
-)
-def test_in_place_pass_matches_the_loop_oracle(height, width, rows):
+def cycle_case(height, width, rows):
+    """A case as fused_cases gives it, with the row pairs rows(height) and a few column exchanges."""
     rng = np.random.default_rng(height * width)
     pixels = rng.integers(0, 256, (height, width, 3), dtype=np.uint8)
     rows = rows(height)
@@ -255,11 +237,43 @@ def test_in_place_pass_matches_the_loop_oracle(height, width, rows):
     for k in rng.integers(0, width, 5):
         cols[k] = rng.integers(0, width, 2)
     key = key_of(rows, cols, rng.permutation(256).astype(np.uint8))
-    image = RgbImage(pixels.copy())
-    assert apply_swaps(image, key, in_place=True) is image
-    assert np.array_equal(image.pixels, key.lut[loop_apply_swaps(pixels, swap_schedule(rows, cols))])
-    assert apply_swaps(image, key.inverse(), in_place=True) is image
-    assert np.array_equal(image.pixels, pixels)
+    return RgbImage(pixels), key, swap_schedule(rows, cols), False
+
+
+def one_case(height, width, rows):
+    """cycle_case(height, width, rows) as a strategy of that one case."""
+    return st.builds(cycle_case, st.just(height), st.just(width), st.just(rows))
+
+
+@pytest.mark.parametrize(
+    "cases",
+    [
+        one_case(7, WIDE, identity_swaps),
+        one_case(8, WIDE, two_cycles),
+        one_case(7, WIDE, one_cycle),
+        one_case(1, 50, one_cycle),
+        one_case(50, 1, one_cycle),
+        one_case(51, 1, two_cycles),
+        one_case(5, 3, two_cycles),
+        fused_cases(),
+    ],
+    ids=["identity", "two-cycles", "one-cycle", "1xN", "Nx1", "Nx1-two-cycles", "odd-bytes", "random"],
+)
+@settings(deadline=None)
+@given(data=st.data())
+def test_in_place_pass_matches_the_loop_oracle(cases, data):
+    # a strategy of one case runs once
+    image, key, schedule, refused = data.draw(cases)
+    plain = image.pixels.copy()
+    if refused:
+        with pytest.raises(InvalidConfig, match="writable C-contiguous"):
+            apply_swaps(image, key)
+        assert np.array_equal(image.pixels, plain)
+        return
+    assert apply_swaps(image, key) is image
+    assert np.array_equal(image.pixels, key.lut[loop_apply_swaps(plain, schedule)])
+    assert apply_swaps(image, key.inverse()) is image
+    assert np.array_equal(image.pixels, plain)
 
 
 @pytest.mark.parametrize("layout", ["read-only", "non-contiguous"])
@@ -270,11 +284,8 @@ def test_in_place_pass_refuses_pixels_it_cannot_write(layout):
     if layout == "read-only":
         arr = np.frombuffer(before.tobytes(), np.uint8).reshape(before.shape)
     image = RgbImage(arr)
-    key = random_key(rng, 5, 4)
     with pytest.raises(InvalidConfig, match="writable C-contiguous"):
-        apply_swaps(image, key, in_place=True)
-    schedule = swap_schedule(key.row_swaps.tolist(), key.col_swaps.tolist())
-    assert np.array_equal(apply_swaps(image, key).pixels, key.lut[loop_apply_swaps(arr, schedule)])
+        apply_swaps(image, random_key(rng, 5, 4))
     assert np.array_equal(image.pixels, before)
 
 
@@ -296,7 +307,7 @@ def test_layer1_key_rejects_bad_table():
 
 def test_apply_swaps_lookup_identity_and_single_byte():
     image = RgbImage(np.array([[[255, 0, 7]]], np.uint8))
-    assert apply_swaps(image, key_of([(0, 0)], [(0, 0)])) == image
+    assert apply_swaps(image, key_of([(0, 0)], [(0, 0)])).pixels[0, 0].tolist() == [255, 0, 7]
     table = IDENTITY_LUT.copy()
     table[255], table[10] = 10, 255
     mapped = apply_swaps(image, key_of([(0, 0)], [(0, 0)], table))
@@ -306,10 +317,10 @@ def test_apply_swaps_lookup_identity_and_single_byte():
 def test_apply_swaps_inverse_table_round_trip():
     rng = np.random.default_rng(1)
     image = random_image(rng, 8, 6)
+    plain = image.pixels.copy()
     key = Layer1Key(identity_swaps(6), identity_swaps(8), rng.permutation(256).astype(np.uint8))
-    mapped = apply_swaps(image, key)
-    assert np.array_equal(mapped.pixels, key.lut[image.pixels])
-    assert apply_swaps(mapped, key.inverse()) == image
+    assert np.array_equal(apply_swaps(image, key).pixels, key.lut[plain])
+    assert np.array_equal(apply_swaps(image, key.inverse()).pixels, plain)
 
 
 def test_generate_key_forced_1x1():
@@ -357,68 +368,67 @@ def test_generate_key_draw_count():
 
 def test_encrypt_1x1_forced():
     image = RgbImage(np.array([[[200, 0, 255]]], np.uint8))
-    cipher, key = encrypt_layer1(image, Xorshift1024(77))
-    assert cipher.pixels[0, 0].tolist() == key.lut[[200, 0, 255]].tolist()
+    key = generate_layer1_key(Xorshift1024(77), 1, 1)
+    assert apply_swaps(image, key).pixels[0, 0].tolist() == key.lut[[200, 0, 255]].tolist()
 
 
 def test_round_trip_small_images():
     rng = np.random.default_rng(4)
     for trial in range(25):
-        image = random_image(rng, 8, 8)
-        cipher, key = encrypt_layer1(image, Xorshift1024(trial))
-        assert decrypt_layer1(cipher, key) == image
+        assert restores(random_image(rng, 8, 8), generate_layer1_key(Xorshift1024(trial), 8, 8))
 
 
 def test_round_trip_64x64_many_trials():
     rng = np.random.default_rng(8)
     gen = Xorshift1024(99)
     for _ in range(100):
-        image = random_image(rng, 64, 64)
-        cipher, key = encrypt_layer1(image, gen)
-        assert decrypt_layer1(cipher, key) == image
+        assert restores(random_image(rng, 64, 64), generate_layer1_key(gen, 64, 64))
 
 
 def test_layer1_peak_memory_is_about_one_image():
-    # Room for the output, a few block-sized buffers and the paired table,
-    # but not for a second image-sized array.
+    # The pass holds two block buffers, at most one kept row and the table
+    # of byte pairs, about a tenth of a 2048x2048 image: no room for a copy.
     image = random_image(np.random.default_rng(12), 2048, 2048)
-    (cipher, key), encrypt_peak = traced_peak(encrypt_layer1, image, Xorshift1024(5))
-    plain, decrypt_peak = traced_peak(decrypt_layer1, cipher, key)
-    assert plain == image
-    assert encrypt_peak <= 1.5 * image.pixels.nbytes
-    assert decrypt_peak <= 1.5 * image.pixels.nbytes
+    plain = image.pixels.copy()
+    key = generate_layer1_key(Xorshift1024(5), 2048, 2048)
+    _, encrypt_peak = traced_peak(apply_swaps, image, key)
+    _, decrypt_peak = traced_peak(apply_swaps, image, key.inverse())
+    assert np.array_equal(image.pixels, plain)
+    assert encrypt_peak <= 0.2 * image.pixels.nbytes
+    assert decrypt_peak <= 0.2 * image.pixels.nbytes
 
 
 def test_layer1_peak_memory_on_a_small_image():
     # np.take copies the indices of each lookup into intp; in chunks of byte
-    # pairs that copy stays small beside a 512^2 image
+    # pairs that copy stays small beside a 512^2 image, whose two block
+    # buffers alone are its size
     image = random_image(np.random.default_rng(14), 512, 512)
-    _, peak = traced_peak(encrypt_layer1, image, Xorshift1024(6))
-    assert peak <= 3.0 * image.pixels.nbytes
+    _, peak = traced_peak(apply_swaps, image, generate_layer1_key(Xorshift1024(6), 512, 512))
+    assert peak <= 2.0 * image.pixels.nbytes
 
 
 def test_dimensions_preserved():
     image = random_image(np.random.default_rng(2), 13, 5)
-    cipher, _ = encrypt_layer1(image, Xorshift1024(1))
-    assert (cipher.width, cipher.height) == (13, 5)
+    cipher = apply_swaps(image, generate_layer1_key(Xorshift1024(1), 13, 5))
+    assert cipher is image and image.pixels.shape == (5, 13, 3)
 
 
 def test_decrypt_dimension_mismatch():
     # a key of another size is refused in both directions
-    image = random_image(np.random.default_rng(3), 4, 4)
-    _, key = encrypt_layer1(image, Xorshift1024(2))
+    key = generate_layer1_key(Xorshift1024(2), 4, 4)
     for width, height in ((5, 4), (4, 5), (4, 3)):
         other = random_image(np.random.default_rng(3), width, height)
         with pytest.raises(DimensionMismatch, match=f"^key is 4x4, image is {width}x{height}$"):
             apply_swaps(other, key)
         with pytest.raises(DimensionMismatch):
-            decrypt_layer1(other, key)
+            apply_swaps(other, key.inverse())
 
 
 def test_identity_key_decrypts_to_same_image():
     image = random_image(np.random.default_rng(10), 3, 2)
+    plain = image.pixels.copy()
     key = Layer1Key(identity_swaps(2), identity_swaps(3), IDENTITY_LUT)
-    assert decrypt_layer1(image, key) == image
+    assert np.array_equal(apply_swaps(image, key.inverse()).pixels, plain)
 
 
 @pytest.mark.parametrize(

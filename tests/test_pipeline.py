@@ -32,7 +32,7 @@ from pioucrypt.lattice import (
     nmf_multiplicative,
     serialize_key_matrix,
 )
-from pioucrypt.layer1 import Layer1Key, RgbImage, generate_layer1_key
+from pioucrypt.layer1 import Layer1Key, RgbImage, apply_swaps, generate_layer1_key
 from pioucrypt.oea import master_key, oea_encrypt, serialize_oea
 from pioucrypt.pipeline import (
     PipelineConfig,
@@ -215,9 +215,7 @@ def test_pipeline_1x1_bundle_contains_259_line_key(tmp_path):
     bundle = encrypt_pipeline(src, PipelineConfig(seed=5, out_dir=tmp_path))
     from pioucrypt.oea import oea_decrypt, parse_oea
 
-    recovered = oea_decrypt(
-        parse_oea(bundle.oea_cipher_text), bundle.oea_key_text.encode("ascii")
-    )
+    recovered = oea_decrypt(parse_oea(bundle.paths[1].read_text("ascii")), bundle.paths[2].read_bytes())
     assert len(recovered.decode("ascii").splitlines()) == 259
     decrypt_pipeline(*bundle.paths, out_path=tmp_path / "one.dec.ppm")
     assert (tmp_path / "one.dec.ppm").read_bytes() == src.read_bytes()
@@ -228,7 +226,8 @@ def test_pipeline_cipher_dimensions_match(tmp_path):
     src = tmp_path / "img.ppm"
     write_random_ppm(src, rng, 20, 14)
     bundle = encrypt_pipeline(src, PipelineConfig(seed=3, out_dir=tmp_path))
-    assert (bundle.cipher_image.width, bundle.cipher_image.height) == (20, 14)
+    cipher = read_image(bundle.paths[0])
+    assert (cipher.width, cipher.height) == (20, 14)
 
 
 def test_pipeline_512_square_keeps_dimensions_and_depth(tmp_path):
@@ -236,7 +235,8 @@ def test_pipeline_512_square_keeps_dimensions_and_depth(tmp_path):
     src = tmp_path / "big.ppm"
     write_random_ppm(src, rng, 512, 512)
     bundle = encrypt_pipeline(src, PipelineConfig(seed=1, out_dir=tmp_path))
-    assert (bundle.cipher_image.width, bundle.cipher_image.height) == (512, 512)
+    cipher = read_image(bundle.paths[0])
+    assert (cipher.width, cipher.height) == (512, 512)
     header = bundle.paths[0].read_bytes()[:15]
     assert header == b"P6\n512 512\n255\n"
 
@@ -271,7 +271,7 @@ def test_non_ascii_cipher_or_key_text_raises_parse_error(tmp_path):
     src = tmp_path / "img.ppm"
     write_random_ppm(src, np.random.default_rng(29), 4, 4)
     bundle = encrypt_pipeline(src, PipelineConfig(seed=6, out_dir=tmp_path))
-    bundle.paths[1].write_bytes(bundle.oea_cipher_text.encode("ascii") + b"\xff\n")
+    bundle.paths[1].write_bytes(bundle.paths[1].read_bytes() + b"\xff\n")
     with pytest.raises(ParseError, match="ciphertext is not ASCII"):
         decrypt_pipeline(*bundle.paths, out_path=tmp_path / "x.ppm")
     # a well-formed PIOU2 text under the real key whose plaintext is not ASCII
@@ -678,22 +678,27 @@ def test_numpy_seed_gives_the_int_seed_bundle(tmp_path, seed):
     assert hashlib.sha256(blob).hexdigest() == digest
 
 def test_layer1_runs_in_the_array_the_image_was_read_into(tmp_path, monkeypatch):
-    read = []
+    read, swapped = [], []
 
     def read_and_keep(path):
         image = read_image(path)
         read.append(image.pixels)
         return image
 
+    def swap_and_keep(image, key):
+        swapped.append(image.pixels)
+        return apply_swaps(image, key)
+
     monkeypatch.setattr(pipeline, "read_image", read_and_keep)
+    monkeypatch.setattr(pipeline, "apply_swaps", swap_and_keep)
     src = tmp_path / "golden.ppm"
     golden_input(src, "P6", 64, 48)
     bundle = encrypt_pipeline(src, PipelineConfig(seed=0xC0FFEE, out_dir=tmp_path))
-    assert bundle.cipher_image.pixels is read[0]
+    assert swapped[0] is read[0]
     blob = b"".join(path.read_bytes() for path in bundle.paths)
     assert hashlib.sha256(blob).hexdigest() == GOLDEN_BUNDLES[3][4]
     plain = decrypt_pipeline(*bundle.paths, out_path=tmp_path / "plain.ppm")
-    assert plain.pixels is read[1]
+    assert swapped[1] is plain.pixels is read[1]
     assert (tmp_path / "plain.ppm").read_bytes() == src.read_bytes()
 
 
@@ -723,7 +728,8 @@ def test_encrypt_peak_at_a_unit_determinant_is_about_one_and_a_half_nmf_buffers(
     src = tmp_path / "unit.ppm"
     nbytes = write_random_ppm(src, np.random.default_rng(69), side, side).pixels.nbytes
     bundle, peak = traced_peak(encrypt_pipeline, src, PipelineConfig(seed=seed, out_dir=tmp_path))
-    assert bundle.oea_key_text.startswith(f"PIOUW {m} 2\n")
+    with open(bundle.paths[2], "rb") as key_file:
+        assert key_file.readline() == f"PIOUW {m} 2\n".encode("ascii")
     assert peak - nbytes <= 1.55 * 32 * m
 
 
