@@ -64,3 +64,7 @@ class UnsupportedFormat(PiouCryptError):
 
 class MalformedHeader(PiouCryptError):
     """The image file is structurally broken (header or payload)."""
+
+
+class InterruptedWrite(PiouCryptError):
+    """A file that an interrupted bundle write left behind lies beside a bundle path."""

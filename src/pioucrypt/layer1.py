@@ -50,11 +50,6 @@ class RgbImage:
     def width(self) -> int:
         return int(self.pixels.shape[1])
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, RgbImage):
-            return NotImplemented
-        return np.array_equal(self.pixels, other.pixels)
-
 
 @dataclass(eq=False)
 class Layer1Key:

@@ -13,6 +13,7 @@ break the losslessness guarantee, so they are rejected outright.
 from __future__ import annotations
 
 import contextlib
+import glob
 import os
 import re
 from dataclasses import dataclass
@@ -23,6 +24,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .errors import (
+    InterruptedWrite,
     InvalidConfig,
     MalformedHeader,
     ParseError,
@@ -237,6 +239,17 @@ def _sibling_temp(target: Path) -> Path:
     return target.with_name(f".{target.name}.{os.urandom(8).hex()}.tmp")
 
 
+def _refuse_interrupted(paths: Iterable[Path]) -> None:
+    """Refuse paths that have a file named by _sibling_temp beside them.
+
+    Only a write that was killed leaves such a file, and the bundle there
+    may then mix files of two runs.
+    """
+    for path in paths:
+        for found in path.parent.glob(f".{glob.escape(path.name)}.{'[0-9a-f]' * 16}.tmp"):
+            raise InterruptedWrite(f"{found} was left by an interrupted write; inspect it and remove it")
+
+
 def _write_all_or_nothing(payloads: list[tuple[Path, Iterable]]) -> None:
     """Write every (target, parts) pair, or leave every target as it was.
 
@@ -285,7 +298,8 @@ def _write_all_or_nothing(payloads: list[tuple[Path, Iterable]]) -> None:
 def encrypt_pipeline(image_path, config: PipelineConfig) -> EncryptionBundle:
     """Run both layers over an image file and write the bundle to disk.
 
-    The output directory is checked before the image is read. Nothing is
+    The output directory, and that no killed write left a file beside the
+    bundle's paths, are checked before the image is read. Nothing is
     written until every artifact is computed, so a failure in any stage
     leaves no partial bundle behind.
     """
@@ -293,6 +307,8 @@ def encrypt_pipeline(image_path, config: PipelineConfig) -> EncryptionBundle:
     out_dir = Path(config.out_dir if config.out_dir is not None else image_path.parent)
     if not out_dir.is_dir():
         raise NotADirectoryError(f"output directory {out_dir} does not exist")
+    paths = _bundle_paths(image_path, out_dir)
+    _refuse_interrupted(paths)
     # Layer 1 runs in the array the image was read into, so that array is
     # the cipher image and the one image the call holds.
     cipher_image = read_image(image_path)
@@ -311,7 +327,6 @@ def encrypt_pipeline(image_path, config: PipelineConfig) -> EncryptionBundle:
 
     cipher_text = serialize_oea(oea_encrypt(plaintext, oea_key))
 
-    paths = _bundle_paths(image_path, out_dir)
     _write_all_or_nothing(
         [
             (paths[0], _encode_ppm(cipher_image)),
@@ -332,8 +347,10 @@ def decrypt_pipeline(cipher_image_path, oea_cipher_path, oea_key_path, out_path=
     """Invert a bundle back to the original image and write it to disk.
 
     The image goes to out_path, or to decrypted_image_path(cipher_image_path).
+    Inputs beside which a killed write left a file are refused first.
     """
     cipher_image_path = Path(cipher_image_path)
+    _refuse_interrupted((cipher_image_path, Path(oea_cipher_path), Path(oea_key_path)))
     cipher_image = read_image(cipher_image_path)
     key_bytes = Path(oea_key_path).read_bytes()
     try:

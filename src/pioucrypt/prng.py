@@ -6,15 +6,12 @@ factorization start points). Both run as exact integer arithmetic -- plain
 Python integers, and for the TLCG's bulk draws int64 numpy arrays whose every
 product stays below 2^62 -- so sequences are bit-exact across platforms; the
 sequence consumed by each caller is part of the key-material contract.
-
-The module also carries the XOR bias law for independent biased bits, used to
-sanity-check the generators' bit streams.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -58,28 +55,12 @@ class Xorshift1024:
         self.s = state
         self.p = 0
 
-    @classmethod
-    def from_state(cls, words: Sequence[int], index: int = 0) -> "Xorshift1024":
-        """Build a generator from 16 explicit state words and a word index."""
-        words = [as_int(w, "state word") for w in words]
-        index = as_int(index, "state index")
-        if len(words) != 16 or not all(0 <= w <= _MASK64 for w in words):
-            raise InvalidConfig("state must be 16 unsigned 64-bit words")
-        if not any(words):
-            raise InvalidConfig("the all-zero state is absorbing")
-        if not 0 <= index <= 15:
-            raise InvalidConfig("state index must be in 0..15")
-        gen = cls.__new__(cls)
-        gen.s = words
-        gen.p = index
-        return gen
-
     def next_u64(self) -> int:
         """Advance one step and return the next 64-bit output."""
         return self.fill_u64(1)[0]
 
     def fill_u64(self, count: int) -> list[int]:
-        """Draw `count` outputs in one call (hot path for layer-1 keys and the bias checks)."""
+        """Draw `count` outputs in one call (hot path for layer-1 keys)."""
         count = as_int(count, "count")
         if count < 0:
             raise InvalidConfig("count must be >= 0")
@@ -220,31 +201,3 @@ class Tlcg:
         total += 1
         return total * 2.0**-24
 
-
-def _check_unit(value: float, name: str) -> None:
-    if not 0.0 <= value <= 1.0:
-        raise InvalidConfig(f"{name} must lie in [0, 1], got {value}")
-
-
-def xor_bias_expected(p: float, q: float) -> float:
-    """Expected value of X xor Y for independent bits with means p and q."""
-    _check_unit(p, "p")
-    _check_unit(q, "q")
-    return p + q - 2.0 * p * q
-
-
-def xor_bias_empirical(p: float, q: float, n: int, rng: Xorshift1024) -> float:
-    """Empirical mean of X xor Y over n independent bit pairs.
-
-    Bits come from thresholding generator outputs mapped to [0, 1) at 53-bit
-    resolution; each pair consumes the X draw first, then the Y draw.
-    """
-    _check_unit(p, "p")
-    _check_unit(q, "q")
-    if n < 1:
-        raise InvalidConfig("sample count must be >= 1")
-    draws = np.array(rng.fill_u64(2 * n), dtype=np.uint64)
-    u = (draws >> np.uint64(11)).astype(np.float64) * 2.0**-53
-    x = u[0::2] < p
-    y = u[1::2] < q
-    return float(np.mean(x != y))

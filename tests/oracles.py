@@ -3,7 +3,9 @@
 Each oracle is a slow, plain transcription of one stage that the library's
 array code must agree with: the generators, the layer-1 swaps and key text,
 the lattice enumeration and factorization, the OEA cipher and its int
-lines, and the PPM reader. The test files import them from here.
+lines, and the PPM reader. Beside them sit the XOR bias law and its sampler,
+which C7 checks the generator's bits with. The test files import them from
+here.
 
 reference_encrypt and reference_decrypt chain the oracles into the whole
 pipeline, with its draw order, seed salt, lattice window and text encodings
@@ -31,7 +33,7 @@ from pioucrypt.errors import (
 from pioucrypt.lattice import nmf_multiplicative
 from pioucrypt.layer1 import RgbImage
 from pioucrypt.pipeline import write_image
-from pioucrypt.prng import Tlcg
+from pioucrypt.prng import Tlcg, Xorshift1024
 
 # ---------------------------------------------------------------------------
 # Generators
@@ -101,6 +103,29 @@ def reference_tlcg(seed):
 def scalar_units(tlcg, count):
     # the per-draw start point that next_units replaced
     return [(tlcg.randrange(0, 1 << 24) + 1) * 2.0**-24 for _ in range(count)]
+
+
+def xorshift_from_state(words, index=0):
+    """A Xorshift1024 whose state slots s and p hold the given words and index."""
+    gen = Xorshift1024(0)
+    gen.s, gen.p = list(words), index
+    return gen
+
+
+def xor_bias_expected(p, q):
+    """The mean of X xor Y for independent bits with means p and q."""
+    return p + q - 2.0 * p * q
+
+
+def xor_bias_empirical(p, q, n, rng):
+    """The mean of X xor Y over n bit pairs drawn from rng, the X draw of each first.
+
+    A bit is 1 when its draw's top 53 bits, read as a fraction of 2^53, are
+    below the bit's mean.
+    """
+    draws = np.array(rng.fill_u64(2 * n), np.uint64)
+    u = (draws >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    return float(np.mean((u[0::2] < p) != (u[1::2] < q)))
 
 
 # ---------------------------------------------------------------------------

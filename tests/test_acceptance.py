@@ -9,7 +9,15 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from oracles import TLCG_PARAMETER_SETS, lcg_step, random_image, reference_expand, reference_step
+from oracles import (
+    TLCG_PARAMETER_SETS,
+    lcg_step,
+    random_image,
+    reference_expand,
+    reference_step,
+    xor_bias_empirical,
+    xor_bias_expected,
+)
 from pioucrypt.lattice import (
     LatticeVectors,
     WindowSpec,
@@ -25,7 +33,7 @@ from pioucrypt.pipeline import (
     histogram,
     write_image,
 )
-from pioucrypt.prng import LcgParams, Tlcg, Xorshift1024, xor_bias_empirical, xor_bias_expected
+from pioucrypt.prng import LcgParams, Tlcg, Xorshift1024
 
 
 @contextmanager

@@ -513,6 +513,13 @@ def test_parse_errors_carry_line_numbers():
         parse_layer1_key(text[:-1])  # missing trailing newline
 
 
+@pytest.mark.parametrize("header", ["PIOU1 0 5", "PIOU1 5 0"])
+def test_parse_refuses_zero_dimensions(header):
+    text = serialize_layer1_key(generate_layer1_key(Xorshift1024(8), 5, 5))
+    with pytest.raises(ParseError, match="^line 1: dimensions must be >= 1$"):
+        parse_layer1_key(header + text[text.index("\n") :])
+
+
 def test_parse_rejects_duplicate_substitute():
     key = generate_layer1_key(Xorshift1024(8), 1, 1)
     lines = serialize_layer1_key(key).splitlines()

@@ -14,6 +14,9 @@ from oracles import (
     reference_step,
     scalar_units,
     traced_peak,
+    xor_bias_empirical,
+    xor_bias_expected,
+    xorshift_from_state,
 )
 from pioucrypt.errors import InvalidConfig
 from pioucrypt.pipeline import NMF_SEED_SALT
@@ -23,8 +26,6 @@ from pioucrypt.prng import (
     Tlcg,
     Xorshift1024,
     XS1024_MULTIPLIER,
-    xor_bias_empirical,
-    xor_bias_expected,
 )
 
 
@@ -43,7 +44,7 @@ def test_seed_expansion_matches_big_integer_oracle():
 
 
 def test_single_step_worked_example():
-    gen = Xorshift1024.from_state(range(1, 17))
+    gen = xorshift_from_state(range(1, 17))
     out = gen.next_u64()
     assert gen.s[1] == 4297064451
     assert out == 13859315694294268191
@@ -72,7 +73,7 @@ def test_index_advances_mod_16():
 
 def test_fill_matches_single_draws():
     a = Xorshift1024(99)
-    b = Xorshift1024.from_state(a.s, a.p)
+    b = xorshift_from_state(a.s, a.p)
     assert a.fill_u64(57) == [b.next_u64() for _ in range(57)]
     assert a.s == b.s and a.p == b.p
 
@@ -82,7 +83,7 @@ def test_determinism_across_instances():
 
 
 def test_randint_singleton_consumes_one_draw():
-    gen = Xorshift1024.from_state(range(1, 17))
+    gen = xorshift_from_state(range(1, 17))
     assert gen.randint(5, 5) == 5
     assert gen.p == 1
     assert gen.randint(0, 0) == 0
@@ -90,7 +91,7 @@ def test_randint_singleton_consumes_one_draw():
 
 
 def test_randint_modulo_mapping_frozen():
-    gen = Xorshift1024.from_state(range(1, 17))
+    gen = xorshift_from_state(range(1, 17))
     assert gen.randint(0, 9) == 13859315694294268191 % 10
 
 

@@ -48,7 +48,8 @@ def test_bundle_decrypts_without_the_key_file(tmp_path):
         src = tmp_path / f"img{seed}.ppm"
         image = write_random_ppm(src, rng, width, height)
         bundle = encrypt_pipeline(src, PipelineConfig(seed=seed, out_dir=tmp_path))
-        assert recover_without_key(bundle.paths[0], bundle.paths[1]) == image
+        recovered = recover_without_key(bundle.paths[0], bundle.paths[1])
+        assert np.array_equal(recovered.pixels, image.pixels)
 
 
 @settings(deadline=None)
@@ -73,7 +74,7 @@ def test_key_depends_only_on_seed_and_size(tmp_path):
         assert a.paths[1].read_bytes() == b.paths[1].read_bytes()
         assert a.paths[2].read_bytes() == b.paths[2].read_bytes()
         plain_b = decrypt_pipeline(b.paths[0], a.paths[1], a.paths[2], tmp_path / "b.dec.ppm")
-        assert plain_b == images[1]
+        assert np.array_equal(plain_b.pixels, images[1].pixels)
 
 
 def test_per_channel_histograms_survive_encryption(tmp_path):
