@@ -200,4 +200,3 @@ class Tlcg:
         total %= 1 << 24
         total += 1
         return total * 2.0**-24
-
