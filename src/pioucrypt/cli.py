@@ -160,7 +160,7 @@ def _cmd_lattice(args) -> int:
         del points
         W = nmf_multiplicative(held.pop(), args.seed, error_history=errors).W
         print(f"reconstruction error {errors[-1]:.5f}")
-        sys.stdout.write(serialize_key_matrix(W))
+        sys.stdout.write(serialize_key_matrix(W).decode("ascii"))
     return 0
 
 

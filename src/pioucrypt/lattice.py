@@ -21,7 +21,7 @@ from . import _text
 from .errors import InvalidConfig, as_int
 from .prng import Tlcg
 
-KEY_MATRIX_MAGIC = "PIOUW"
+KEY_MATRIX_MAGIC = b"PIOUW"
 
 # The factorization's fixed settings: the rank of W and H, the step budget,
 # the guard added to every denominator, and the relative change of the error
@@ -270,11 +270,11 @@ def nmf_multiplicative(data, seed: int, *, error_history: list | None = None) ->
     return FactorPair(np.ascontiguousarray(S[:r].T), H)
 
 
-def serialize_key_matrix(matrix) -> str:
-    """Render a non-negative matrix as the layer-2 key text (5 decimals)."""
+def serialize_key_matrix(matrix) -> bytes:
+    """Render a non-negative matrix as the layer-2 key's ASCII text (5 decimals)."""
     W = _nonnegative(matrix, "key matrix")
     if W.ndim != 2 or W.shape[0] < 1 or W.shape[1] < 1:
         raise InvalidConfig("key matrix must be 2-D and non-empty")
     rows, cols = W.shape
-    row_format = " ".join(["%.5f"] * cols) + "\n"
-    return "".join([f"{KEY_MATRIX_MAGIC} {rows} {cols}\n", *_text.format_rows(row_format, W)])
+    row_format = b" ".join([b"%.5f"] * cols) + b"\n"
+    return b"".join([b"%s %d %d\n" % (KEY_MATRIX_MAGIC, rows, cols), *_text.format_rows(row_format, W)])

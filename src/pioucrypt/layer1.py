@@ -20,11 +20,11 @@ from . import _text
 from .errors import DimensionMismatch, InvalidConfig, ParseError, as_int
 from .prng import Xorshift1024
 
-ROW = "R"
-COLUMN = "C"
-LOOKUP = "L"
+ROW = b"R"
+COLUMN = b"C"
+LOOKUP = b"L"
 
-LAYER1_MAGIC = "PIOU1"
+LAYER1_MAGIC = b"PIOU1"
 
 
 class RgbImage:
@@ -228,24 +228,21 @@ def apply_swaps(image: RgbImage, key: Layer1Key) -> RgbImage:
     return image
 
 
-def _body_layout(width: int, height: int) -> tuple[tuple[str, int], ...]:
+def _body_layout(width: int, height: int) -> tuple[tuple[bytes, int], ...]:
     """The blocks of a PIOU1 body in order, as (line tag, line count)."""
     return ((ROW, height), (COLUMN, width), (LOOKUP, 256))
 
 
-_DELETE_TAGS = str.maketrans("", "", ROW + COLUMN + LOOKUP)
-
-
-def serialize_layer1_key(key: Layer1Key) -> str:
-    """Render the key in its line-oriented text form (LF endings)."""
+def serialize_layer1_key(key: Layer1Key) -> bytes:
+    """Render the key in its line-oriented ASCII text form (LF endings)."""
     table = np.column_stack((np.arange(255, -1, -1), key.lut[::-1]))
-    parts = [f"{LAYER1_MAGIC} {key.width} {key.height}\n"]
+    parts = [b"%s %d %d\n" % (LAYER1_MAGIC, key.width, key.height)]
     for (tag, _), rows in zip(_body_layout(key.width, key.height), (key.row_swaps, key.col_swaps, table)):
-        parts.extend(_text.format_rows(f"{tag} %d %d\n", rows))
-    return "".join(parts)
+        parts.extend(_text.format_rows(tag + b" %d %d\n", rows))
+    return b"".join(parts)
 
 
-def _raise_first_bad_line(lines: list[str], layout: tuple[tuple[str, int], ...]) -> NoReturn:
+def _raise_first_bad_line(lines: list[bytes], layout: tuple[tuple[bytes, int], ...]) -> NoReturn:
     """Check the body line by line and raise the ParseError of the first bad line."""
     seen = set()
     body = enumerate(lines[1:], start=2)
@@ -253,16 +250,16 @@ def _raise_first_bad_line(lines: list[str], layout: tuple[tuple[str, int], ...])
         # a swap index of a block lies in [0, count); the table's lines run
         # from plain value 255 on the first to 0 on the last
         for offset, (line_no, line) in zip(range(count), body):
-            tokens = line.split(" ")
+            tokens = line.split(b" ")
             if tag != LOOKUP:
                 if len(tokens) != 3 or tokens[0] != tag:
-                    raise ParseError(f"expected '{tag} <i> <j>'", line_no)
+                    raise ParseError(f"expected '{tag.decode()} <i> <j>'", line_no)
                 i, j = _text.canon_ints(tokens[1:], "swap index", line_no)
                 if not (0 <= i < count and 0 <= j < count):
                     raise ParseError(f"swap index out of range [0, {count})", line_no)
                 continue
             if len(tokens) != 3 or tokens[0] != LOOKUP:
-                raise ParseError(f"expected '{LOOKUP} <value> <substitute>'", line_no)
+                raise ParseError(f"expected '{LOOKUP.decode()} <value> <substitute>'", line_no)
             value, sub = _text.canon_ints(tokens[1:], "lookup entry", line_no)
             plain = count - 1 - offset
             if value != plain:
@@ -275,7 +272,7 @@ def _raise_first_bad_line(lines: list[str], layout: tuple[tuple[str, int], ...])
     raise AssertionError("unreachable: every body the block checks refuse has a bad line")
 
 
-def parse_layer1_key(text: str) -> Layer1Key:
+def parse_layer1_key(text: bytes) -> Layer1Key:
     """Parse the text form back into a key; inverse of serialize_layer1_key.
 
     The body (every line after the first) is matched with one regex built
@@ -286,9 +283,9 @@ def parse_layer1_key(text: str) -> Layer1Key:
     error names the first bad line.
     """
     lines = _text.split_lines(text, "key file")
-    header = lines[0].split(" ")
+    header = lines[0].split(b" ")
     if len(header) != 3 or header[0] != LAYER1_MAGIC:
-        raise ParseError(f"header must be '{LAYER1_MAGIC} <width> <height>'", 1)
+        raise ParseError(f"header must be '{LAYER1_MAGIC.decode()} <width> <height>'", 1)
     width, height = _text.canon_ints(header[1:], "dimensions", 1)
     if width < 1 or height < 1:
         raise ParseError("dimensions must be >= 1", 1)
@@ -298,10 +295,14 @@ def parse_layer1_key(text: str) -> Layer1Key:
         raise ParseError(f"expected {expected} lines, found {len(lines)}", len(lines) + 1)
 
     body = text[len(lines[0]) + 1 :]
-    pattern = "".join(f"(?:{tag} {_text.CANON_INT} {_text.CANON_INT}\n){{{n}}}+" for tag, n in layout)
+    pattern = b"".join(
+        b"(?:%s %s %s\n){%d}+" % (tag, _text.CANON_INT, _text.CANON_INT, n) for tag, n in layout
+    )
     if not re.fullmatch(pattern, body):
         _raise_first_bad_line(lines, layout)
-    values = np.fromstring(body.translate(_DELETE_TAGS), np.int64, sep=" ").reshape(-1, 2)
+    # two values a body line, read into an array made once at its size (see _text.int_line)
+    values = np.fromstring(body.translate(None, ROW + COLUMN + LOOKUP), np.int64, 2 * (expected - 1), sep=" ")
+    values = values.reshape(-1, 2)
     row_swaps, col_swaps, table = np.split(values, [height, height + width])
     # the substitutes are range-checked before the cast to uint8 would wrap 256 to 0
     plain, subs = table[::-1].T

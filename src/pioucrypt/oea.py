@@ -24,7 +24,7 @@ from .errors import (
     ParseError,
 )
 
-OEA_MAGIC = "PIOU2"
+OEA_MAGIC = b"PIOU2"
 
 # Guard below which weight * length stays comfortably inside signed 64-bit
 # arithmetic for every intermediate value.
@@ -50,21 +50,21 @@ def master_key(weight: int, plaintext_length: int) -> int:
     return value
 
 
-def _is_bits(text: str) -> bool:
-    return not text.strip("01")
+def _is_bits(text: bytes) -> bool:
+    return not text.strip(b"01")
 
 
 @dataclass(eq=False, frozen=True)
 class OeaCipher:
     """Framed cipher sections in output order: red1, sc, se, so, red2.
 
-    red1 and sc are strings of '0'/'1'; se, so and red2 are 1-D int64 arrays.
+    red1 and sc are bytes of '0'/'1'; se, so and red2 are 1-D int64 arrays.
     Its structural invariants are checked once, when it is built: no field can
     be reassigned, and an in-place edit of an array keeps its length and dtype.
     """
 
-    red1: str
-    sc: str
+    red1: bytes
+    sc: bytes
     se: np.ndarray
     so: np.ndarray
     red2: np.ndarray
@@ -74,6 +74,8 @@ class OeaCipher:
             values = getattr(self, name)
             if not (isinstance(values, np.ndarray) and values.dtype == np.int64 and values.ndim == 1):
                 raise MalformedCipher(f"{name} must be a 1-D int64 array")
+        if not (isinstance(self.red1, bytes) and isinstance(self.sc, bytes)):
+            raise MalformedCipher("red1 and sc must be bytes")
         if not _is_bits(self.red1):
             raise MalformedCipher("red1 must contain only '0'/'1'")
         if len(self.sc) != len(self.se) + len(self.so):
@@ -81,18 +83,18 @@ class OeaCipher:
                 f"marker length {len(self.sc)} != |se| + |so| = {len(self.se) + len(self.so)}"
             )
         # With the length check, these counts also mean sc holds only '0'/'1'.
-        if self.sc.count("1") != len(self.so) or self.sc.count("0") != len(self.se):
+        if self.sc.count(b"1") != len(self.so) or self.sc.count(b"0") != len(self.se):
             raise MalformedCipher("marker bit counts do not match section sizes")
         if len(self.red1) != len(self.red2):
             raise MalformedCipher("redundancy sections must have equal length")
 
 
-def _bits(ones: np.ndarray) -> str:
-    """A boolean array as a string of '0'/'1'."""
-    return (ones.view(np.uint8) + ord("0")).tobytes().decode("ascii")
+def _bits(ones: np.ndarray) -> bytes:
+    """A boolean array as bytes of '0'/'1'."""
+    return (ones.view(np.uint8) + ord("0")).tobytes()
 
 
-def _redundancy(key: bytes, mk: int, length: int) -> tuple[str, np.ndarray]:
+def _redundancy(key: bytes, mk: int, length: int) -> tuple[bytes, np.ndarray]:
     window = np.frombuffer(key, np.uint8)[np.arange(length) % len(key)]
     # red1 bit rule: even key byte -> '1', odd -> '0' (inverted relative to
     # the marker string's convention)
@@ -143,7 +145,7 @@ def oea_decrypt(cipher: OeaCipher, key: bytes) -> bytes:
     if cipher.red1 != expected_red1 or not np.array_equal(cipher.red2, expected_red2):
         raise KeyMismatch("redundancy sections do not match the supplied key")
 
-    odd = np.frombuffer(cipher.sc.encode("ascii"), np.uint8) == ord("1")
+    odd = np.frombuffer(cipher.sc, np.uint8) == ord("1")
     even_values = _undo_prefix_sums(cipher.se, mk, mk)
     odd_values = _undo_prefix_sums(cipher.so, -mk, mk)
     plain = np.empty(odd.size, np.result_type(even_values, odd_values))
@@ -155,7 +157,7 @@ def oea_decrypt(cipher: OeaCipher, key: bytes) -> bytes:
     return plain.astype(np.uint8).tobytes()
 
 
-def _int_section(values: np.ndarray) -> list[str]:
+def _int_section(values: np.ndarray) -> list[bytes]:
     """The line of an int64 section: its values split by spaces, then LF.
 
     The values are formatted a block at a time, each block with one
@@ -163,18 +165,17 @@ def _int_section(values: np.ndarray) -> list[str]:
     Python ints at a time.
     """
     if not values.size:
-        return ["\n"]
-    return [*_text.format_rows("%d ", values[:-1, None]), f"{values[-1]}\n"]
+        return [b"\n"]
+    return [*_text.format_rows(b"%d ", values[:-1, None]), b"%d\n" % values[-1]]
 
 
-def serialize_oea(cipher: OeaCipher) -> str:
-    """Render the cipher as six LF-terminated lines."""
-    header = (
-        f"{OEA_MAGIC} {len(cipher.red1)} {len(cipher.sc)}"
-        f" {len(cipher.se)} {len(cipher.so)} {len(cipher.red2)}\n"
+def serialize_oea(cipher: OeaCipher) -> bytes:
+    """Render the cipher as six LF-terminated lines of ASCII."""
+    header = b"%s %d %d %d %d %d\n" % (
+        OEA_MAGIC, len(cipher.red1), len(cipher.sc), len(cipher.se), len(cipher.so), len(cipher.red2)
     )
-    return "".join([
-        header, cipher.red1, "\n", cipher.sc, "\n",
+    return b"".join([
+        header, cipher.red1, b"\n", cipher.sc, b"\n",
         *_int_section(cipher.se), *_int_section(cipher.so), *_int_section(cipher.red2),
     ])
 
@@ -182,8 +183,8 @@ def serialize_oea(cipher: OeaCipher) -> str:
 _SECTION_NAMES = ("header", "red1", "sc", "se", "so", "red2")
 
 
-def _parse_int_line(line: str, count: int, section: str, line_no: int) -> np.ndarray:
-    found = line.count(" ") + 1 if line else 0
+def _parse_int_line(line: bytes, count: int, section: str, line_no: int) -> np.ndarray:
+    found = line.count(b" ") + 1 if line else 0
     if found != count:
         raise ParseError(f"{section} section: expected {count} values, found {found}", line_no)
     if not line:
@@ -191,18 +192,15 @@ def _parse_int_line(line: str, count: int, section: str, line_no: int) -> np.nda
     return _text.int_line(line, f"{section} section", line_no)
 
 
-def parse_oea(text: str) -> OeaCipher:
+def parse_oea(text: bytes) -> OeaCipher:
     """Parse the six-line form back into a cipher; inverse of serialize_oea."""
     lines = _text.split_lines(text, "cipher text")
     if len(lines) != 6:
-        missing = _SECTION_NAMES[min(len(lines), 5)]
-        raise ParseError(
-            f"expected 6 lines, found {len(lines)} (truncated at {missing} section)",
-            len(lines) + 1,
-        )
-    header = lines[0].split(" ")
+        truncated = f" (truncated at {_SECTION_NAMES[len(lines)]} section)" if len(lines) < 6 else ""
+        raise ParseError(f"expected 6 lines, found {len(lines)}{truncated}", len(lines) + 1)
+    header = lines[0].split(b" ")
     if len(header) != 6 or header[0] != OEA_MAGIC:
-        raise ParseError(f"header must be '{OEA_MAGIC}' plus five section lengths", 1)
+        raise ParseError(f"header must be '{OEA_MAGIC.decode()}' plus five section lengths", 1)
     n_red1, n_sc, n_se, n_so, n_red2 = _text.canon_ints(header[1:], "header lengths", 1)
     if min(n_red1, n_sc, n_se, n_so, n_red2) < 0:
         raise ParseError("header lengths must be >= 0", 1)

@@ -19,7 +19,7 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 from stat import S_ISREG
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -27,7 +27,6 @@ from .errors import (
     InterruptedWrite,
     InvalidConfig,
     MalformedHeader,
-    ParseError,
     UnsupportedFormat,
 )
 from .layer1 import (
@@ -63,9 +62,6 @@ _HEADER_TOKEN = re.compile(rb"(?:\s|#[^\n\r]*)*+(\S*)")
 # Bytes read per attempt at the header; each further attempt reads as many
 # bytes as are already held.
 _HEADER_CHUNK = 4096
-
-# Characters of a text encoded per write.
-_WRITE_CHUNK = 1 << 16
 
 
 def _header_int(data: bytes, pos: int, what: str, complete: bool) -> tuple[int, int] | None:
@@ -164,15 +160,6 @@ def _encode_ppm(image: RgbImage) -> tuple[bytes, np.ndarray]:
     return header, np.ascontiguousarray(image.pixels)
 
 
-def _encode_ascii(text: str) -> Iterator[bytes]:
-    """An ASCII text as bytes, one piece of _WRITE_CHUNK characters at a time.
-
-    Written piece by piece, the text is never held twice.
-    """
-    for start in range(0, len(text), _WRITE_CHUNK):
-        yield text[start : start + _WRITE_CHUNK].encode("ascii")
-
-
 def write_image(image: RgbImage, path) -> None:
     """Write a binary PPM (P6, maxval 255); pixel payload is bit-exact.
 
@@ -242,8 +229,8 @@ def _sibling_temp(target: Path) -> Path:
 def _refuse_interrupted(paths: Iterable[Path]) -> None:
     """Refuse paths that have a file named by _sibling_temp beside them.
 
-    Only a write that was killed leaves such a file, and the bundle there
-    may then mix files of two runs.
+    Only a write that was killed leaves such a file, and the files there
+    may then mix two runs.
     """
     for path in paths:
         for found in path.parent.glob(f".{glob.escape(path.name)}.{'[0-9a-f]' * 16}.tmp"):
@@ -253,16 +240,19 @@ def _refuse_interrupted(paths: Iterable[Path]) -> None:
 def _write_all_or_nothing(payloads: list[tuple[Path, Iterable]]) -> None:
     """Write every (target, parts) pair, or leave every target as it was.
 
-    The parts of a target are an iterable of bytes-like objects, written in
-    order, so a text can be encoded a piece at a time as it is written. They
-    first go to a uniquely named file beside the target, so two runs on the
-    same stem cannot collide. A target that already exists is moved aside before
-    its new file replaces it, and moved back if any later step fails; the
-    set-aside copies are deleted once every target is in place.
+    The parts of a target are bytes-like objects, written in order, so an
+    image's pixels follow its header without being copied into one object.
+    A target beside which a killed write left a file is refused before
+    anything is written. The parts first go to a uniquely named file beside
+    the target, so two runs on the same stem cannot collide. A target that
+    already exists is moved aside before its new file replaces it, and moved
+    back if any later step fails; the set-aside copies are deleted once every
+    target is in place.
     """
     for target, _ in payloads:
         if not target.name:
             raise InvalidConfig(f"output path {str(target)!r} does not name a file")
+    _refuse_interrupted(target for target, _ in payloads)
     temps = []
     replaced = []  # (target, its previous file moved aside, or None)
     try:
@@ -298,8 +288,7 @@ def _write_all_or_nothing(payloads: list[tuple[Path, Iterable]]) -> None:
 def encrypt_pipeline(image_path, config: PipelineConfig) -> EncryptionBundle:
     """Run both layers over an image file and write the bundle to disk.
 
-    The output directory, and that no killed write left a file beside the
-    bundle's paths, are checked before the image is read. Nothing is
+    The output directory is checked before the image is read. Nothing is
     written until every artifact is computed, so a failure in any stage
     leaves no partial bundle behind.
     """
@@ -308,29 +297,26 @@ def encrypt_pipeline(image_path, config: PipelineConfig) -> EncryptionBundle:
     if not out_dir.is_dir():
         raise NotADirectoryError(f"output directory {out_dir} does not exist")
     paths = _bundle_paths(image_path, out_dir)
-    _refuse_interrupted(paths)
     # Layer 1 runs in the array the image was read into, so that array is
     # the cipher image and the one image the call holds.
     cipher_image = read_image(image_path)
     layer1_key = generate_layer1_key(Xorshift1024(config.seed), cipher_image.width, cipher_image.height)
     apply_swaps(cipher_image, layer1_key)
-    plaintext = serialize_layer1_key(layer1_key).encode("ascii")
+    plaintext = serialize_layer1_key(layer1_key)
 
     window = WindowSpec(cipher_image.width, cipher_image.height)
     vectors = derive_lattice_vectors(Tlcg.from_seed(config.seed), window)
-    # Neither the points, the factors nor the key text have a name: the
-    # factorization frees the points once they are in its buffer, W is freed
-    # once its text exists, and the text once it is encoded.
+    # Neither the points nor the factors have a name: the factorization
+    # frees the points once they are in its buffer, and W is freed once its
+    # text exists.
     oea_key = serialize_key_matrix(
         nmf_multiplicative(generate_lattice_points(vectors, window), config.seed ^ NMF_SEED_SALT).W
-    ).encode("ascii")
-
-    cipher_text = serialize_oea(oea_encrypt(plaintext, oea_key))
+    )
 
     _write_all_or_nothing(
         [
             (paths[0], _encode_ppm(cipher_image)),
-            (paths[1], _encode_ascii(cipher_text)),
+            (paths[1], (serialize_oea(oea_encrypt(plaintext, oea_key)),)),
             (paths[2], (oea_key,)),
         ]
     )
@@ -347,24 +333,15 @@ def decrypt_pipeline(cipher_image_path, oea_cipher_path, oea_key_path, out_path=
     """Invert a bundle back to the original image and write it to disk.
 
     The image goes to out_path, or to decrypted_image_path(cipher_image_path).
-    Inputs beside which a killed write left a file are refused first.
+    Inputs beside which a killed write left a file are refused first, and
+    so is out_path before anything is written.
     """
     cipher_image_path = Path(cipher_image_path)
     _refuse_interrupted((cipher_image_path, Path(oea_cipher_path), Path(oea_key_path)))
     cipher_image = read_image(cipher_image_path)
     key_bytes = Path(oea_key_path).read_bytes()
-    try:
-        cipher_text = Path(oea_cipher_path).read_bytes().decode("ascii")
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"ciphertext is not ASCII: {exc}") from None
-    cipher = parse_oea(cipher_text)
-    del cipher_text
-    plaintext = oea_decrypt(cipher, key_bytes)
-    try:
-        key_text = plaintext.decode("ascii")
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"recovered key text is not ASCII: {exc}") from None
-    layer1_key = parse_layer1_key(key_text)
+    plaintext = oea_decrypt(parse_oea(Path(oea_cipher_path).read_bytes()), key_bytes)
+    layer1_key = parse_layer1_key(plaintext)
     plain = apply_swaps(cipher_image, layer1_key.inverse())
     if out_path is None:
         out_path = decrypted_image_path(cipher_image_path)

@@ -8,10 +8,10 @@ which C7 checks the generator's bits with. The test files import them from
 here.
 
 reference_encrypt and reference_decrypt chain the oracles into the whole
-pipeline, with its draw order, seed salt, lattice window and text encodings
+pipeline, with its draw order, seed salt, lattice window and text formats
 written out here rather than imported. So are the rules the oracles share
 with the library: the text line split, the canonical integer, and the OEA
-key weight and master key.
+key weight and master key. Every text is ASCII bytes, as in the library.
 """
 
 import math
@@ -134,8 +134,8 @@ def xor_bias_empirical(p, q, n, rng):
 
 def split_lines(text, what):
     """The lines of a text that is not empty and in which every line ends with LF."""
-    lines = text.split("\n")
-    if lines.pop() != "":
+    lines = text.split(b"\n")
+    if lines.pop() != b"":
         raise ParseError(f"{what} must end with a newline", len(lines) + 1)
     if not lines:
         raise ParseError(f"empty {what}", 1)
@@ -150,11 +150,11 @@ def canonical_ints(tokens, what, line):
     """
     values = []
     for token in tokens:
-        digits = token.removeprefix("-")
+        digits = token.removeprefix(b"-")
         if not (
             digits
-            and all("0" <= char <= "9" for char in digits)
-            and (digits[0] != "0" or token == "0")
+            and all(ord("0") <= byte <= ord("9") for byte in digits)
+            and (digits[0] != ord("0") or token == b"0")
             and len(digits) <= sys.get_int_max_str_digits()
         ):
             raise ParseError(f"{what}: {token!r} is not a canonical integer", line)
@@ -166,7 +166,7 @@ def canonical_ints(tokens, what, line):
 # Layer 1
 
 # The PIOU1 line tags, written out here rather than imported.
-ROW, COLUMN, LOOKUP = "R", "C", "L"
+ROW, COLUMN, LOOKUP = b"R", b"C", b"L"
 
 
 def reference_layer1_key(draws, width, height):
@@ -209,12 +209,12 @@ def loop_apply_swaps(pixels, schedule):
 
 
 def line_serialize_layer1_key(key):
-    """The PIOU1 text written one f-string per line: an oracle for the writer."""
-    lines = [f"PIOU1 {key.width} {key.height}"]
-    lines += [f"{ROW} {i} {j}" for i, j in key.row_swaps.tolist()]
-    lines += [f"{COLUMN} {i} {j}" for i, j in key.col_swaps.tolist()]
-    lines += [f"{LOOKUP} {value} {key.lut[value]}" for value in range(255, -1, -1)]
-    return "".join(line + "\n" for line in lines)
+    """The PIOU1 text written one format per line: an oracle for the writer."""
+    lines = [b"PIOU1 %d %d" % (key.width, key.height)]
+    lines += [b"%s %d %d" % (ROW, i, j) for i, j in key.row_swaps.tolist()]
+    lines += [b"%s %d %d" % (COLUMN, i, j) for i, j in key.col_swaps.tolist()]
+    lines += [b"%s %d %d" % (LOOKUP, value, key.lut[value]) for value in range(255, -1, -1)]
+    return b"".join(line + b"\n" for line in lines)
 
 
 def loop_parse_layer1_key(text):
@@ -224,8 +224,8 @@ def loop_parse_layer1_key(text):
     the substitute of plain value v.
     """
     lines = split_lines(text, "key file")
-    header = lines[0].split(" ")
-    if len(header) != 3 or header[0] != "PIOU1":
+    header = lines[0].split(b" ")
+    if len(header) != 3 or header[0] != b"PIOU1":
         raise ParseError("header must be 'PIOU1 <width> <height>'", 1)
     width, height = canonical_ints(header[1:], "dimensions", 1)
     if width < 1 or height < 1:
@@ -239,9 +239,9 @@ def loop_parse_layer1_key(text):
         pairs = []
         for offset in range(count):
             line_no = start + offset + 1
-            tokens = lines[start + offset].split(" ")
+            tokens = lines[start + offset].split(b" ")
             if len(tokens) != 3 or tokens[0] != tag:
-                raise ParseError(f"expected '{tag} <i> <j>'", line_no)
+                raise ParseError(f"expected '{tag.decode()} <i> <j>'", line_no)
             i, j = canonical_ints(tokens[1:], "swap index", line_no)
             if not (0 <= i < count and 0 <= j < count):
                 raise ParseError(f"swap index out of range [0, {count})", line_no)
@@ -252,8 +252,8 @@ def loop_parse_layer1_key(text):
     seen = set()
     for offset in range(256):
         line_no = start + offset + 1
-        tokens = lines[start + offset].split(" ")
-        if len(tokens) != 3 or tokens[0] != "L":
+        tokens = lines[start + offset].split(b" ")
+        if len(tokens) != 3 or tokens[0] != LOOKUP:
             raise ParseError("expected 'L <value> <substitute>'", line_no)
         value, sub = canonical_ints(tokens[1:], "lookup entry", line_no)
         if value != 255 - offset:
@@ -392,7 +392,7 @@ def per_entry_key_text(W):
     lines = [f"PIOUW {W.shape[0]} {W.shape[1]}"]
     for row in W:
         lines.append(" ".join(f"{(v if v != 0 else 0.0):.5f}" for v in row))
-    return "\n".join(lines) + "\n"
+    return ("\n".join(lines) + "\n").encode("ascii")
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +416,7 @@ def master_key(weight, length):
 
 
 def loop_redundancy(key, mk, length):
-    bits = "".join("1" if key[i % len(key)] % 2 == 0 else "0" for i in range(length))
+    bits = b"".join(b"1" if key[i % len(key)] % 2 == 0 else b"0" for i in range(length))
     values = [key[i % len(key)] + mk for i in range(length)]
     return bits, values
 
@@ -428,10 +428,10 @@ def loop_oea_encrypt(plaintext, key):
     for byte in plaintext:
         if byte % 2 == 1:
             so.append(byte)
-            sc_bits.append("1")
+            sc_bits.append(b"1")
         else:
             se.append(byte)
-            sc_bits.append("0")
+            sc_bits.append(b"0")
     if se:
         se[0] -= mk
         for i in range(1, len(se)):
@@ -443,7 +443,7 @@ def loop_oea_encrypt(plaintext, key):
             so[i] += so[i - 1]
         so[-1] += mk
     red1, red2 = loop_redundancy(key, mk, weight % 10)
-    return red1, "".join(sc_bits), se, so, red2
+    return red1, b"".join(sc_bits), se, so, red2
 
 
 def loop_oea_decrypt(cipher, key):
@@ -471,7 +471,7 @@ def loop_oea_decrypt(cipher, key):
     out = bytearray()
     even_iter, odd_iter = iter(se), iter(so)
     for bit in cipher.sc:
-        value = next(odd_iter) if bit == "1" else next(even_iter)
+        value = next(odd_iter) if bit == ord("1") else next(even_iter)
         if not 0 <= value <= 255:
             raise NonByteValue(f"recovered value {value} outside [0, 255]")
         out.append(value)
@@ -480,7 +480,7 @@ def loop_oea_decrypt(cipher, key):
 
 def loop_parse_int_line(line, count, section, line_no):
     """The token loop, plus the rule that a value outside int64 is refused."""
-    tokens = line.split(" ") if line else []
+    tokens = line.split(b" ") if line else []
     if len(tokens) != count:
         raise ParseError(
             f"{section} section: expected {count} values, found {len(tokens)}", line_no
@@ -604,7 +604,7 @@ def reference_encrypt(data, seed):
     key = SimpleNamespace(
         width=width, height=height, row_swaps=np.array(rows), col_swaps=np.array(cols), lut=table
     )
-    plaintext = line_serialize_layer1_key(key).encode("ascii")
+    plaintext = line_serialize_layer1_key(key)
 
     # the lattice in the cipher image's window: a basis drawn as v0.x, v0.y,
     # v1.x, v1.y in [-B, B], B = max(4, ceil(max(w, h) / 25)), until it is
@@ -616,25 +616,25 @@ def reference_encrypt(data, seed):
         if x0 * y1 - y0 * x1 != 0:
             break
     points = np.array(membership_points((x0, y0), (x1, y1), width, height), np.int64)
-    oea_key = per_entry_key_text(nmf_multiplicative(points, seed ^ NMF_SEED_SALT).W).encode("ascii")
+    oea_key = per_entry_key_text(nmf_multiplicative(points, seed ^ NMF_SEED_SALT).W)
 
     red1, sc, se, so, red2 = loop_oea_encrypt(plaintext, oea_key)
-    lines = [f"PIOU2 {len(red1)} {len(sc)} {len(se)} {len(so)} {len(red2)}", red1, sc]
-    lines += [" ".join(str(value) for value in section) for section in (se, so, red2)]
-    return ppm_bytes(cipher), "".join(line + "\n" for line in lines).encode("ascii"), oea_key
+    lines = [b"PIOU2 %d %d %d %d %d" % (len(red1), len(sc), len(se), len(so), len(red2)), red1, sc]
+    lines += [b" ".join(b"%d" % value for value in section) for section in (se, so, red2)]
+    return ppm_bytes(cipher), b"".join(line + b"\n" for line in lines), oea_key
 
 
 def reference_decrypt(cipher_image, cipher_text, key):
     """The P6 file of the image that a bundle's three files, given as bytes, hold."""
     pixels = loop_read_pixels(cipher_image)
-    header, red1, sc, *lines, _ = cipher_text.decode("ascii").split("\n")
-    counts = [int(token) for token in header.split(" ")[3:]]
+    header, red1, sc, *lines, _ = cipher_text.split(b"\n")
+    counts = [int(token) for token in header.split(b" ")[3:]]
     se, so, red2 = (
         np.array(loop_parse_int_line(line, count, name, line_no), np.int64)
         for name, line, count, line_no in zip(("se", "so", "red2"), lines, counts, (4, 5, 6))
     )
     plaintext = loop_oea_decrypt(SimpleNamespace(red1=red1, sc=sc, se=se, so=so, red2=red2), key)
-    _, _, rows, cols, table = loop_parse_layer1_key(plaintext.decode("ascii"))
+    _, _, rows, cols, table = loop_parse_layer1_key(plaintext)
     inverse = np.empty(256, np.uint8)
     inverse[table] = np.arange(256)
     return ppm_bytes(loop_apply_swaps(inverse[pixels], swap_schedule(rows, cols)[::-1]))

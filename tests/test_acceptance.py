@@ -162,10 +162,10 @@ def test_c5_oea_round_trip():
             assert oea_decrypt(cipher, key) == plaintext, f"trial {trial} failed"
 
         hand = oea_encrypt(b"Hi", b"A")
-        assert hand.sc == "01"
+        assert hand.sc == b"01"
         assert hand.se.tolist() == [-188]
         assert hand.so.tolist() == [105]
-        assert hand.red1 == "00000"
+        assert hand.red1 == b"00000"
         assert hand.red2.tolist() == [195] * 5
 
 

@@ -3,6 +3,7 @@
 perfbench/tracing.py times a stage by swapping a recorder in for the function
 of that name in the pipeline's modules. A stage that the pipeline stopped
 calling by that name would read 0 s in the traced benchmark, with no error.
+The byte counts it reads from those calls must be the sizes of the texts.
 """
 
 import sys
@@ -12,7 +13,9 @@ import numpy as np
 
 from oracles import write_random_ppm
 from pioucrypt import pipeline
+from pioucrypt.layer1 import generate_layer1_key, serialize_layer1_key
 from pioucrypt.pipeline import PipelineConfig
+from pioucrypt.prng import Xorshift1024
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
@@ -40,3 +43,6 @@ def test_every_timed_stage_is_recorded(tmp_path):
     metrics = tracing.per_operation_metrics(tracer, {0: "encrypt", 1: "decrypt"})
     zero = {name for name, unit, _, _ in tracing.PER_OPERATION if unit == "s" and metrics[name] == 0}
     assert zero <= UNTIMED, zero
+    assert metrics["oea.cipher_bytes"] == bundle.paths[1].stat().st_size
+    key_text = serialize_layer1_key(generate_layer1_key(Xorshift1024(44), 24, 16))
+    assert metrics["oea.plaintext_bytes"] == metrics["layer1.key_text_bytes"] == len(key_text)

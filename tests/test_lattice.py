@@ -425,8 +425,8 @@ def test_reconstruction_probe_row_product():
 
 
 def test_serialize_key_matrix_shapes_and_exact_text():
-    assert serialize_key_matrix(np.zeros((668, 2))).splitlines()[0] == "PIOUW 668 2"
-    assert serialize_key_matrix(np.array([[0.0, 0.0]])) == "PIOUW 1 2\n0.00000 0.00000\n"
+    assert serialize_key_matrix(np.zeros((668, 2))).splitlines()[0] == b"PIOUW 668 2"
+    assert serialize_key_matrix(np.array([[0.0, 0.0]])) == b"PIOUW 1 2\n0.00000 0.00000\n"
 
 
 # 0.0, -0.0, and odd multiples of 2^-6, which lie exactly halfway between

@@ -151,7 +151,7 @@ def keyed_schedules(draw, height, width, lut):
     rows, cols = draw(full_pairs(height)), draw(full_pairs(width))
     order = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).permutation([ROW] * height + [COLUMN] * width)
     by_axis = {ROW: iter(rows), COLUMN: iter(cols)}
-    schedule = [(str(tag), *next(by_axis[tag])) for tag in order]
+    schedule = [(bytes(tag), *next(by_axis[tag])) for tag in order]
     return key_of(rows, cols, lut), schedule
 
 
@@ -454,15 +454,15 @@ def test_serialize_1x1_has_259_lines():
     text = serialize_layer1_key(key)
     lines = text.splitlines()
     assert len(lines) == 259
-    assert lines[0] == "PIOU1 1 1"
-    assert lines[1].startswith("R ") and lines[2].startswith("C ")
-    assert lines[3].startswith("L 255 ") and lines[-1].startswith("L 0 ")
-    assert text.endswith("\n")
+    assert lines[0] == b"PIOU1 1 1"
+    assert lines[1].startswith(b"R ") and lines[2].startswith(b"C ")
+    assert lines[3].startswith(b"L 255 ") and lines[-1].startswith(b"L 0 ")
+    assert text.endswith(b"\n")
 
 
 def test_serialize_header_for_512_square():
     key = generate_layer1_key(Xorshift1024(512), 512, 512)
-    assert serialize_layer1_key(key).splitlines()[0] == "PIOU1 512 512"
+    assert serialize_layer1_key(key).splitlines()[0] == b"PIOU1 512 512"
 
 
 def test_serialization_round_trip():
@@ -490,22 +490,22 @@ def test_parse_errors_carry_line_numbers():
     lines = text.splitlines()
 
     with pytest.raises(ParseError) as excinfo:
-        parse_layer1_key("NOPE 2 2\n" + "\n".join(lines[1:]) + "\n")
+        parse_layer1_key(b"NOPE 2 2\n" + b"\n".join(lines[1:]) + b"\n")
     assert excinfo.value.line == 1
 
     bad_swap = lines[:]
-    bad_swap[1] = "R 9 0"
+    bad_swap[1] = b"R 9 0"
     with pytest.raises(ParseError) as excinfo:
-        parse_layer1_key("\n".join(bad_swap) + "\n")
+        parse_layer1_key(b"\n".join(bad_swap) + b"\n")
     assert excinfo.value.line == 2
 
     bad_order = lines[:]
     bad_order[5], bad_order[6] = bad_order[6], bad_order[5]
     with pytest.raises(ParseError) as excinfo:
-        parse_layer1_key("\n".join(bad_order) + "\n")
+        parse_layer1_key(b"\n".join(bad_order) + b"\n")
     assert excinfo.value.line == 6
 
-    truncated = "\n".join(lines[:-1]) + "\n"
+    truncated = b"\n".join(lines[:-1]) + b"\n"
     with pytest.raises(ParseError):
         parse_layer1_key(truncated)
 
@@ -517,16 +517,16 @@ def test_parse_errors_carry_line_numbers():
 def test_parse_refuses_zero_dimensions(header):
     text = serialize_layer1_key(generate_layer1_key(Xorshift1024(8), 5, 5))
     with pytest.raises(ParseError, match="^line 1: dimensions must be >= 1$"):
-        parse_layer1_key(header + text[text.index("\n") :])
+        parse_layer1_key(header.encode("ascii") + text[text.index(b"\n") :])
 
 
 def test_parse_rejects_duplicate_substitute():
     key = generate_layer1_key(Xorshift1024(8), 1, 1)
     lines = serialize_layer1_key(key).splitlines()
-    first_sub = lines[3].split(" ")[2]
-    lines[4] = f"L 254 {first_sub}"
+    first_sub = lines[3].split(b" ")[2]
+    lines[4] = b"L 254 " + first_sub
     with pytest.raises(ParseError) as excinfo:
-        parse_layer1_key("\n".join(lines) + "\n")
+        parse_layer1_key(b"\n".join(lines) + b"\n")
     assert excinfo.value.line == 5
 
 
@@ -542,11 +542,13 @@ def parse_outcome(parse, text):
     return key
 
 
+# Tokens as the UTF-8 bytes a file would hold: "\u0663", an Arabic-Indic
+# digit, is two non-ASCII bytes.
 bad_tokens = st.one_of(
-    st.integers(-2, 300).map(str),
-    st.sampled_from([2**63 - 1, 2**63, -(2**63), -(2**63) - 1, 10**30]).map(str),
-    st.sampled_from(["+1", "01", "-0", "", "1_0", "\u0663", "x", "1\r"]),
-    st.sampled_from([ROW, COLUMN, LOOKUP, "PIOU1"]),
+    st.integers(-2, 300).map(str).map(str.encode),
+    st.sampled_from([2**63 - 1, 2**63, -(2**63), -(2**63) - 1, 10**30]).map(str).map(str.encode),
+    st.sampled_from(["+1", "01", "-0", "", "1_0", "\u0663", "x", "1\r"]).map(str.encode),
+    st.sampled_from([ROW, COLUMN, LOOKUP, b"PIOU1"]),
 )
 
 
@@ -559,11 +561,11 @@ def mutated_key_texts(draw):
         k = draw(st.integers(0, len(lines) - 1))
         kind = draw(st.sampled_from(["token", "token", "copy", "insert", "swap", "arity"]))
         if kind == "token":
-            tokens = lines[k].split(" ")
+            tokens = lines[k].split(b" ")
             tokens[draw(st.integers(0, len(tokens) - 1))] = draw(bad_tokens)
-            lines[k] = " ".join(tokens)
+            lines[k] = b" ".join(tokens)
         elif kind == "arity":
-            lines[k] = " ".join(draw(st.lists(bad_tokens, max_size=4)))
+            lines[k] = b" ".join(draw(st.lists(bad_tokens, max_size=4)))
         else:
             j = draw(st.integers(0, len(lines) - 1))
             if kind == "copy":
@@ -572,7 +574,7 @@ def mutated_key_texts(draw):
                 lines.insert(k, lines[j])
             else:
                 lines[k], lines[j] = lines[j], lines[k]
-    return "\n".join(lines) + "\n"
+    return b"\n".join(lines) + b"\n"
 
 
 @settings(max_examples=500, deadline=None)

@@ -53,18 +53,18 @@ def test_master_key_and_overflow_guard():
 
 def test_hand_traced_vector():
     cipher = oea_encrypt(b"Hi", b"A")
-    assert cipher.sc == "01"
+    assert cipher.sc == b"01"
     assert cipher.se.tolist() == [-188]
     assert cipher.so.tolist() == [105]
-    assert cipher.red1 == "00000"
+    assert cipher.red1 == b"00000"
     assert cipher.red2.tolist() == [195, 195, 195, 195, 195]
     assert oea_decrypt(cipher, b"A") == b"Hi"
 
 
 def test_empty_plaintext():
     cipher = oea_encrypt(b"", b"A")
-    assert cipher.sc == "" and cipher.se.size == 0 and cipher.so.size == 0
-    assert cipher.red1 == "00000"
+    assert cipher.sc == b"" and cipher.se.size == 0 and cipher.so.size == 0
+    assert cipher.red1 == b"00000"
     assert cipher.red2.tolist() == [65] * 5
     assert oea_decrypt(cipher, b"A") == b""
 
@@ -73,22 +73,22 @@ def test_weight_multiple_of_ten_gives_empty_redundancy():
     key = b"2"  # byte 50
     assert key_weight(key) % 10 == 0
     cipher = oea_encrypt(b"hello", key)
-    assert cipher.red1 == "" and cipher.red2.size == 0
+    assert cipher.red1 == b"" and cipher.red2.size == 0
     assert oea_decrypt(cipher, key) == b"hello"
 
 
 def test_red1_bit_rule_inverted_from_marker():
     # even key byte -> '1', odd -> '0'
     cipher = oea_encrypt(b"", bytes([2, 3, 5]))  # weight 10 % 10 = 0 -> avoid
-    assert cipher.red1 == ""
+    assert cipher.red1 == b""
     cipher = oea_encrypt(b"", bytes([2, 3, 4]))  # weight 9 -> nine bits
-    assert cipher.red1 == "101101101"
+    assert cipher.red1 == b"101101101"
 
 
 def test_marker_records_byte_parity():
     plaintext = bytes(range(16))
     cipher = oea_encrypt(plaintext, b"key")
-    assert cipher.sc == "".join(str(b % 2) for b in plaintext)
+    assert cipher.sc == "".join(str(b % 2) for b in plaintext).encode("ascii")
     assert len(cipher.se) == sum(1 for b in plaintext if b % 2 == 0)
     assert len(cipher.so) == sum(1 for b in plaintext if b % 2 == 1)
 
@@ -143,7 +143,7 @@ def test_tampered_red2_raises_key_mismatch():
 
 
 def test_tampered_red1_raises_key_mismatch():
-    cipher = replace(oea_encrypt(b"Hi", b"A"), red1="10000")
+    cipher = replace(oea_encrypt(b"Hi", b"A"), red1=b"10000")
     with pytest.raises(KeyMismatch):
         oea_decrypt(cipher, b"A")
 
@@ -169,26 +169,29 @@ def ints(*values):
 
 def test_structural_validation():
     with pytest.raises(MalformedCipher):
-        OeaCipher("0x", "01", ints(1), ints(2), ints(3, 4))
+        OeaCipher(b"0x", b"01", ints(1), ints(2), ints(3, 4))
     with pytest.raises(MalformedCipher):
-        OeaCipher("", "021", ints(1), ints(2), ints())
+        OeaCipher(b"", b"021", ints(1), ints(2), ints())
     with pytest.raises(MalformedCipher):
-        OeaCipher("", "1x", ints(1), ints(2), ints())  # a non-bit marker with matching lengths
+        OeaCipher(b"", b"1x", ints(1), ints(2), ints())  # a non-bit marker with matching lengths
     with pytest.raises(MalformedCipher):
-        OeaCipher("", "01", ints(1, 2), ints(3), ints())  # lengths disagree with marker
+        OeaCipher(b"", b"01", ints(1, 2), ints(3), ints())  # lengths disagree with marker
     with pytest.raises(MalformedCipher):
-        OeaCipher("", "01", ints(1), ints(2), ints(9))  # red lengths differ
+        OeaCipher(b"", b"01", ints(1), ints(2), ints(9))  # red lengths differ
     with pytest.raises(MalformedCipher):
-        OeaCipher("", "0110", ints(1, 2, 3), ints(4), ints())  # bit counts off
-    assert OeaCipher("", "10", ints(2), ints(1), ints()).sc == "10"
+        OeaCipher(b"", b"0110", ints(1, 2, 3), ints(4), ints())  # bit counts off
+    for red1, sc in (("", b"10"), (b"", "10")):  # text where bytes belong
+        with pytest.raises(MalformedCipher, match="must be bytes"):
+            OeaCipher(red1, sc, ints(2), ints(1), ints())
+    assert OeaCipher(b"", b"10", ints(2), ints(1), ints()).sc == b"10"
 
 
 def test_mutated_cipher_detected_at_decrypt():
     cipher = oea_encrypt(b"Hi", b"A")
     with pytest.raises(MalformedCipher):
-        oea_decrypt(replace(cipher, sc="11"), b"A")
+        oea_decrypt(replace(cipher, sc=b"11"), b"A")
     with pytest.raises(MalformedCipher):
-        oea_decrypt(replace(cipher, red1="0000x"), b"A")
+        oea_decrypt(replace(cipher, red1=b"0000x"), b"A")
 
 
 def test_out_of_range_recovered_value():
@@ -201,7 +204,7 @@ def test_out_of_range_recovered_value():
 def test_serialize_hand_traced_vector():
     cipher = oea_encrypt(b"Hi", b"A")
     text = serialize_oea(cipher)
-    assert text == "PIOU2 5 2 1 1 5\n00000\n01\n-188\n105\n195 195 195 195 195\n"
+    assert text == b"PIOU2 5 2 1 1 5\n00000\n01\n-188\n105\n195 195 195 195 195\n"
 
 
 def test_serialize_sections_over_several_format_blocks():
@@ -209,16 +212,16 @@ def test_serialize_sections_over_several_format_blocks():
     count = 3 * _text.FORMAT_BLOCK_ROWS + 1
     rng = np.random.default_rng(8)
     values = [rng.integers(-(2**62), 2**62, count) for _ in range(3)]
-    cipher = OeaCipher("0" * count, "0" * count + "1" * count, *values)
-    lines = serialize_oea(cipher).split("\n")
-    assert lines[3:] == [" ".join(map(str, section.tolist())) for section in values] + [""]
+    cipher = OeaCipher(b"0" * count, b"0" * count + b"1" * count, *values)
+    lines = serialize_oea(cipher).split(b"\n")
+    assert lines[3:] == [" ".join(map(str, section.tolist())).encode("ascii") for section in values] + [b""]
     assert parse_oea(serialize_oea(cipher)).se.tolist() == values[0].tolist()
 
 
 def test_serialize_empty_plaintext_header():
     text = serialize_oea(oea_encrypt(b"", b"A"))
-    assert text.splitlines()[0] == "PIOU2 5 0 0 0 5"
-    assert text.count("\n") == 6
+    assert text.splitlines()[0] == b"PIOU2 5 0 0 0 5"
+    assert text.count(b"\n") == 6
 
 
 def test_serialization_round_trip_random():
@@ -235,22 +238,22 @@ def test_serialization_round_trip_random():
 @pytest.mark.parametrize("length", ["+5", "05"])
 def test_parse_rejects_non_canonical_header_lengths(length):
     good = serialize_oea(oea_encrypt(b"Hi", b"A"))
-    assert good.startswith("PIOU2 5 ")
+    assert good.startswith(b"PIOU2 5 ")
     with pytest.raises(ParseError) as excinfo:
-        parse_oea(good.replace("PIOU2 5 ", f"PIOU2 {length} ", 1))
+        parse_oea(good.replace(b"PIOU2 5 ", f"PIOU2 {length} ".encode("ascii"), 1))
     assert excinfo.value.line == 1
 
 
 def test_parse_rejects_negative_header_length():
     with pytest.raises(ParseError, match="header lengths must be >= 0") as excinfo:
-        parse_oea("PIOU2 -1 0 0 0 0\n" + "\n" * 5)
+        parse_oea(b"PIOU2 -1 0 0 0 0\n" + b"\n" * 5)
     assert excinfo.value.line == 1
 
 
 def test_parse_errors_name_sections():
     good = serialize_oea(oea_encrypt(b"Hi", b"A"))
 
-    truncated = "\n".join(good.splitlines()[:4]) + "\n"
+    truncated = b"\n".join(good.splitlines()[:4]) + b"\n"
     with pytest.raises(ParseError) as excinfo:
         parse_oea(truncated)
     assert "so" in str(excinfo.value)
@@ -259,22 +262,22 @@ def test_parse_errors_name_sections():
         parse_oea(good[:-1])  # missing final newline
 
     with pytest.raises(ParseError) as excinfo:
-        parse_oea(good.replace("PIOU2", "PIOUX"))
+        parse_oea(good.replace(b"PIOU2", b"PIOUX"))
     assert excinfo.value.line == 1
 
-    short_se = good.replace("\n-188\n", "\n\n")
+    short_se = good.replace(b"\n-188\n", b"\n\n")
     with pytest.raises(ParseError) as excinfo:
         parse_oea(short_se)
     assert "se" in str(excinfo.value)
 
-    bad_bits = good.replace("\n01\n", "\n02\n")
+    bad_bits = good.replace(b"\n01\n", b"\n02\n")
     with pytest.raises(ParseError) as excinfo:
         parse_oea(bad_bits)
     assert "sc" in str(excinfo.value)
 
 
 def sections(cipher):
-    """The five sections of a cipher as str and lists of Python ints."""
+    """The five sections of a cipher as bytes and lists of Python ints."""
     return cipher.red1, cipher.sc, cipher.se.tolist(), cipher.so.tolist(), cipher.red2.tolist()
 
 
@@ -373,13 +376,15 @@ def test_decrypt_matches_loop_under_other_keys(plaintext, key, other):
     assert outcome(oea_decrypt, cipher, other) == outcome(loop_oea_decrypt, cipher, other)
 
 
+# Each token as the UTF-8 bytes a file would hold: "\u0663", an Arabic-Indic
+# digit, becomes two non-ASCII bytes.
 tokens = st.one_of(
     st.integers(-(2**66), 2**66).map(str),
     st.sampled_from(INT64_EDGES).map(str),
     st.sampled_from(
         ["+5", "05", "-0", "00", "", "1_0", "\u0663", "\t1", "1.0", "x", "- 1", "1\r"]
     ),
-)
+).map(str.encode)
 
 
 def parsed_int_line(line, count, section, line_no):
@@ -391,8 +396,8 @@ def parsed_int_line(line, count, section, line_no):
 @settings(max_examples=300, deadline=None)
 @given(st.lists(tokens, max_size=8), st.integers(-1, 1))
 def test_int_line_parse_matches_loop(token_list, count_offset):
-    line = " ".join(token_list)
-    count = (line.count(" ") + 1 if line else 0) + count_offset
+    line = b" ".join(token_list)
+    count = (line.count(b" ") + 1 if line else 0) + count_offset
     assert outcome(parsed_int_line, line, count, "se", 4) == outcome(
         loop_parse_int_line, line, count, "se", 4
     )
@@ -400,7 +405,7 @@ def test_int_line_parse_matches_loop(token_list, count_offset):
 
 def one_value_text(section_line):
     """A PIOU2 text whose only value sits in the se section."""
-    return f"PIOU2 0 1 1 0 0\n\n0\n{section_line}\n\n\n"
+    return f"PIOU2 0 1 1 0 0\n\n0\n{section_line}\n\n\n".encode("ascii")
 
 
 @pytest.mark.parametrize("value", [2**63 - 1, -(2**63)])
@@ -416,20 +421,20 @@ def test_parse_rejects_values_outside_int64(value):
     assert "se section" in str(excinfo.value)
 
 
-LONG = "9" * 5000  # longer than int() converts by default (4,300 digits)
+LONG = b"9" * 5000  # longer than int() converts by default (4,300 digits)
 
 
 @pytest.mark.parametrize(
     "line",
-    [LONG, "-" + LONG, f"1 {LONG} 2", f"{2**63} -{LONG}", f"{2**63 - 1} {LONG}"],
+    [LONG, b"-" + LONG, b"1 %s 2" % LONG, b"%d -%s" % (2**63, LONG), b"%d %s" % (2**63 - 1, LONG)],
     ids=["long", "negative-long", "long-in-middle", "after-out-of-range", "after-int64-max"],
 )
 def test_token_too_long_for_int_is_parse_error(line):
-    count = line.count(" ") + 1
+    count = line.count(b" ") + 1
     expected = outcome(loop_parse_int_line, line, count, "se", 4)
     assert outcome(parsed_int_line, line, count, "se", 4) == expected
     with pytest.raises(ParseError) as excinfo:
-        parse_oea(f"PIOU2 0 {count} {count} 0 0\n\n{'0' * count}\n{line}\n\n\n")
+        parse_oea(b"PIOU2 0 %d %d 0 0\n\n%s\n%s\n\n\n" % (count, count, b"0" * count, line))
     assert excinfo.value.line == 4
     assert str(excinfo.value) == expected[1]
 

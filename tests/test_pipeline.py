@@ -215,8 +215,8 @@ def test_pipeline_1x1_bundle_contains_259_line_key(tmp_path):
     bundle = encrypt_pipeline(src, PipelineConfig(seed=5, out_dir=tmp_path))
     from pioucrypt.oea import oea_decrypt, parse_oea
 
-    recovered = oea_decrypt(parse_oea(bundle.paths[1].read_text("ascii")), bundle.paths[2].read_bytes())
-    assert len(recovered.decode("ascii").splitlines()) == 259
+    recovered = oea_decrypt(parse_oea(bundle.paths[1].read_bytes()), bundle.paths[2].read_bytes())
+    assert len(recovered.splitlines()) == 259
     decrypt_pipeline(*bundle.paths, out_path=tmp_path / "one.dec.ppm")
     assert (tmp_path / "one.dec.ppm").read_bytes() == src.read_bytes()
 
@@ -281,13 +281,15 @@ def test_non_ascii_cipher_or_key_text_raises_parse_error(tmp_path):
     write_random_ppm(src, np.random.default_rng(29), 4, 4)
     bundle = encrypt_pipeline(src, PipelineConfig(seed=6, out_dir=tmp_path))
     bundle.paths[1].write_bytes(bundle.paths[1].read_bytes() + b"\xff\n")
-    with pytest.raises(ParseError, match="ciphertext is not ASCII"):
+    with pytest.raises(ParseError, match="^line 8: expected 6 lines, found 7$") as excinfo:
         decrypt_pipeline(*bundle.paths, out_path=tmp_path / "x.ppm")
+    assert excinfo.value.line == 8
     # a well-formed PIOU2 text under the real key whose plaintext is not ASCII
     cipher = oea_encrypt(b"\xff\xfe", bundle.paths[2].read_bytes())
-    bundle.paths[1].write_text(serialize_oea(cipher), encoding="ascii")
-    with pytest.raises(ParseError, match="recovered key text is not ASCII"):
+    bundle.paths[1].write_bytes(serialize_oea(cipher))
+    with pytest.raises(ParseError, match="^line 1: key file must end with a newline$") as excinfo:
         decrypt_pipeline(*bundle.paths, out_path=tmp_path / "x.ppm")
+    assert excinfo.value.line == 1
     assert not (tmp_path / "x.ppm").exists()
 
 
@@ -486,6 +488,17 @@ def test_leftover_beside_a_bundle_path_is_refused(tmp_path, stem):
             decrypt_pipeline(*paths, out_path=tmp_path / "dec.ppm")
         with pytest.raises(InterruptedWrite, match=re.escape(str(leftover))):
             encrypt_pipeline(src, PipelineConfig(seed=4, out_dir=tmp_path))
+        leftover.unlink()
+    # beside what decrypt and analyze write: an existing image, a new CSV
+    out, csv_path = tmp_path / "dec.ppm", tmp_path / f"{stem}.csv"
+    writes = ((out, lambda: decrypt_pipeline(*paths, out_path=out)), (csv_path, lambda: analyze(src, csv_path)))
+    for target, write in writes:
+        leftover = target.with_name(f".{target.name}.0123456789abcdef.tmp")
+        leftover.write_bytes(b"")
+        before = snapshot(tmp_path)
+        with pytest.raises(InterruptedWrite, match=re.escape(str(leftover))):
+            write()
+        assert snapshot(tmp_path) == before
         leftover.unlink()
 
 
@@ -740,7 +753,7 @@ def test_large_m_key_text():
     assert len(points) == 102_300
     text = serialize_key_matrix(nmf_multiplicative(points, seed ^ pipeline.NMF_SEED_SALT).W)
     assert len(text) == 1_636_815
-    assert hashlib.sha256(text.encode("ascii")).hexdigest() == (
+    assert hashlib.sha256(text).hexdigest() == (
         "b8a0e570a497ccaf12864abb441c76a99ecf318d6e7d01581beaa73d0ac80425"
     )
 

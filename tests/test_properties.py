@@ -29,16 +29,16 @@ def recover_without_key(cipher_image_path, oea_cipher_path):
     master key. The layer-1 key text starts with 'P' (80, even), so the
     master key is 80 - se[0] and every byte follows.
     """
-    cipher = parse_oea(Path(oea_cipher_path).read_text("ascii"))
+    cipher = parse_oea(Path(oea_cipher_path).read_bytes())
     mk = ord("P") - cipher.se[0]
-    odd = np.frombuffer(cipher.sc.encode("ascii"), np.uint8) == ord("1")
+    odd = np.frombuffer(cipher.sc, np.uint8) == ord("1")
     plain = np.empty(odd.size, np.int64)
     for mask, values, last in ((~odd, cipher.se, mk), (odd, cipher.so, -mk)):
         stream = np.array(values, np.int64)
         if stream.size:
             stream[-1] += last
             plain[mask] = np.diff(stream, prepend=-mk)
-    layer1_key = parse_layer1_key(plain.astype(np.uint8).tobytes().decode("ascii"))
+    layer1_key = parse_layer1_key(plain.astype(np.uint8).tobytes())
     return apply_swaps(read_image(cipher_image_path), layer1_key.inverse())
 
 
@@ -56,7 +56,7 @@ def test_bundle_decrypts_without_the_key_file(tmp_path):
 @given(st.binary(max_size=300), st.binary(min_size=1, max_size=40))
 def test_marker_string_is_the_plaintext_parity(plaintext, key):
     cipher = oea_encrypt(plaintext, key)
-    assert cipher.sc == "".join(str(byte % 2) for byte in plaintext)
+    assert cipher.sc == "".join(str(byte % 2) for byte in plaintext).encode("ascii")
 
 
 def test_key_depends_only_on_seed_and_size(tmp_path):

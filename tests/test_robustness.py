@@ -1,12 +1,15 @@
 """Properties over random inputs: parsers fail only with PiouCryptError, the
 command line never ends in a traceback, the pipeline round-trips every
 image shape, thin strips included, and the PPM header reader agrees with a
-byte-at-a-time oracle."""
+byte-at-a-time oracle. The text tests also run with bytes/str mix-ups as
+errors."""
 
 import contextlib
 import functools
 import io
 import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -16,12 +19,26 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import PPM_WHITESPACE, loop_read_pixels
+import pioucrypt
 from pioucrypt import cli
 from pioucrypt.errors import PiouCryptError
 from pioucrypt.layer1 import RgbImage, generate_layer1_key, parse_layer1_key, serialize_layer1_key
 from pioucrypt.oea import oea_encrypt, parse_oea, serialize_oea
 from pioucrypt.pipeline import PipelineConfig, decrypt_pipeline, encrypt_pipeline, read_image, write_image
 from pioucrypt.prng import Xorshift1024
+
+
+def test_text_tests_pass_with_bytes_warnings_as_errors():
+    """Every text is bytes; under python -bb, comparing bytes with str or
+    formatting bytes with str() raises instead of giving False or "b'...'"."""
+    here = Path(__file__).parent
+    result = subprocess.run(
+        [sys.executable, "-bb", "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "-k", "parse or serialize or round_trip", str(here / "test_layer1.py"), str(here / "test_oea.py")],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(Path(pioucrypt.__file__).parents[1])},
+    )
+    assert result.returncode == 0, result.stdout + result.stderr
 
 
 def valid_oea_text(rng):
@@ -79,7 +96,7 @@ def mutate(text, edit_list):
 @given(st.sampled_from(PARSERS), st.integers(0, 2**32 - 1), edits)
 def test_parsers_raise_only_piou_errors_on_mutated_text(parser_case, seed, edit_list):
     parser, make_text = parser_case
-    text = mutate(make_text(np.random.default_rng(seed)), edit_list)
+    text = mutate_bytes(make_text(np.random.default_rng(seed)), edit_list)
     try:
         parser(text)
     except PiouCryptError:
