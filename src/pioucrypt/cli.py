@@ -150,7 +150,7 @@ def _cmd_lattice(args) -> int:
     print(f"basis {vectors.v0} {vectors.v1}  det {vectors.det}")
     print(f"window {window.width}x{window.height}  points {points.shape[0]}")
     if args.dump_points:
-        sys.stdout.writelines(_text.format_rows("%d %d\n", points))
+        sys.stdout.writelines(block.decode("ascii") for block in _text.write_rows(points))
     if points.shape[0] and args.factors:
         errors = []
         # Handed over from a list that gives them up, the points have no

@@ -275,6 +275,5 @@ def serialize_key_matrix(matrix) -> bytes:
     W = _nonnegative(matrix, "key matrix")
     if W.ndim != 2 or W.shape[0] < 1 or W.shape[1] < 1:
         raise InvalidConfig("key matrix must be 2-D and non-empty")
-    rows, cols = W.shape
-    row_format = b" ".join([b"%.5f"] * cols) + b"\n"
-    return b"".join([b"%s %d %d\n" % (KEY_MATRIX_MAGIC, rows, cols), *_text.format_rows(row_format, W)])
+    header = b"%s %d %d\n" % (KEY_MATRIX_MAGIC, *W.shape)
+    return b"".join([header, *_text.write_rows(W.astype(np.float64, copy=False))])

@@ -104,23 +104,28 @@ def generate_layer1_key(rng: Xorshift1024, width: int, height: int) -> Layer1Key
     column pairs, then the substitution table built by walking the plain value
     down from 255 to 0 and rejecting already-assigned cipher values so the
     table stays bijective. Total consumption is 2*height + 2*width + 256 plus
-    one draw per rejection. The swap indices are drawn in one block; each is
-    the draw modulo its axis length, as `randint` would give.
+    one draw per rejection. Each index and substitute is the draw modulo its
+    range, as `randint` would give. The swap indices are drawn in one block,
+    the table in blocks of as many draws as values still unassigned: each draw
+    assigns at most one value, so no block draws past the last draw that one
+    draw at a time would take.
     """
     width, height = as_int(width, "key width"), as_int(height, "key height")
     if width < 1 or height < 1:
         raise InvalidConfig("key dimensions must be >= 1")
-    words = np.array(rng.fill_u64(2 * height + 2 * width), np.uint64)
+    words = rng.fill_u64(2 * height + 2 * width)
     row_swaps = (words[: 2 * height] % np.uint64(height)).astype(np.int64).reshape(-1, 2)
     col_swaps = (words[2 * height :] % np.uint64(width)).astype(np.int64).reshape(-1, 2)
     lut = np.empty(256, np.uint8)
-    used = set()
-    for value in range(255, -1, -1):
-        z = rng.randint(0, 255)
-        while z in used:
-            z = rng.randint(0, 255)
-        used.add(z)
-        lut[value] = z
+    used = [False] * 256
+    value = 255
+    while value >= 0:
+        # the low byte of each draw is the draw % 256
+        for z in rng.fill_u64(value + 1).astype(np.uint8).tolist():
+            if not used[z]:
+                used[z] = True
+                lut[value] = z
+                value -= 1
     return Layer1Key(row_swaps, col_swaps, lut)
 
 
@@ -238,7 +243,7 @@ def serialize_layer1_key(key: Layer1Key) -> bytes:
     table = np.column_stack((np.arange(255, -1, -1), key.lut[::-1]))
     parts = [b"%s %d %d\n" % (LAYER1_MAGIC, key.width, key.height)]
     for (tag, _), rows in zip(_body_layout(key.width, key.height), (key.row_swaps, key.col_swaps, table)):
-        parts.extend(_text.format_rows(tag + b" %d %d\n", rows))
+        parts.extend(_text.write_rows(rows, tag))
     return b"".join(parts)
 
 

@@ -160,13 +160,12 @@ def oea_decrypt(cipher: OeaCipher, key: bytes) -> bytes:
 def _int_section(values: np.ndarray) -> list[bytes]:
     """The line of an int64 section: its values split by spaces, then LF.
 
-    The values are formatted a block at a time, each block with one
-    %-format, which is faster than a str() per value and holds one block's
-    Python ints at a time.
+    The values are written as one row through _text.write_rows, a block at a
+    time, so one block's digit cells are held at a time.
     """
     if not values.size:
         return [b"\n"]
-    return [*_text.format_rows(b"%d ", values[:-1, None]), b"%d\n" % values[-1]]
+    return [*_text.write_rows(values[None])]
 
 
 def serialize_oea(cipher: OeaCipher) -> bytes:

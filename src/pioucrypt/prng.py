@@ -2,10 +2,12 @@
 
 Two generators drive all randomness: Xorshift1024* (pixel scrambling) and a
 triple linear congruential generator, "TLCG" (lattice construction and
-factorization start points). Both run as exact integer arithmetic -- plain
-Python integers, and for the TLCG's bulk draws int64 numpy arrays whose every
-product stays below 2^62 -- so sequences are bit-exact across platforms; the
-sequence consumed by each caller is part of the key-material contract.
+factorization start points). Both run as exact integer arithmetic, so
+sequences are bit-exact across platforms; the sequence consumed by each caller
+is part of the key-material contract. The Xorshift1024* state recurrence runs
+on Python integers, 16 steps at a time in one 1024-bit integer, and its output
+multiply is one uint64 array product, which wraps mod 2^64 exactly; the TLCG's
+bulk draws are int64 arrays whose every product stays below 2^62.
 """
 
 from __future__ import annotations
@@ -21,6 +23,21 @@ _MASK64 = (1 << 64) - 1
 
 # Output multiplier of Xorshift1024*.
 XS1024_MULTIPLIER = 0x106689D45497FDB5
+_MULTIPLIER_U64 = np.uint64(XS1024_MULTIPLIER)
+
+
+def _lanes(word: int) -> int:
+    """word in each of the 16 lanes of 64 bits of a packed Xorshift1024 state."""
+    return sum(word << (64 * lane) for lane in range(16))
+
+
+# Masks of Xorshift1024.fill_u64's packed state: all 16 lanes, and in each
+# lane the bits a shift by 31 left, 11 right, 30 right or 60 right keeps.
+_ALL_LANES = _lanes(_MASK64)
+_SHIFTED_31 = _lanes(_MASK64 ^ ((1 << 31) - 1))
+_SHIFTED_11 = _lanes(_MASK64 >> 11)
+_SHIFTED_30 = _lanes(_MASK64 >> 30)
+_SHIFTED_60 = _lanes(_MASK64 >> 60)
 
 # Mixed congruential step (mod 2^64) used to expand one seed word into the
 # 16-word generator state.
@@ -57,28 +74,64 @@ class Xorshift1024:
 
     def next_u64(self) -> int:
         """Advance one step and return the next 64-bit output."""
-        return self.fill_u64(1)[0]
+        return int(self.fill_u64(1)[0])
 
-    def fill_u64(self, count: int) -> list[int]:
-        """Draw `count` outputs in one call (hot path for layer-1 keys)."""
+    def fill_u64(self, count: int) -> np.ndarray:
+        """Draw `count` outputs in one call, as uint64 (hot path for layer-1 keys).
+
+        Step n writes the state word x_n = T(x_{n-16}) ^ U(x_{n-1}), with
+        T(b) = c ^ (c >> 11) for c = b ^ (b << 31) mod 2^64 and
+        U(a) = a ^ (a >> 30), and outputs x_n times the multiplier mod 2^64.
+        The last 16 words are packed into one 1024-bit int, oldest in the
+        lowest 64-bit lane, so 16 steps run as one:
+        - T of every lane gives the T terms of the next 16 steps, and U of
+          the newest word joins the first of them;
+        - the U chain through them is a prefix scan over the lanes in four
+          doublings: adding U^d of the lanes d below for d = 1, 2, 4, 8.
+          Over GF(2), U^2(a) = a ^ (a >> 60) and U^4(a) = a ^ (a >> 120),
+          which is a, since a shift past 63 empties a lane.
+
+        Fewer than 16 draws, as the layer-1 table's last calls take, run one
+        step at a time instead. The output multiply is one uint64 array
+        product, which wraps mod 2^64 exactly.
+        """
         count = as_int(count, "count")
         if count < 0:
             raise InvalidConfig("count must be >= 0")
-        s = self.s
-        p = self.p
-        mask = _MASK64
-        mult = XS1024_MULTIPLIER
-        out = [0] * count
-        for k in range(count):
-            s0 = s[p]
-            p = (p + 1) & 15
-            s1 = s[p]
-            s1 ^= (s1 << 31) & mask
-            s1 ^= s0 ^ (s1 >> 11) ^ (s0 >> 30)
-            s[p] = s1
-            out[k] = (s1 * mult) & mask
-        self.p = p
-        return out
+        if count < 16:
+            s, p = self.s, self.p
+            words = []
+            for _ in range(count):
+                s0 = s[p]
+                p = (p + 1) & 15
+                s1 = s[p]
+                s1 ^= (s1 << 31) & _MASK64
+                s[p] = s1 ^ s0 ^ (s1 >> 11) ^ (s0 >> 30)
+                words.append(s[p])
+            self.p = p
+            return np.array(words, np.uint64) * _MULTIPLIER_U64
+        start = (self.p + 1) & 15
+        oldest_first = np.array(self.s[start:] + self.s[:start], np.uint64).tobytes()
+        words = int.from_bytes(oldest_first, "little")
+        blocks = [oldest_first]
+        for _ in range(-(-count // 16)):
+            c = words ^ ((words << 31) & _SHIFTED_31)
+            c ^= (c >> 11) & _SHIFTED_11
+            newest = words >> 960
+            c ^= newest ^ (newest >> 30)
+            d = (c << 64) & _ALL_LANES
+            c ^= d ^ ((d >> 30) & _SHIFTED_30)
+            d = (c << 128) & _ALL_LANES
+            c ^= d ^ ((d >> 60) & _SHIFTED_60)
+            c ^= (c << 256) & _ALL_LANES
+            words = c ^ ((c << 512) & _ALL_LANES)
+            blocks.append(words.to_bytes(128, "little"))
+        sequence = np.frombuffer(b"".join(blocks), np.uint64)
+        # the 16 words after `count` steps, back in ring order: the newest at p
+        self.p = (self.p + count) & 15
+        ring = sequence[count : count + 16].tolist()
+        self.s = ring[15 - self.p :] + ring[: 15 - self.p]
+        return sequence[16 : 16 + count] * _MULTIPLIER_U64
 
     def randint(self, lo: int, hi: int) -> int:
         """Integer in the closed range [lo, hi]; always consumes one draw.

@@ -10,7 +10,9 @@ from oracles import (
     loop_apply_swaps,
     loop_parse_layer1_key,
     random_image,
+    reference_expand,
     reference_layer1_key,
+    reference_step,
     swap_schedule,
     traced_peak,
 )
@@ -345,6 +347,28 @@ def test_generate_key_replays_documented_draw_sequence():
     assert key.row_swaps.tolist() == rows
     assert key.col_swaps.tolist() == cols
     assert key.lut.tolist() == table
+
+
+@pytest.mark.parametrize("width, height", [(1, 1), (7, 3), (16384, 32), (32, 16384), (2048, 2048)])
+def test_generate_key_and_generator_end_state_match_one_draw_at_a_time(width, height):
+    # the table is drawn in blocks of as many words as values still
+    # unassigned; the key and the generator's end state must be those of the
+    # oracle's one draw at a time
+    seed = 7919 * width + height
+    state = [reference_expand(seed), 0]
+
+    def draws():
+        while True:
+            out, *state[:] = reference_step(*state)
+            yield out
+
+    rows, cols, table = reference_layer1_key(draws(), width, height)
+    gen = Xorshift1024(seed)
+    key = generate_layer1_key(gen, width, height)
+    assert key.row_swaps.tolist() == rows
+    assert key.col_swaps.tolist() == cols
+    assert key.lut.tolist() == table
+    assert [gen.s, gen.p] == state
 
 
 def test_generate_key_draw_count():

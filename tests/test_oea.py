@@ -208,8 +208,8 @@ def test_serialize_hand_traced_vector():
 
 
 def test_serialize_sections_over_several_format_blocks():
-    # 3 blocks of FORMAT_BLOCK_ROWS values and one more, in each section
-    count = 3 * _text.FORMAT_BLOCK_ROWS + 1
+    # 3 blocks of BLOCK_VALUES values and one more, in each section
+    count = 3 * _text.BLOCK_VALUES + 1
     rng = np.random.default_rng(8)
     values = [rng.integers(-(2**62), 2**62, count) for _ in range(3)]
     cipher = OeaCipher(b"0" * count, b"0" * count + b"1" * count, *values)

@@ -74,12 +74,28 @@ def test_index_advances_mod_16():
 def test_fill_matches_single_draws():
     a = Xorshift1024(99)
     b = xorshift_from_state(a.s, a.p)
-    assert a.fill_u64(57) == [b.next_u64() for _ in range(57)]
+    assert a.fill_u64(57).tolist() == [b.next_u64() for _ in range(57)]
     assert a.s == b.s and a.p == b.p
 
 
+@pytest.mark.parametrize("count", [0, 1, 15, 16, 17, 33, 100])
+def test_fill_matches_reference_steps_from_every_index(count):
+    # below 16 draws fill_u64 steps one word at a time, from 16 on it steps
+    # 16 packed words at once; both must be the oracle's steps, end state too
+    words = reference_expand(count)
+    for index in range(16):
+        gen = xorshift_from_state(words, index)
+        out = gen.fill_u64(count)
+        expected, state, at = [], words, index
+        for _ in range(count):
+            value, state, at = reference_step(state, at)
+            expected.append(value)
+        assert out.dtype == np.uint64 and out.tolist() == expected
+        assert gen.s == state and gen.p == at
+
+
 def test_determinism_across_instances():
-    assert Xorshift1024(11).fill_u64(200) == Xorshift1024(11).fill_u64(200)
+    assert np.array_equal(Xorshift1024(11).fill_u64(200), Xorshift1024(11).fill_u64(200))
 
 
 def test_randint_singleton_consumes_one_draw():

@@ -34,7 +34,8 @@ def test_text_tests_pass_with_bytes_warnings_as_errors():
     here = Path(__file__).parent
     result = subprocess.run(
         [sys.executable, "-bb", "-m", "pytest", "-q", "-p", "no:cacheprovider",
-         "-k", "parse or serialize or round_trip", str(here / "test_layer1.py"), str(here / "test_oea.py")],
+         "-k", "parse or serialize or round_trip",
+         *(str(here / name) for name in ("test_layer1.py", "test_oea.py", "test_text.py"))],
         capture_output=True, text=True, timeout=120,
         env={**os.environ, "PYTHONPATH": str(Path(pioucrypt.__file__).parents[1])},
     )
