@@ -2,10 +2,11 @@
 
 The grammar here is shared by the texts that are parsed (PIOU1, PIOU2); it
 refuses a non-ASCII byte as it refuses any other bad token, naming its line.
-One writer, write_rows, renders every text written from arrays (PIOU1, PIOU2,
-PIOUW, the CLI's point dump) with array operations: each value of a block
-fills a fixed-width row of 4-byte cells from a table of 4-digit groups, and
-the NUL bytes that pad the cells are dropped from the block's bytes at once.
+One writer, write_rows, renders every integer text written from arrays (the
+PIOU1 key, the PIOU2 sections, the CLI's point dump) with array operations:
+each value of a block fills a fixed-width row of 4-byte cells from a table of
+4-digit groups, and the NUL bytes that pad the cells are dropped from the
+block's bytes at once.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ CANON_INT = rb"(?:-?[1-9][0-9]*|0)"
 _INT_LINE = re.compile(b"%s(?: %s)*+" % (CANON_INT, CANON_INT))
 _INT64 = np.iinfo(np.int64)
 
-# Values rendered at a time by write_rows. A value of the four texts takes at
+# Values rendered at a time by write_rows. A value of the three texts takes at
 # most 7 cells of 4 bytes, so a block's cells take at most 112 kB. Blocks of
 # 8,192 values cut 0.6 ms from a strip OEA text but raised the benchmark's
 # peak RSS by a further 0.4-0.6 MB.
@@ -112,7 +113,7 @@ def _cells(text: bytes) -> np.ndarray:
     return np.frombuffer(text.ljust(-(-len(text) // 4) * 4, b"\0"), np.uint32)
 
 
-_SPACE, _LF, _MINUS, _POINT = (_cells(c)[0] for c in (b" ", b"\n", b"-", b"."))
+_SPACE, _LF, _MINUS = (_cells(c)[0] for c in (b" ", b"\n", b"-"))
 
 
 def _digit_cells(magnitudes: np.ndarray, out: np.ndarray) -> None:
@@ -138,58 +139,26 @@ def _split(values: np.ndarray, divisor: int) -> tuple[np.ndarray, np.ndarray]:
     return quotients, values - quotients * divisor
 
 
-def _fixed_point(block: np.ndarray) -> np.ndarray:
-    """Non-negative float64 entries below 2^53 / 10^5, times 10^5 and rounded as %.5f rounds.
-
-    rint of the float product is the rounding of the exact product unless the
-    product lies near a half-way point; those entries, which include every
-    exact tie, are recomputed exactly and rounded half to even.
-    """
-    scaled = block * 1e5
-    result = np.rint(scaled).astype(np.uint64)
-    near = np.abs(scaled - np.floor(scaled) - 0.5) <= 4 * np.spacing(scaled)
-    for i in np.flatnonzero(near).tolist():
-        numerator, denominator = float(block[i]).as_integer_ratio()
-        whole, rest = divmod(numerator * 100_000, denominator)
-        result[i] = whole + (2 * rest > denominator or (2 * rest == denominator and whole % 2 == 1))
-    return result
-
-
 def write_rows(rows: np.ndarray, tag: bytes = b"") -> Iterator[bytes]:
-    """The text of a 2-D array, one line per row, one block of values at a time.
+    """The text of a 2-D integer array, one line per row, one block of values at a time.
 
     A line is the tag and a space if a tag is given, then the row's values
-    split by spaces, then LF. Integer values are written as %d writes them.
-    Float64 values are written as %.5f writes them, -0.0 as 0.00000; a block
-    with an entry that is negative, not finite or at least 2^53 / 10^5 is
-    written with a %-format instead.
+    written as %d writes them and split by spaces, then LF.
     """
     columns = rows.shape[1]
     flat = rows.reshape(-1)
     prefix = _cells(tag + b" " if tag else b"")
     for lo in range(0, flat.size, BLOCK_VALUES):
         block = flat[lo : lo + BLOCK_VALUES]
-        negative = decimals = None
-        if block.dtype.kind != "f":
-            magnitudes = block.astype(np.uint64)
-            if block.min() < 0:
-                negative = block < 0
-                np.negative(magnitudes, out=magnitudes, where=negative)
-        elif 0 <= block.min() and block.max() * 1e5 < 2.0**53:
-            magnitudes, decimals = _split(_fixed_point(block), 100_000)
-        else:
-            yield b"".join([
-                (tag + b" " if tag and k % columns == 0 else b"")
-                + b"%.5f" % value
-                + (b"\n" if k % columns == columns - 1 else b" ")
-                for k, value in enumerate((block + 0.0).tolist(), lo)
-            ])
-            continue
-        # a row of cells: prefix, sign, digit groups, then "." and the five
-        # decimals as a group and a digit, then the separator
+        magnitudes = block.astype(np.uint64)
+        negative = None
+        if block.min() < 0:
+            negative = block < 0
+            np.negative(magnitudes, out=magnitudes, where=negative)
+        # a row of cells: prefix, sign, digit groups, then the separator
         first = len(prefix) + (negative is not None)
         end = first + (len(str(int(magnitudes.max()))) + 3) // 4
-        cells = np.zeros((block.size, end + 3 * (decimals is not None) + 1), np.uint32)
+        cells = np.zeros((block.size, end + 1), np.uint32)
         # the block's values that start a line, and those that end one
         cells[-lo % columns :: columns, : len(prefix)] = prefix
         cells[:, -1] = _SPACE
@@ -197,9 +166,4 @@ def write_rows(rows: np.ndarray, tag: bytes = b"") -> Iterator[bytes]:
         if negative is not None:
             cells[negative, first - 1] = _MINUS
         _digit_cells(magnitudes, cells[:, first:end])
-        if decimals is not None:
-            tens, units = _split(decimals, 10)
-            cells[:, end] = _POINT
-            cells[:, end + 1] = _CELLS[tens.astype(np.intp) + 10_000]
-            cells[:, end + 2] = _CELLS[units.astype(np.intp)]
         yield cells.tobytes().translate(None, b"\0")

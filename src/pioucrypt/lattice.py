@@ -275,5 +275,13 @@ def serialize_key_matrix(matrix) -> bytes:
     W = _nonnegative(matrix, "key matrix")
     if W.ndim != 2 or W.shape[0] < 1 or W.shape[1] < 1:
         raise InvalidConfig("key matrix must be 2-D and non-empty")
-    header = b"%s %d %d\n" % (KEY_MATRIX_MAGIC, *W.shape)
-    return b"".join([header, *_text.write_rows(W.astype(np.float64, copy=False))])
+    rows, cols = W.shape
+    row_format = b" ".join([b"%.5f"] * cols) + b"\n"
+    parts = [b"%s %d %d\n" % (KEY_MATRIX_MAGIC, rows, cols)]
+    # one %-format per block of about _text.BLOCK_VALUES entries; adding 0
+    # writes -0.0 as 0.00000
+    step = max(1, _text.BLOCK_VALUES // cols)
+    for start in range(0, rows, step):
+        block = W[start : start + step] + 0
+        parts.append(row_format * len(block) % tuple(block.ravel().tolist()))
+    return b"".join(parts)

@@ -91,25 +91,12 @@ class Xorshift1024:
           Over GF(2), U^2(a) = a ^ (a >> 60) and U^4(a) = a ^ (a >> 120),
           which is a, since a shift past 63 empties a lane.
 
-        Fewer than 16 draws, as the layer-1 table's last calls take, run one
-        step at a time instead. The output multiply is one uint64 array
-        product, which wraps mod 2^64 exactly.
+        The output multiply is one uint64 array product, which wraps mod 2^64
+        exactly.
         """
         count = as_int(count, "count")
         if count < 0:
             raise InvalidConfig("count must be >= 0")
-        if count < 16:
-            s, p = self.s, self.p
-            words = []
-            for _ in range(count):
-                s0 = s[p]
-                p = (p + 1) & 15
-                s1 = s[p]
-                s1 ^= (s1 << 31) & _MASK64
-                s[p] = s1 ^ s0 ^ (s1 >> 11) ^ (s0 >> 30)
-                words.append(s[p])
-            self.p = p
-            return np.array(words, np.uint64) * _MULTIPLIER_U64
         start = (self.p + 1) & 15
         oldest_first = np.array(self.s[start:] + self.s[:start], np.uint64).tobytes()
         words = int.from_bytes(oldest_first, "little")

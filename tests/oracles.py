@@ -388,16 +388,10 @@ def buffered_nmf(V, seed, block=None):
 
 
 def percent_rows(rows, tag=b""):
-    """The text of a 2-D array as written before the array writer: one %d
-    or %.5f per value, -0.0 as 0.00000, each line led by the tag if given."""
-    form = b"%.5f" if rows.dtype.kind == "f" else b"%d"
+    """The text of a 2-D integer array as written before the array writer:
+    one %d per value, each line led by the tag if given."""
     head = tag + b" " if tag else b""
-    return b"".join(head + b" ".join(form % (v + 0) for v in row) + b"\n" for row in rows.tolist())
-
-
-# 0.0, -0.0, and odd multiples of 2^-6, which lie exactly halfway between
-# two 5-decimal values
-KEY_TEXT_EDGES = [0.0, -0.0, 1 / 64, 3 / 64, 0.5 + 5 / 64, 1234 + 9 / 64, 5e-6, 4.999995]
+    return b"".join(head + b" ".join(b"%d" % v for v in row) + b"\n" for row in rows.tolist())
 
 
 def per_entry_key_text(W):

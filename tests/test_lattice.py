@@ -12,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
-    KEY_TEXT_EDGES,
     brute_force_points,
     buffered_nmf,
     membership_points,
@@ -428,6 +427,11 @@ def test_reconstruction_probe_row_product():
 def test_serialize_key_matrix_shapes_and_exact_text():
     assert serialize_key_matrix(np.zeros((668, 2))).splitlines()[0] == b"PIOUW 668 2"
     assert serialize_key_matrix(np.array([[0.0, 0.0]])) == b"PIOUW 1 2\n0.00000 0.00000\n"
+
+
+# 0.0, -0.0, and odd multiples of 2^-6, which lie exactly halfway between
+# two 5-decimal values
+KEY_TEXT_EDGES = [0.0, -0.0, 1 / 64, 3 / 64, 0.5 + 5 / 64, 1234 + 9 / 64, 5e-6, 4.999995]
 
 
 ROWS = _text.BLOCK_VALUES

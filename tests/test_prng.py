@@ -80,8 +80,8 @@ def test_fill_matches_single_draws():
 
 @pytest.mark.parametrize("count", [0, 1, 15, 16, 17, 33, 100])
 def test_fill_matches_reference_steps_from_every_index(count):
-    # below 16 draws fill_u64 steps one word at a time, from 16 on it steps
-    # 16 packed words at once; both must be the oracle's steps, end state too
+    # fill_u64 steps 16 packed words at a time and keeps the first `count`;
+    # its outputs and end state must be the oracle's steps from any index
     words = reference_expand(count)
     for index in range(16):
         gen = xorshift_from_state(words, index)

@@ -7,9 +7,8 @@ test_robustness.py selects them.
 import numpy as np
 import pytest
 
-from oracles import KEY_TEXT_EDGES, per_entry_key_text, percent_rows
+from oracles import percent_rows
 from pioucrypt import _text
-from pioucrypt.lattice import serialize_key_matrix
 from pioucrypt.oea import OeaCipher, serialize_oea
 
 INT64 = np.iinfo(np.int64)
@@ -47,8 +46,6 @@ def test_serialize_rows_across_block_edges_match_percent_format(rows):
     rng = np.random.default_rng(rows)
     ints = rng.integers(-(10**12), 10**12, (rows, 2))
     assert written(ints, b"C") == percent_rows(ints, b"C")
-    floats = rng.uniform(0.0, 2100.0, (rows, 1))
-    assert written(floats) == percent_rows(floats)
     assert written(np.zeros((0, 2), np.int64)) == b""
 
 
@@ -58,27 +55,3 @@ def test_serialize_short_int_sections_match_percent_format(count):
     cipher = OeaCipher(b"", b"0" * count + b"1" * count, values, -values, np.empty(0, np.int64))
     lines = serialize_oea(cipher).split(b"\n")
     assert lines[3:] == [b" ".join(b"%d" % v for v in section.tolist()) for section in (values, -values)] + [b"", b""]
-
-
-def test_serialize_floats_next_to_rounding_points_match_percent_format():
-    rng = np.random.default_rng(5)
-    # half-way points k + 1/2 over 10^5, with k of every size up to 2^53
-    points = ((rng.integers(0, 2**53, BLOCK) >> rng.integers(0, 53, BLOCK)) + 0.5) / 1e5
-    points[:4] = [0.5e-5, 1.5e-5, 2.5e-5, 1e5 + 0.5e-5]
-    values = np.concatenate((KEY_TEXT_EDGES, points, np.nextafter(points, 0), np.nextafter(points, np.inf)))
-    rows = values.reshape(-1, 2)
-    assert written(rows) == percent_rows(rows)
-
-
-@pytest.mark.parametrize("large", [9e10, 2.0**53 / 1e5, 1e300])
-def test_serialize_large_key_entries_keep_percent_format(large):
-    W = np.random.default_rng(3).uniform(0.0, 2100.0, (2 * BLOCK, 2))
-    W[:4, 0] = KEY_TEXT_EDGES[:4]
-    W[5, 1] = large
-    assert serialize_key_matrix(W) == per_entry_key_text(W)
-
-
-def test_serialize_integer_key_matrix_as_floats():
-    W = np.array([[0, 3], [2**53 + 1, 7]], np.uint64)
-    assert serialize_key_matrix(W) == b"PIOUW 2 2\n0.00000 3.00000\n%.5f 7.00000\n" % float(2**53 + 1)
-
