@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import contextlib
 import glob
+import io
 import os
 import re
 from dataclasses import dataclass
@@ -54,22 +55,39 @@ CIPHER_IMAGE_SUFFIX = ".cipher.ppm"
 OEA_CIPHER_SUFFIX = ".cipher.oea"
 OEA_KEY_SUFFIX = ".key.oeaw"
 
-# One PPM header token after any whitespace and comments. In a bytes pattern
-# \s is exactly the six whitespace bytes of the PPM format.
-_HEADER_TOKEN = re.compile(rb"(?:\s|#[^\n\r]*)*+(\S*)")
+# Runs of one byte class in a PPM header. In a bytes pattern \s is exactly
+# the six whitespace bytes of the PPM format; a comment runs from its # up
+# to the end of its line.
+_BLANKS = re.compile(rb"\s*")
+_COMMENT = re.compile(rb"[^\n\r]*")
+_TOKEN = re.compile(rb"\S*")
 
 
-# Bytes read per attempt at the header; each further attempt reads as many
-# bytes as are already held.
-_HEADER_CHUNK = 4096
+def _read_run(fh, run: re.Pattern, keep: bool) -> bytes:
+    """Read the bytes that run matches from fh's position on; return them if keep.
+
+    The run is matched one buffer at a time. A run of one byte class can go
+    on in the next buffer without any state carried over, and the bytes of
+    a run that is not kept are dropped as they are read.
+    """
+    kept = []
+    while chunk := fh.peek():
+        end = run.match(chunk).end()
+        part = fh.read(end)
+        if keep:
+            kept.append(part)
+        if end < len(chunk):
+            break
+    return b"".join(kept)
 
 
-def _header_int(data: bytes, pos: int, what: str, complete: bool) -> tuple[int, int] | None:
-    """The header number at pos and the position after it, or None if data may end inside it."""
-    match = _HEADER_TOKEN.match(data, pos)
-    if match.end() == len(data) and not complete:
-        return None
-    token = match[1]
+def _header_int(fh, what: str) -> int:
+    """The next header number of fh, after any whitespace and comments."""
+    _read_run(fh, _BLANKS, keep=False)
+    while fh.peek()[:1] == b"#":
+        _read_run(fh, _COMMENT, keep=False)
+        _read_run(fh, _BLANKS, keep=False)
+    token = _read_run(fh, _TOKEN, keep=True)
     if not token:
         raise MalformedHeader("unexpected end of header")
     # ASCII digits only: int() would also take a sign and underscores
@@ -81,66 +99,40 @@ def _header_int(data: bytes, pos: int, what: str, complete: bool) -> tuple[int, 
         raise MalformedHeader(f"{what}: {token!r} is not an unsigned decimal integer")
     if value < 1:
         raise MalformedHeader(f"{what} must be >= 1")
-    return value, match.end()
-
-
-def _parse_header(data: bytes, complete: bool) -> tuple[int, int, int, int] | None:
-    """(width, height, channels, payload offset) of the header that data starts with.
-
-    complete says whether data is the whole file. If it is not, and the
-    header may run past its end, the result is None: every check is then
-    made again on more of the file, so each one sees the bytes it would see
-    in the whole file.
-    """
-    magic = data[:2]
-    if len(magic) < 2 and not complete:
-        return None
-    if magic not in (b"P6", b"P5"):
-        raise UnsupportedFormat(f"unsupported magic {magic!r}; need binary P6 or P5")
-    pos, values = 2, []
-    for what in ("width", "height", "maxval"):
-        number = _header_int(data, pos, what, complete)
-        if number is None:
-            return None
-        value, pos = number
-        values.append(value)
-    width, height, maxval = values
-    if maxval != 255:
-        raise UnsupportedFormat(f"maxval {maxval} unsupported; need 255")
-    if not data[pos : pos + 1].isspace():
-        raise MalformedHeader("missing whitespace after maxval")
-    return width, height, 3 if magic == b"P6" else 1, pos + 1
+    return value
 
 
 def read_image(path) -> RgbImage:
     """Read a binary PPM (P6) or PGM (P5) file with maxval 255.
 
-    The header is read first, then the payload straight into a new array
-    that the image owns, so the pixels are copied once, from the file, and
-    are writable. A payload shorter than the header says is refused before
-    that array is made.
+    The header is read once, front to back, from the buffered file, and
+    only its numbers are held. The payload is then read straight into a new
+    array that the image owns, so the pixels are copied once, from the
+    file, and are writable. A payload shorter than the header says is
+    refused before that array is made.
     """
-    with open(path, "rb", buffering=0) as fh:
-        head, header = b"", None
-        while header is None:
-            more = fh.read(max(_HEADER_CHUNK, len(head)))
-            head += more
-            header = _parse_header(head, complete=not more)
-        width, height, channels, pos = header
+    with open(path, "rb") as fh:
+        magic = fh.read(2)
+        if magic not in (b"P6", b"P5"):
+            raise UnsupportedFormat(f"unsupported magic {magic!r}; need binary P6 or P5")
+        width, height, maxval = (_header_int(fh, what) for what in ("width", "height", "maxval"))
+        if maxval != 255:
+            raise UnsupportedFormat(f"maxval {maxval} unsupported; need 255")
+        if not fh.read(1).isspace():
+            raise MalformedHeader("missing whitespace after maxval")
+        channels = 3 if magic == b"P6" else 1
         expected = width * height * channels
         # found: the payload bytes the file holds, then the bytes read
         status = os.fstat(fh.fileno())
         if S_ISREG(status.st_mode):
-            found = status.st_size - pos
+            source, found = fh, status.st_size - fh.tell()
         else:  # a pipe has no size, so it is read to its end first
-            head += fh.readall()
-            found = len(head) - pos
-        start = head[pos : pos + expected]
+            rest = fh.read()
+            source, found = io.BytesIO(rest), len(rest)
         if found >= expected:
             pixels = np.empty(expected, np.uint8)
-            pixels[: len(start)] = np.frombuffer(start, np.uint8)
-            found = len(start)
-            while found < expected and (count := fh.readinto(memoryview(pixels)[found:])):
+            found = 0
+            while found < expected and (count := source.readinto(memoryview(pixels)[found:])):
                 found += count
     if found < expected:
         raise MalformedHeader(f"truncated pixel data: expected {expected} bytes, found {found}")

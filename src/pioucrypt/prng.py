@@ -125,6 +125,12 @@ class Xorshift1024:
 
         Plain modulo mapping: the bias is negligible for the byte and index
         ranges used here and keeps the draw sequence trivially portable.
+
+        No encrypt, decrypt, analyze or lattice run calls it: the layer-1 key
+        draws through fill_u64. It stays because perfbench/tracing.py wraps
+        it by name to count draws, and tests/test_layer1.py replays table
+        draws through it. It can go once the benchmark takes its draw counts
+        from a run report of the library (the ROADMAP's run-report item).
         """
         lo, hi = as_int(lo, "lo"), as_int(hi, "hi")
         if lo > hi:

@@ -1,20 +1,24 @@
 """Unit tests for image I/O, histograms, the full pipeline, and the CLI."""
 
 import ctypes
+import fcntl
 import glob
 import hashlib
 import os
 import re
+import struct
 import subprocess
 import sys
+import termios
 import threading
+import time
 import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from oracles import traced_peak, write_random_ppm
+from oracles import PPM_WHITESPACE, loop_read_pixels, traced_peak, write_random_ppm
 from pioucrypt import cli, lattice, pipeline
 from pioucrypt.errors import (
     DimensionMismatch,
@@ -154,14 +158,77 @@ def test_read_image_from_a_pipe(tmp_path, payload):
         writer.join()
 
 
-def test_read_image_header_past_the_first_read(tmp_path):
-    # the header is read in growing pieces, and a comment or a number cut at
-    # the end of one is read again whole: here the first 4,096 bytes end
-    # inside the comment and the first 8,192 inside the width
-    comment = b"#" + b"x" * 7999 + b"\n"
+def test_read_image_header_memory_is_bounded(tmp_path):
+    # comments and whitespace are dropped as they are read, so a long
+    # comment costs no more memory than a short one
+    path = tmp_path / "c.ppm"
+    path.write_bytes(b"P6\n#" + b"x" * (4 << 20) + b"\n2 1 255\n" + bytes(range(6)))
+    image, peak = traced_peak(read_image, path)
+    assert image.pixels.ravel().tolist() == list(range(6))
+    assert peak < 1_000_000
+
+
+# The header is read from the file's buffer of 4,096 or 8,192 bytes, one
+# run of one byte class at a time. Each case puts 100 bytes of one kind of
+# run so that they end just before a buffer boundary, on it, or past it: the
+# next buffer then starts after the run, at its last byte, or inside it.
+HEADER_RUNS = {  # the 100 bytes, and the header after them
+    "comment": (b"#" + b"x" * 99, b"\n2 1 255\n"),
+    "cr-comment": (b"#" + b"x" * 99, b"\r2 1 255\n"),
+    "whitespace": ((PPM_WHITESPACE * 17)[:100], b"2 1 255\n"),
+    "width": (b"0" * 99 + b"2", b" 1 255\n"),
+    "hash": (b" " * 99 + b"#", b"c\n2 1 255\n"),
+}
+
+
+@pytest.mark.parametrize("end", [b + d for b in (4096, 8192) for d in (-1, 0, 1, 3)], ids=str)
+@pytest.mark.parametrize("place", HEADER_RUNS)
+def test_read_image_header_past_the_first_read(tmp_path, place, end):
+    run, after = HEADER_RUNS[place]
+    # a comment in front puts the last of the 100 bytes at offset end
+    data = b"P6\n#" + b"x" * (end - len(run) - 4) + b"\n" + run + after + bytes(range(6))
+    assert data.index(run + after) + len(run) - 1 == end
     path = tmp_path / "long.ppm"
-    path.write_bytes(b"P6\n" + comment + b"0" * 300 + b"2 1 255\n" + bytes(range(6)))
-    assert read_image(path).pixels.ravel().tolist() == list(range(6))
+    path.write_bytes(data)
+    pixels = read_image(path).pixels
+    assert pixels.ravel().tolist() == list(range(6))
+    assert np.array_equal(pixels, loop_read_pixels(data))
+
+
+def pipe_holds_bytes(fd):
+    return struct.unpack("i", fcntl.ioctl(fd, termios.FIONREAD, bytes(4)))[0] > 0
+
+
+def test_read_image_from_a_pipe_one_byte_at_a_time(tmp_path):
+    # each header byte is its own write, made once the reader has taken the
+    # byte before it, so every read of the header gets one byte and every
+    # run crosses a read
+    header = b"P6 # a comment\r\n\t2 2\n#\n255\n"
+    data = header + bytes(range(12))
+    fifo = tmp_path / "pipe.ppm"
+    os.mkfifo(fifo)
+
+    def write():
+        fd = os.open(fifo, os.O_WRONLY)
+        try:
+            for k in range(len(header)):
+                os.write(fd, header[k : k + 1])
+                deadline = time.monotonic() + 10
+                while pipe_holds_bytes(fd) and time.monotonic() < deadline:
+                    time.sleep(0.001)
+            os.write(fd, data[len(header) :])
+        finally:
+            os.close(fd)
+
+    writer = threading.Thread(target=write)
+    writer.start()
+    try:
+        pixels = read_image(fifo).pixels
+    finally:
+        writer.join(timeout=60)
+    assert not writer.is_alive()
+    assert pixels.ravel().tolist() == list(range(12))
+    assert np.array_equal(pixels, loop_read_pixels(data))
 
 
 def test_histogram_uniform_block():

@@ -1,8 +1,8 @@
 """Properties over random inputs: parsers fail only with PiouCryptError, the
 command line never ends in a traceback, the pipeline round-trips every
 image shape, thin strips included, and the PPM header reader agrees with a
-byte-at-a-time oracle. The text tests also run with bytes/str mix-ups as
-errors."""
+byte-at-a-time oracle. The text and PPM header tests also run with
+bytes/str mix-ups as errors."""
 
 import contextlib
 import functools
@@ -28,18 +28,33 @@ from pioucrypt.pipeline import PipelineConfig, decrypt_pipeline, encrypt_pipelin
 from pioucrypt.prng import Xorshift1024
 
 
+# The PPM header tests, by exact name: the header reader matches bytes runs.
+PPM_HEADER_TESTS = [
+    *(f"test_pipeline.py::{name}" for name in (
+        "test_read_minimal_ppm", "test_read_header_with_comments", "test_pgm_promoted_to_rgb",
+        "test_unsupported_formats", "test_malformed_headers", "test_header_numbers_are_ascii_digits",
+        "test_read_image_holds_the_file_once", "test_read_image_from_a_pipe",
+        "test_read_image_header_memory_is_bounded", "test_read_image_header_past_the_first_read",
+        "test_read_image_from_a_pipe_one_byte_at_a_time",
+    )),
+    "test_robustness.py::test_read_image_matches_byte_loop_header_reader",
+]
+
+
 def test_text_tests_pass_with_bytes_warnings_as_errors():
     """Every text is bytes; under python -bb, comparing bytes with str or
-    formatting bytes with str() raises instead of giving False or "b'...'"."""
+    formatting bytes with str() raises instead of giving False or "b'...'".
+    The PPM header tests run so too."""
     here = Path(__file__).parent
-    result = subprocess.run(
-        [sys.executable, "-bb", "-m", "pytest", "-q", "-p", "no:cacheprovider",
-         "-k", "parse or serialize or round_trip",
-         *(str(here / name) for name in ("test_layer1.py", "test_oea.py", "test_text.py"))],
-        capture_output=True, text=True, timeout=120,
-        env={**os.environ, "PYTHONPATH": str(Path(pioucrypt.__file__).parents[1])},
-    )
-    assert result.returncode == 0, result.stdout + result.stderr
+    text_tests = ["-k", "parse or serialize or round_trip",
+                  *(str(here / name) for name in ("test_layer1.py", "test_oea.py", "test_text.py"))]
+    for selection in (text_tests, [str(here / test) for test in PPM_HEADER_TESTS]):
+        result = subprocess.run(
+            [sys.executable, "-bb", "-m", "pytest", "-q", "-p", "no:cacheprovider", *selection],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(Path(pioucrypt.__file__).parents[1])},
+        )
+        assert result.returncode == 0, result.stdout + result.stderr
 
 
 def valid_oea_text(rng):
@@ -292,6 +307,11 @@ def ppm_files(draw):
 
 @settings(max_examples=500, deadline=None)
 @given(ppm_files())
+@example(b"P62 1 255\n" + bytes(6))  # the magic glued to the width
+@example(b"P6 2#1 1 255\n" + bytes(6))  # a # inside a number
+@example(b"P6 #abc")  # the file ends inside a comment
+@example(b"P")
+@example(b"P6 2 1 255")  # the file ends right after maxval
 def test_read_image_matches_byte_loop_header_reader(data):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "h.ppm"
